@@ -4,7 +4,9 @@ Subcommands mirror the library surface: phi-poly, matrix, classify, sweep,
 verify-theorem, tables, counterexamples. Output goes to stdout by default
 (always UTF-8, integers as decimal strings in JSON); ``--output`` writes to a
 file instead, and a relative ``--output`` path is resolved against the
-``CYCLODERIV_OUTPUT_DIR`` environment variable when that is set.
+``CYCLODERIV_OUTPUT_DIR`` environment variable when that is set. Every
+command that builds a ring takes ``--cap`` (default 64) and refuses a ring
+degree phi(n) above it before building anything.
 
 Exit codes: 0 on success or all-pass, 1 on an assertion-style failure
 (prediction mismatch, failed round-trip, a Leibniz failure where a pass was
@@ -19,10 +21,10 @@ import sys
 from pathlib import Path
 
 from ._version import __version__
-from .arith import totient
 from .endomorphisms import TwistedDerivation, TwistedPair
 from .harness import (
     DEFAULT_DEGREE_CAP,
+    check_degree,
     counterexample_suite,
     reproduce_tables,
     sweep,
@@ -56,6 +58,7 @@ def _render_rows(title: str, columns, rows, fmt: str, payload) -> str:
 
 
 def _cmd_phi_poly(args: argparse.Namespace) -> int:
+    check_degree(args.n, args.cap)
     poly = cyclotomic_poly(args.n)
     coeffs = [str(c) for c in poly.coeffs]
     payload = {"n": str(args.n), "degree": str(len(coeffs) - 1), "coefficients": coeffs}
@@ -87,6 +90,7 @@ def _prediction_fields(n: int, u: int, v: int, det_abs: int) -> dict:
 
 
 def _cmd_matrix(args: argparse.Namespace) -> int:
+    check_degree(args.n, args.cap)
     ring = CyclotomicRing(args.n)
     pair = TwistedPair.zeta_powers(ring, args.u, args.v)
     multiplier = MultiplierMatrix(pair)
@@ -145,9 +149,9 @@ def _parse_coords(text: str, expected: int) -> tuple[int, ...]:
 
 
 def _cmd_classify(args: argparse.Namespace) -> int:
+    coords = _parse_coords(args.dzeta, check_degree(args.n, args.cap))
     ring = CyclotomicRing(args.n)
     pair = TwistedPair.zeta_powers(ring, args.u, args.v)
-    coords = _parse_coords(args.dzeta, totient(args.n))
     derivation = TwistedDerivation(pair, ring.element(coords))
     verdict = classify(derivation)
     payload = {
@@ -203,6 +207,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify_theorem(args: argparse.Namespace) -> int:
+    check_degree(args.n, args.cap)
     verdict = verify_theorem(args.n, args.u, args.v, trials=args.trials, seed=args.seed)
     payload = {
         "n": str(verdict.n),
@@ -255,6 +260,13 @@ def _cmd_counterexamples(args: argparse.Namespace) -> int:
     return 0 if all(c.ok for c in cases) else 1
 
 
+def _add_cap_flag(sp: argparse.ArgumentParser) -> None:
+    sp.add_argument(
+        "--cap", type=int, default=DEFAULT_DEGREE_CAP,
+        help=f"maximum ring degree phi(n), checked before any work (default {DEFAULT_DEGREE_CAP})",
+    )
+
+
 def _add_output_flags(sp: argparse.ArgumentParser) -> None:
     sp.add_argument(
         "--format", choices=("json", "csv", "markdown"), default="json",
@@ -276,6 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("phi-poly", help="coefficients of the n-th cyclotomic polynomial")
     p.add_argument("n", type=int)
+    _add_cap_flag(p)
     _add_output_flags(p)
     p.set_defaults(func=_cmd_phi_poly)
 
@@ -283,6 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("n", type=int)
     p.add_argument("u", type=int)
     p.add_argument("v", type=int)
+    _add_cap_flag(p)
     _add_output_flags(p)
     p.set_defaults(func=_cmd_matrix)
 
@@ -294,6 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--dzeta", required=True, metavar="c0,c1,...",
         help="coordinates of D(zeta), ascending powers, exactly phi(n) entries",
     )
+    _add_cap_flag(p)
     _add_output_flags(p)
     p.set_defaults(func=_cmd_classify)
 
@@ -303,8 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p", type=int, default=None)
     p.add_argument("--k", type=int, default=None)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--cap", type=int, default=DEFAULT_DEGREE_CAP,
-                   help="maximum ring degree (default 64)")
+    _add_cap_flag(p)
     _add_output_flags(p)
     p.set_defaults(func=_cmd_sweep)
 
@@ -314,12 +328,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("v", type=int)
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
+    _add_cap_flag(p)
     _add_output_flags(p)
     p.set_defaults(func=_cmd_verify_theorem)
 
     p = sub.add_parser("tables", help="per-pair matrices, determinants, solution templates")
     p.add_argument("n", type=int)
-    p.add_argument("--cap", type=int, default=DEFAULT_DEGREE_CAP)
+    _add_cap_flag(p)
     _add_output_flags(p)
     p.set_defaults(func=_cmd_tables)
 
@@ -330,9 +345,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _join_negative_values(argv: list[str]) -> list[str]:
+    """Rewrite ``--dzeta -9,4`` as ``--dzeta=-9,4``.
+
+    argparse takes a token that starts with '-' and is not a single number
+    for an option, so a coordinate list with a negative first entry would
+    otherwise be refused as a missing value.
+    """
+    out: list[str] = []
+    for token in argv:
+        if out and out[-1] == "--dzeta" and token[:1] == "-" and token[1:2].isdigit():
+            out[-1] = f"--dzeta={token}"
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_join_negative_values(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
     except ValueError as exc:

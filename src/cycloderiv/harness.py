@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from ._version import __version__
-from .arith import units
+from .arith import totient, units
 from .endomorphisms import Endomorphism, TwistedDerivation, TwistedPair, leibniz_check
 from .innerness import (
     Classification,
@@ -33,6 +33,20 @@ from .polynomials import Polynomial
 from .quotient import CyclotomicRing, QuotientRing, RingElement
 
 DEFAULT_DEGREE_CAP = 64
+
+
+def check_degree(n: int, cap: int = DEFAULT_DEGREE_CAP) -> int:
+    """The ring degree phi(n), refused above the cap before anything is built.
+
+    Rings and multiplier matrices grow with phi(n) and phi(n)^2, so every
+    entry point checks the degree from the factorization of n alone first.
+    """
+    degree = totient(n)
+    if degree > cap:
+        raise ValueError(
+            f"ring degree {degree} exceeds the cap {cap}; raise the cap to proceed"
+        )
+    return degree
 
 
 @dataclass(frozen=True)
@@ -88,13 +102,9 @@ def sweep(form: RingForm, seed: int = 0, cap: int = DEFAULT_DEGREE_CAP) -> Sweep
     """Score the determinant prediction over all unordered pairs of a ring."""
     started = time.perf_counter()
     n = form.n
-    ring = CyclotomicRing(n)
-    if ring.degree < 2:
+    if check_degree(n, cap) < 2:
         raise ValueError(f"n = {n} is degenerate: fewer than two unit exponents")
-    if ring.degree > cap:
-        raise ValueError(
-            f"ring degree {ring.degree} exceeds the cap {cap}; raise the cap to proceed"
-        )
+    ring = CyclotomicRing(n)
     rng = random.Random(seed)
     records = []
     for u, v in combinations(units(n), 2):
@@ -281,17 +291,15 @@ def reproduce_tables(n: int, cap: int = DEFAULT_DEGREE_CAP) -> TableArtifact:
 
     Solution row i gives the coefficients of ``c_0 .. c_{d-1}`` over a
     positive denominator such that row . C is the i-th coordinate of the
-    unique solution of ``A X = C``; each row is the corresponding adjugate
-    row over det(A), reduced. Deterministic: no randomness is involved.
+    unique solution of ``A X = C``; each row is the corresponding row of
+    ``adj(A) = det(A) A^-1`` over det(A), reduced. One elimination of
+    ``[A | I]`` per pair gives the adjugate (see ``intlinalg``).
+    Deterministic: no randomness is involved.
     """
+    if check_degree(n, cap) < 2:
+        raise ValueError(f"n = {n} is unsupported: fewer than two unit exponents")
     ring = CyclotomicRing(n)
     us = units(n)
-    if len(us) < 2:
-        raise ValueError(f"n = {n} is unsupported: fewer than two unit exponents")
-    if ring.degree > cap:
-        raise ValueError(
-            f"ring degree {ring.degree} exceeds the cap {cap}; raise the cap to proceed"
-        )
     blocks = []
     for u, v in combinations(us, 2):
         pair = TwistedPair.zeta_powers(ring, u, v)

@@ -223,8 +223,12 @@ def classify(
         raise SingularMatrixError("multiplier matrix is singular (det = 0)")
     c = derivation.d_theta.coords
     witness = solve_unique(multiplier.matrix, c)
-    assert mat_vec(multiplier.matrix, witness.numerators) == tuple(
+    # Independent check of the elimination, kept under ``python -O``.
+    if mat_vec(multiplier.matrix, witness.numerators) != tuple(
         witness.denominator * x for x in c
-    )
+    ):
+        raise ArithmeticError(
+            f"witness {witness} does not satisfy A X = {witness.denominator} C for {pair!r}"
+        )
     kind = "inner" if witness.is_integral else "outer"
     return Classification(kind=kind, witness=witness, det_abs=multiplier.det_abs)

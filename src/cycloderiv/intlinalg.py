@@ -1,11 +1,21 @@
-"""Exact integer linear algebra: Bareiss determinants, adjugates, rational solves.
+"""Exact integer linear algebra: one fraction-free elimination behind det, solve and adjugate.
 
 Everything works on arbitrary-precision integers; no floats, no modular
-shortcuts. Determinants use fraction-free (Bareiss) elimination, whose
-intermediate values are themselves minors and therefore integers. The unique
-solution of a nonsingular square system is returned as an integer vector over
-a single positive denominator, fully reduced, so integrality is decided by
-``denominator == 1``.
+shortcuts. A single private kernel runs one forward Bareiss pass (Bareiss
+1968, *Sylvester's identity and multistep integer-preserving Gaussian
+elimination*) with row pivoting over an augmented matrix ``[A | B]``. Every
+intermediate value is a minor of ``[A | B]`` and therefore an integer, and
+the last pivot is ``det(PA)`` for the row permutation P. The public routines
+are thin callers:
+
+* ``det`` eliminates A alone;
+* ``solve_unique`` eliminates ``[A | C]`` and back-substitutes fraction-free
+  for ``det(PA) A^-1 C``;
+* ``adjugate`` eliminates ``[A | I]`` the same way and applies the sign of P.
+
+The unique solution of a nonsingular square system is returned as an integer
+vector over a single positive denominator, fully reduced, so integrality is
+decided by ``denominator == 1``.
 """
 
 from __future__ import annotations
@@ -73,14 +83,6 @@ class IntMatrix:
     def row_list(self) -> list[list[int]]:
         return [list(self.row(i)) for i in range(self.rows)]
 
-    def replace_column(self, j: int, values: Sequence[int]) -> IntMatrix:
-        if len(values) != self.rows:
-            raise ValueError("replacement column has the wrong length")
-        es = list(self.entries)
-        for i, x in enumerate(values):
-            es[i * self.cols + j] = x
-        return IntMatrix(self.rows, self.cols, tuple(es))
-
     def minor(self, i: int, j: int) -> IntMatrix:
         es = tuple(
             self.at(r, c)
@@ -106,54 +108,127 @@ class IntMatrix:
         return f"IntMatrix({self.rows}x{self.cols}, {self.entries!r})"
 
 
-def det(matrix: IntMatrix) -> int:
-    """Exact determinant by fraction-free elimination with row pivoting.
+@dataclass
+class _Echelon:
+    """``[PA | PB]`` after one forward Bareiss pass, in the pivot columns of A."""
 
-    Each elimination step divides by the previous pivot; Bareiss guarantees
-    that division is exact, so all intermediates stay integers.
+    rows: list[list[int]]
+    order: list[int]  # order[i] is the row of A that ended in position i
+    sign: int  # sign of that row permutation
+    pivots: list[int]  # pivot column of row i, ascending; fewer than d when singular
+
+    @property
+    def full_rank(self) -> bool:
+        return len(self.pivots) == len(self.rows)
+
+    @property
+    def last_pivot(self) -> int:
+        """``det(PA)`` when A has full rank."""
+        d = len(self.rows)
+        return self.rows[d - 1][d - 1]
+
+
+def _eliminate(matrix: IntMatrix, rhs: Sequence[Sequence[int]] = ()) -> _Echelon:
+    """One forward Bareiss pass over ``[A | B]`` for a square A; B is given by its columns.
+
+    After the step with pivot row r, every entry below it is the minor of
+    ``[PA | PB]`` on rows ``0..r`` plus its own row and the pivot columns plus
+    its own column, so the division by the previous pivot is exact. A column
+    with no nonzero entry at or below the current row is skipped, which leaves
+    the rank and, for a full-rank A, ``det(PA)`` as the last pivot.
     """
+    d = matrix.rows
+    a = [list(matrix.row(i)) + [c[i] for c in rhs] for i in range(d)]
+    order = list(range(d))
+    sign, prev, r = 1, 1, 0
+    pivots: list[int] = []
+    for k in range(d):
+        p = next((i for i in range(r, d) if a[i][k]), None)
+        if p is None:
+            continue
+        if p != r:
+            a[r], a[p] = a[p], a[r]
+            order[r], order[p] = order[p], order[r]
+            sign = -sign
+        row_r = a[r]
+        pivot = row_r[k]
+        tail_r = row_r[k + 1 :]
+        for i in range(r + 1, d):
+            row_i = a[i]
+            aik = row_i[k]
+            if aik:
+                row_i[k + 1 :] = [
+                    (x * pivot - aik * y) // prev for x, y in zip(row_i[k + 1 :], tail_r)
+                ]
+                row_i[k] = 0
+            elif pivot != prev:
+                row_i[k + 1 :] = [x * pivot // prev for x in row_i[k + 1 :]]
+        prev = pivot
+        pivots.append(k)
+        r += 1
+    return _Echelon(a, order, sign, pivots)
+
+
+def _back_substitute(ech: _Echelon) -> list[list[int]]:
+    """Columns of ``det(PA) A^-1 B`` for a full-rank elimination of ``[A | B]``.
+
+    Row i of the echelon form is an equation ``sum_j u_ij x_j = b'_i`` of the
+    system, and ``y = det(PA) x`` is integral (Cramer), so the fraction-free
+    step ``y_i = (det(PA) b'_i - sum_{j>i} u_ij y_j) / u_ii`` divides exactly.
+    """
+    a = ech.rows
+    d = len(a)
+    det_pa = ech.last_pivot
+    columns = []
+    for c in range(d, len(a[0])):
+        y = [0] * d
+        for i in range(d - 1, -1, -1):
+            row = a[i]
+            s = det_pa * row[c] - sum(row[j] * y[j] for j in range(i + 1, d))
+            y[i] = s // row[i]
+        columns.append(y)
+    return columns
+
+
+def det(matrix: IntMatrix) -> int:
+    """Exact determinant: the sign-corrected last pivot of one Bareiss pass."""
     if matrix.rows != matrix.cols:
         raise ValueError(f"determinant needs a square matrix, got {matrix.rows}x{matrix.cols}")
-    n = matrix.rows
-    a = matrix.row_list()
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        pivot = a[k][k]
-        for i in range(k + 1, n):
-            aik = a[i][k]
-            row_i = a[i]
-            row_k = a[k]
-            for j in range(k + 1, n):
-                row_i[j] = (row_i[j] * pivot - aik * row_k[j]) // prev
-            row_i[k] = 0
-        prev = pivot
-    return sign * a[n - 1][n - 1]
+    ech = _eliminate(matrix)
+    return ech.sign * ech.last_pivot if ech.full_rank else 0
 
 
 def adjugate(matrix: IntMatrix) -> IntMatrix:
-    """Classical adjugate via cofactor minors; satisfies A adj(A) = det(A) I."""
+    """The adjugate, satisfying ``A adj(A) = adj(A) A = det(A) I``; exact for every A.
+
+    For a nonsingular A one elimination of ``[A | I]`` gives
+    ``det(PA) A^-1 = sign(P) adj(A)``. A singular A of rank below d - 1 has
+    every (d-1)-minor zero. At rank d - 1 the pass leaves one pivot-free
+    column k and one last row l whose cofactor ``C_lk`` is nonzero; every
+    entry of ``adj(A + t E_lk)`` is affine in t and ``det(A + t E_lk) =
+    t C_lk``, so ``adj(A) = 2 adj(A + E_lk) - adj(A + 2 E_lk)`` from two
+    nonsingular eliminations.
+    """
     if matrix.rows != matrix.cols:
         raise ValueError(f"adjugate needs a square matrix, got {matrix.rows}x{matrix.cols}")
     d = matrix.rows
-    if d == 1:
-        return IntMatrix.identity(1)
-    out = [[0] * d for _ in range(d)]
-    for i in range(d):
-        for j in range(d):
-            c = det(matrix.minor(i, j))
-            if (i + j) % 2:
-                c = -c
-            out[j][i] = c
-    return IntMatrix.from_rows(out)
+    identity = IntMatrix.identity(d)
+    ech = _eliminate(matrix, [identity.column(j) for j in range(d)])
+    if ech.full_rank:
+        columns = _back_substitute(ech)
+        return IntMatrix.from_columns([[ech.sign * x for x in col] for col in columns])
+    if len(ech.pivots) < d - 1:
+        return IntMatrix(d, d, (0,) * (d * d))
+    (k,) = set(range(d)) - set(ech.pivots)
+    at = ech.order[d - 1] * d + k
+
+    def shifted(t: int) -> IntMatrix:
+        es = list(matrix.entries)
+        es[at] += t
+        return adjugate(IntMatrix(d, d, tuple(es)))
+
+    once, twice = shifted(1), shifted(2)
+    return IntMatrix(d, d, tuple(2 * x - y for x, y in zip(once.entries, twice.entries)))
 
 
 def mat_vec(matrix: IntMatrix, vector: Sequence[int]) -> IntVector:
@@ -198,10 +273,9 @@ class RatVector:
 def solve_unique(matrix: IntMatrix, rhs: Sequence[int]) -> RatVector:
     """The unique rational solution of a nonsingular square system A X = C.
 
-    The numerators are the column-replacement determinants det(A with column
-    j swapped for C), which coincide entry-for-entry with adj(A) C, over the
-    common denominator det(A); the result is reduced jointly so the solution
-    is integral exactly when the denominator comes out as 1.
+    One elimination of ``[A | C]`` and a fraction-free back-substitution give
+    ``det(PA) A^-1 C`` over ``det(PA)``; the result is reduced jointly, so the
+    solution is integral exactly when the denominator comes out as 1.
     """
     if matrix.rows != matrix.cols:
         raise ValueError(f"solve needs a square matrix, got {matrix.rows}x{matrix.cols}")
@@ -209,8 +283,8 @@ def solve_unique(matrix: IntMatrix, rhs: Sequence[int]) -> RatVector:
         raise ValueError(
             f"right-hand side length {len(rhs)} does not match {matrix.rows} rows"
         )
-    d0 = det(matrix)
-    if d0 == 0:
+    ech = _eliminate(matrix, [rhs])
+    if not ech.full_rank:
         raise SingularMatrixError("matrix is singular (det = 0)")
-    nums = (det(matrix.replace_column(j, rhs)) for j in range(matrix.cols))
-    return RatVector.reduced(nums, d0)
+    (numerators,) = _back_substitute(ech)
+    return RatVector.reduced(numerators, ech.last_pivot)

@@ -210,5 +210,8 @@ def cyclotomic_poly(n: int) -> Polynomial:
     for d in range(1, n):
         if n % d == 0:
             poly, rem = divmod(poly, cyclotomic_poly(d))
-            assert rem.is_zero()
+            if not rem.is_zero():
+                raise ArithmeticError(
+                    f"x^{n} - 1 left the remainder {rem} on division by Phi_{d}"
+                )
     return poly

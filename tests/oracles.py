@@ -1,0 +1,73 @@
+"""Textbook forms of the integer linear algebra, kept as test oracles.
+
+These are the slow, obviously-correct routines that ``cycloderiv.intlinalg``
+replaced with one fraction-free elimination: Laplace expansion, a plain
+Bareiss determinant, Cramer's rule and the cofactor adjugate. None of them
+calls into ``intlinalg`` beyond the ``IntMatrix`` and ``RatVector`` types.
+"""
+
+from __future__ import annotations
+
+from cycloderiv import IntMatrix, RatVector
+
+
+def laplace_det(m: IntMatrix) -> int:
+    """Cofactor expansion along the first row; exponential, for small matrices."""
+    if m.rows == 1:
+        return m.at(0, 0)
+    total = 0
+    for j in range(m.cols):
+        a = m.at(0, j)
+        if a:
+            term = a * laplace_det(m.minor(0, j))
+            total += -term if j % 2 else term
+    return total
+
+
+def bareiss_det(m: IntMatrix) -> int:
+    """Determinant by one Bareiss pass with row pivoting, stopping at a zero column."""
+    n = m.rows
+    a = m.row_list()
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            for i in range(k + 1, n):
+                if a[i][k] != 0:
+                    a[k], a[i] = a[i], a[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        pivot = a[k][k]
+        for i in range(k + 1, n):
+            aik = a[i][k]
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * pivot - aik * a[k][j]) // prev
+            a[i][k] = 0
+        prev = pivot
+    return sign * a[n - 1][n - 1]
+
+
+def replace_column(m: IntMatrix, j: int, values) -> IntMatrix:
+    es = list(m.entries)
+    for i, x in enumerate(values):
+        es[i * m.cols + j] = x
+    return IntMatrix(m.rows, m.cols, tuple(es))
+
+
+def cramer_solve(m: IntMatrix, rhs) -> RatVector:
+    """x_j = det(A with column j replaced by C) / det(A), reduced; A nonsingular."""
+    d0 = bareiss_det(m)
+    if d0 == 0:
+        raise ValueError("Cramer's rule needs a nonsingular matrix")
+    return RatVector.reduced((bareiss_det(replace_column(m, j, rhs)) for j in range(m.cols)), d0)
+
+
+def cofactor_adjugate(m: IntMatrix) -> IntMatrix:
+    """adj(A)_ij = (-1)^(i+j) det(A without row j and column i); adj of 1x1 is (1)."""
+    d = m.rows
+    if d == 1:
+        return IntMatrix.identity(1)
+    return IntMatrix.from_rows(
+        [[(-1) ** (i + j) * bareiss_det(m.minor(j, i)) for j in range(d)] for i in range(d)]
+    )

@@ -1,5 +1,9 @@
+import os
 import random
+import subprocess
+import sys
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
@@ -18,22 +22,11 @@ from cycloderiv import (
     units,
     valuate,
 )
+from oracles import laplace_det
 
 
 def _pair(n, u, v):
     return TwistedPair.zeta_powers(CyclotomicRing(n), u, v)
-
-
-def _cofactor_det(m):
-    if m.rows == 1:
-        return m.at(0, 0)
-    total = 0
-    for j in range(m.cols):
-        a = m.at(0, j)
-        if a:
-            term = a * _cofactor_det(m.minor(0, j))
-            total += -term if j % 2 else term
-    return total
 
 
 def test_multiplier_matrix_n10_pair_1_3_frozen():
@@ -100,7 +93,7 @@ def test_outer_case_matches_divisibility_oracle():
     ring = pair.ring
     mm = MultiplierMatrix(pair)
     adj_col = tuple(
-        (-1 if (1 + i) % 2 else 1) * _cofactor_det(mm.matrix.minor(1, i))
+        (-1 if (1 + i) % 2 else 1) * laplace_det(mm.matrix.minor(1, i))
         for i in range(6)
     )
     divisible = all(x % mm.det_abs == 0 for x in adj_col)
@@ -227,3 +220,38 @@ def test_ring_form_n_and_params():
 def test_classification_is_inner_flag():
     assert Classification("inner", RatVector((1,), 1), 5).is_inner
     assert not Classification("outer", RatVector((1,), 3), 5).is_inner
+
+
+_TAMPER_SCRIPT = """
+import sys
+import cycloderiv.innerness as innerness
+from cycloderiv import CyclotomicRing, RatVector, TwistedDerivation, TwistedPair, classify
+
+if not sys.flags.optimize:
+    sys.exit("expected to run under python -O")
+solve = innerness.solve_unique
+
+def tampered(matrix, rhs):
+    w = solve(matrix, rhs)
+    return RatVector.reduced((w.numerators[0] + 1,) + w.numerators[1:], w.denominator)
+
+innerness.solve_unique = tampered
+pair = TwistedPair.zeta_powers(CyclotomicRing(10), 1, 3)
+try:
+    classify(TwistedDerivation(pair, pair.theta_difference()))
+except ArithmeticError as exc:
+    print(exc)
+else:
+    sys.exit("classify accepted a tampered witness")
+"""
+
+
+def test_classify_rejects_a_tampered_witness_under_python_O():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", _TAMPER_SCRIPT],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "does not satisfy A X" in proc.stdout

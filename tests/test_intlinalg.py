@@ -3,31 +3,23 @@ import random
 import pytest
 
 from cycloderiv import (
+    CyclotomicRing,
     IntMatrix,
+    MultiplierMatrix,
     RatVector,
     SingularMatrixError,
+    TwistedPair,
     adjugate,
     det,
     mat_vec,
     solve_unique,
+    units,
 )
+from oracles import bareiss_det, cofactor_adjugate, cramer_solve, laplace_det
 
 
 def _random_matrix(rng, d, bound=9):
     return IntMatrix(d, d, tuple(rng.randint(-bound, bound) for _ in range(d * d)))
-
-
-def _cofactor_det(m):
-    # small-scale oracle, independent of the fraction-free path
-    if m.rows == 1:
-        return m.at(0, 0)
-    total = 0
-    for j in range(m.cols):
-        a = m.at(0, j)
-        if a:
-            term = a * _cofactor_det(m.minor(0, j))
-            total += -term if j % 2 else term
-    return total
 
 
 def test_matrix_construction_validation():
@@ -64,7 +56,7 @@ def test_det_matches_cofactor_oracle_up_to_5():
     rng = random.Random(2)
     for _ in range(200):
         m = _random_matrix(rng, rng.randint(1, 5))
-        assert det(m) == _cofactor_det(m)
+        assert det(m) == laplace_det(m)
 
 
 def test_det_handles_zero_pivots():
@@ -174,3 +166,145 @@ def test_solve_result_satisfies_scaled_system():
         c = tuple(rng.randint(-9, 9) for _ in range(d))
         sol = solve_unique(m, c)
         assert mat_vec(m, sol.numerators) == tuple(sol.denominator * x for x in c)
+
+
+# -- the elimination kernel against the textbook oracles ----------------------
+
+
+def _zero(d):
+    return IntMatrix(d, d, (0,) * (d * d))
+
+
+def _assert_matches_oracles(m, rng, bits=None):
+    """det, adjugate and (when nonsingular) solve_unique equal the oracles exactly."""
+    d0 = bareiss_det(m)
+    assert det(m) == d0
+    if m.rows <= 5:
+        assert d0 == laplace_det(m)
+    assert adjugate(m) == cofactor_adjugate(m)
+    c = tuple(
+        rng.randint(-9, 9) if bits is None else rng.choice((-1, 1)) * rng.getrandbits(bits)
+        for _ in range(m.rows)
+    )
+    if d0:
+        assert solve_unique(m, c) == cramer_solve(m, c)
+    else:
+        with pytest.raises(SingularMatrixError):
+            solve_unique(m, c)
+
+
+def test_kernel_matches_oracles_small_entries():
+    rng = random.Random(2024)
+    for _ in range(300):
+        _assert_matches_oracles(_random_matrix(rng, rng.randint(1, 7)), rng)
+
+
+def test_kernel_matches_oracles_200_bit_entries():
+    rng = random.Random(200)
+    for _ in range(40):
+        d = rng.randint(1, 7)
+        m = IntMatrix(d, d, tuple(rng.choice((-1, 1)) * rng.getrandbits(200) for _ in range(d * d)))
+        _assert_matches_oracles(m, rng, bits=200)
+
+
+def test_kernel_matches_oracles_with_row_swaps():
+    rng = random.Random(31)
+    swaps = 0
+    for _ in range(150):
+        d = rng.randint(2, 7)
+        rows = _random_matrix(rng, d).row_list()
+        # zero the top of the first column (and sometimes of the second) so
+        # that the first pivots have to come from lower rows
+        for i in range(rng.randint(1, d - 1)):
+            rows[i][0] = 0
+        if d > 2 and rng.random() < 0.5:
+            rows[1][1] = 0
+        m = IntMatrix.from_rows(rows)
+        swaps += m.at(0, 0) == 0
+        _assert_matches_oracles(m, rng)
+    assert swaps == 150
+    assert det(IntMatrix.from_rows([[0, 0, 1], [0, 1, 0], [1, 0, 0]])) == -1
+    assert adjugate(IntMatrix.from_rows([[0, 2], [3, 0]])) == IntMatrix.from_rows([[0, -2], [-3, 0]])
+
+
+def test_kernel_on_1x1_matrices():
+    rng = random.Random(1)
+    for a in range(-4, 5):
+        m = IntMatrix(1, 1, (a,))
+        assert det(m) == a
+        assert adjugate(m) == IntMatrix.identity(1)  # the empty minor is 1, also for a = 0
+        _assert_matches_oracles(m, rng)
+    assert solve_unique(IntMatrix(1, 1, (-6,)), (4,)) == RatVector((-2,), 3)
+
+
+def _low_rank(rng, d, rank, bound=4):
+    if rank == 0:
+        return _zero(d)
+    b = IntMatrix(d, rank, tuple(rng.randint(-bound, bound) for _ in range(d * rank)))
+    c = IntMatrix(rank, d, tuple(rng.randint(-bound, bound) for _ in range(rank * d)))
+    return b @ c
+
+
+def test_adjugate_is_exact_on_rank_d_minus_1():
+    rng = random.Random(17)
+    nonzero = 0
+    for _ in range(120):
+        d = rng.randint(2, 7)
+        m = _low_rank(rng, d, d - 1)
+        _assert_matches_oracles(m, rng)
+        nonzero += adjugate(m) != _zero(d)
+    assert nonzero >= 100  # most draws have rank exactly d - 1 and a rank-one adjugate
+    # structured cases: a zero first column (no pivot at column 0), equal rows
+    for rows in (
+        [[0, 1, 2], [0, 3, 4], [0, 5, 7]],
+        [[1, 2, 3], [1, 2, 3], [4, 5, 7]],
+        [[2, 4], [1, 2]],
+        [[0, 0], [0, 5]],
+    ):
+        m = IntMatrix.from_rows(rows)
+        assert adjugate(m) == cofactor_adjugate(m) != _zero(m.rows)
+
+
+def test_adjugate_is_zero_below_rank_d_minus_1():
+    rng = random.Random(18)
+    for _ in range(60):
+        d = rng.randint(2, 7)
+        m = _low_rank(rng, d, rng.randint(0, d - 2))
+        assert cofactor_adjugate(m) == _zero(d)
+        _assert_matches_oracles(m, rng)
+
+
+def _multiplier_matrices(max_n):
+    for n in range(3, max_n + 1):
+        ring = CyclotomicRing(n)
+        us = units(n)
+        for i, u in enumerate(us):
+            for v in us[i + 1 :]:
+                yield MultiplierMatrix(TwistedPair.zeta_powers(ring, u, v)).matrix
+
+
+def _assert_multiplier_matches_oracles(m, rng, cofactor_up_to):
+    d0 = bareiss_det(m)
+    assert det(m) == d0 != 0
+    c = tuple(rng.randint(-9, 9) for _ in range(m.rows))
+    assert solve_unique(m, c) == cramer_solve(m, c)
+    adj = adjugate(m)
+    if m.rows <= cofactor_up_to:
+        assert adj == cofactor_adjugate(m)
+    else:
+        # for det != 0 the adjugate is the only X with A X = det(A) I
+        assert m @ adj == IntMatrix(m.rows, m.rows, tuple(
+            d0 if i == j else 0 for i in range(m.rows) for j in range(m.rows)))
+
+
+def test_kernel_matches_oracles_on_multiplier_matrices_up_to_16():
+    rng = random.Random(16)
+    for m in _multiplier_matrices(16):
+        _assert_multiplier_matches_oracles(m, rng, cofactor_up_to=8)
+
+
+@pytest.mark.slow
+def test_kernel_matches_oracles_on_every_multiplier_matrix_up_to_30():
+    rng = random.Random(30)
+    for m in _multiplier_matrices(30):
+        _assert_multiplier_matches_oracles(m, rng, cofactor_up_to=10)

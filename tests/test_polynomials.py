@@ -151,3 +151,16 @@ def test_composition_and_int_evaluation():
     p = Polynomial((1, 1, 1))
     assert p(2) == 7
     assert p(Polynomial((0, 2))) == Polynomial((1, 2, 4))
+
+
+def test_cyclotomic_poly_raises_on_a_nonzero_remainder(monkeypatch):
+    divmod_ = Polynomial.__divmod__
+    monkeypatch.setattr(
+        Polynomial, "__divmod__", lambda a, b: (divmod_(a, b)[0], Polynomial((1,)))
+    )
+    cyclotomic_poly.cache_clear()
+    try:
+        with pytest.raises(ArithmeticError, match="remainder"):
+            cyclotomic_poly(6)
+    finally:
+        cyclotomic_poly.cache_clear()

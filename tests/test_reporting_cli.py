@@ -1,6 +1,10 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -296,3 +300,41 @@ def test_cli_markdown_and_csv_formats(capsys):
     code, out, _ = _run(capsys, ["phi-poly", "10", "--format", "markdown"])
     assert code == 0
     assert out.startswith("# Cyclotomic polynomial")
+
+
+def test_cli_classify_negative_first_coordinate_after_a_space(capsys):
+    joined = _run(capsys, ["classify", "10", "1", "3", "--dzeta=-9,4,0,2"])
+    spaced = _run(capsys, ["classify", "10", "1", "3", "--dzeta", "-9,4,0,2"])
+    assert joined[0] == 0
+    assert spaced == joined
+    assert json.loads(joined[1])["d_zeta"] == ["-9", "4", "0", "2"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["phi-poly", "11"],
+    ["matrix", "11", "1", "2"],
+    ["classify", "11", "1", "2", "--dzeta", "1"],
+    ["verify-theorem", "11", "1", "2", "--trials", "1"],
+    ["sweep", "--form", "pk", "--p", "3", "--k", "3"],
+    ["tables", "11"],
+])
+def test_cli_cap_applies_to_every_ring_command(capsys, argv):
+    code, out, err = _run(capsys, [*argv, "--cap", "8"])
+    assert code == 2 and out == ""
+    assert "exceeds the cap 8" in err
+    if argv[0] != "classify":  # its one coordinate is only right for the cap check
+        assert _run(capsys, [*argv, "--cap", "18"])[0] == 0
+
+
+def test_cli_refuses_a_huge_ring_before_building_it():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "cycloderiv.cli", "matrix", "100003", "1", "2"],
+        env=env, capture_output=True, text=True, timeout=10,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.splitlines() == [
+        "error: ring degree 100002 exceeds the cap 64; raise the cap to proceed"
+    ]
