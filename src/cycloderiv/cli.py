@@ -248,13 +248,16 @@ def _cmd_counterexamples(args: argparse.Namespace) -> int:
             "d_theta": c.d_theta,
             "expects_derivation": c.expects_derivation,
             "leibniz_ok": c.leibniz_ok,
+            "failing_pair": None if c.failing_pair is None else str(c.failing_pair),
+            "lhs": c.lhs,
+            "rhs": c.rhs,
             "ok": c.ok,
         }
         for c in cases
     ]
     payload = {"cases": rows, "all_ok": all(c.ok for c in cases)}
-    columns = ("name", "modulus", "sigma", "tau", "d_theta",
-               "expects_derivation", "leibniz_ok", "ok")
+    columns = ("name", "modulus", "sigma", "tau", "d_theta", "expects_derivation",
+               "leibniz_ok", "failing_pair", "lhs", "rhs", "ok")
     text = _render_rows("Counterexample regressions", columns, rows, args.format, payload)
     _emit(text, args)
     return 0 if all(c.ok for c in cases) else 1

@@ -172,7 +172,11 @@ def verify_theorem(n: int, u: int, v: int, trials: int = 100, seed: int = 0) -> 
 
 @dataclass(frozen=True)
 class CounterexampleCase:
-    """One regression case: a power-formula extension and its expected verdict."""
+    """One regression case: a power-formula extension and its expected verdict.
+
+    A failing case keeps the first basis pair ``(i, j)`` where the product
+    rule breaks, and the coordinates of both sides of it there.
+    """
 
     name: str
     modulus: str
@@ -182,6 +186,8 @@ class CounterexampleCase:
     expects_derivation: bool
     leibniz_ok: bool
     failing_pair: tuple[int, int] | None
+    lhs: str | None
+    rhs: str | None
 
     @property
     def ok(self) -> bool:
@@ -206,6 +212,8 @@ def _run_case(
         expects_derivation=expects_derivation,
         leibniz_ok=report.ok,
         failing_pair=report.indices,
+        lhs=None if report.lhs is None else str(report.lhs.coords),
+        rhs=None if report.rhs is None else str(report.rhs.coords),
     )
 
 

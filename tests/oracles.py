@@ -1,14 +1,19 @@
-"""Textbook forms of the integer linear algebra, kept as test oracles.
+"""Textbook forms of the fast routines, kept as test oracles.
 
 These are the slow, obviously-correct routines that ``cycloderiv.intlinalg``
 replaced with one fraction-free elimination: Laplace expansion, a plain
 Bareiss determinant, Cramer's rule and the cofactor adjugate. None of them
 calls into ``intlinalg`` beyond the ``IntMatrix`` and ``RatVector`` types.
+
+The same holds for ``cycloderiv.endomorphisms``: the power sums accumulated
+from two running power lists, and the product-rule scan over all d^2 basis
+pairs that ``leibniz_check`` cut to two rows. They use only the ring
+arithmetic and the pair's generator images.
 """
 
 from __future__ import annotations
 
-from cycloderiv import IntMatrix, RatVector
+from cycloderiv import IntMatrix, LeibnizReport, RatVector
 
 
 def laplace_det(m: IntMatrix) -> int:
@@ -71,3 +76,58 @@ def cofactor_adjugate(m: IntMatrix) -> IntMatrix:
     return IntMatrix.from_rows(
         [[(-1) ** (i + j) * bareiss_det(m.minor(j, i)) for j in range(d)] for i in range(d)]
     )
+
+
+def two_list_sum_powers(pair, k: int):
+    """Sum of sigma(theta)^s tau(theta)^t over s + t = k - 1, from two power lists."""
+    ring = pair.ring
+    sig_pows = [ring.one()]
+    for _ in range(k - 1):
+        sig_pows.append(sig_pows[-1] * pair.sigma.theta_image)
+    total = ring.zero()
+    tau_pow = ring.one()
+    for t in range(k):
+        total = total + sig_pows[k - 1 - t] * tau_pow
+        tau_pow = tau_pow * pair.tau.theta_image
+    return total
+
+
+def basis_pair_scan(pair, images) -> LeibnizReport:
+    """The product rule on all d^2 basis pairs in row-major order; first failure wins.
+
+    The map is the Z-linear one sending theta^k to ``images[k]``.
+    """
+    ring = pair.ring
+    d = ring.degree
+
+    def apply(x):
+        total = ring.zero()
+        for c, image in zip(x.coords, images):
+            total = total + c * image
+        return total
+
+    sig_pows = [ring.one()]
+    tau_pows = [ring.one()]
+    for _ in range(d - 1):
+        sig_pows.append(sig_pows[-1] * pair.sigma.theta_image)
+        tau_pows.append(tau_pows[-1] * pair.tau.theta_image)
+    for i in range(d):
+        for j in range(d):
+            lhs = apply(ring.reduce_power(i + j))
+            rhs = images[i] * tau_pows[j] + sig_pows[i] * images[j]
+            if lhs != rhs:
+                return LeibnizReport(False, (i, j), lhs, rhs)
+    return LeibnizReport(True)
+
+
+def leibniz_scan(derivation) -> LeibnizReport:
+    """``basis_pair_scan`` of the power-formula extension of D(theta).
+
+    D is rebuilt from D(theta) with ``two_list_sum_powers``, so neither the
+    derivation's ``basis_images`` nor its evaluation is used.
+    """
+    pair = derivation.pair
+    images = [pair.ring.zero()] + [
+        two_list_sum_powers(pair, k) * derivation.d_theta for k in range(1, pair.ring.degree)
+    ]
+    return basis_pair_scan(pair, images)

@@ -1,0 +1,83 @@
+"""Property tests: the product-rule check and the endomorphisms on random inputs.
+
+Runs only where ``hypothesis`` is installed. Examples are derandomized, so a
+run is as deterministic as the rest of the suite.
+"""
+
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+from oracles import leibniz_scan  # noqa: E402
+
+from cycloderiv import (  # noqa: E402
+    CyclotomicRing,
+    Endomorphism,
+    Polynomial,
+    QuotientRing,
+    TwistedDerivation,
+    TwistedPair,
+    leibniz_check,
+)
+from cycloderiv.arith import units  # noqa: E402
+
+PROPERTY_SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=40)
+
+coords = st.integers(min_value=-9, max_value=9)
+
+
+@st.composite
+def non_domain_images(draw, count):
+    """Distinct generator images on Z[x]/(x^m - 1) (theta^a) or Z[x]/(x^r) (a theta)."""
+    if draw(st.booleans()):
+        m = draw(st.integers(min_value=2, max_value=9))
+        ring = QuotientRing(Polynomial((-1,) + (0,) * (m - 1) + (1,)))
+        powers = draw(st.lists(st.integers(0, m - 1), min_size=count, max_size=count, unique=True))
+        return ring, [ring.reduce_power(a) for a in powers]
+    ring = QuotientRing(Polynomial.monomial(draw(st.integers(min_value=2, max_value=7))))
+    scales = draw(st.lists(st.integers(-5, 5), min_size=count, max_size=count, unique=True))
+    return ring, [a * ring.generator() for a in scales]
+
+
+@st.composite
+def non_domain_twist(draw):
+    """A pair of distinct maps of one non-domain ring, and a D(theta)."""
+    ring, (sigma, tau) = draw(non_domain_images(2))
+    pair = TwistedPair(Endomorphism(ring, sigma), Endomorphism(ring, tau))
+    return pair, _element(draw, ring)
+
+
+@st.composite
+def endomorphism(draw):
+    """theta -> theta^a, theta -> a theta or zeta -> zeta^u, on the ring it acts on."""
+    if draw(st.booleans()):
+        ring, (image,) = draw(non_domain_images(1))
+        return Endomorphism(ring, image)
+    ring = CyclotomicRing(draw(st.integers(min_value=3, max_value=30)))
+    return Endomorphism.zeta_power(ring, draw(st.sampled_from(units(ring.n))))
+
+
+def _element(draw, ring):
+    return ring.element(draw(st.lists(coords, min_size=ring.degree, max_size=ring.degree)))
+
+
+@PROPERTY_SETTINGS
+@given(non_domain_twist())
+def test_leibniz_check_equals_full_scan(twist):
+    pair, d_theta = twist
+    derivation = TwistedDerivation(pair, d_theta)
+    fast, slow = leibniz_check(derivation), leibniz_scan(derivation)
+    assert (fast.ok, fast.indices, fast.lhs, fast.rhs) == (
+        slow.ok, slow.indices, slow.lhs, slow.rhs
+    )
+
+
+@PROPERTY_SETTINGS
+@given(endomorphism(), st.data())
+def test_endomorphism_is_additive_and_multiplicative(e, data):
+    a = _element(data.draw, e.ring)
+    b = _element(data.draw, e.ring)
+    assert e(a + b) == e(a) + e(b)
+    assert e(a * b) == e(a) * e(b)
+    assert e(e.ring.one()) == e.ring.one()

@@ -253,6 +253,29 @@ def test_cli_counterexamples(capsys):
     assert len(payload["cases"]) == 8
 
 
+def test_cli_counterexamples_name_the_failing_pair(capsys):
+    # first failures of the full d^2 basis-pair scan, computed before the
+    # check was cut to two rows
+    golden = [
+        ("(1, 1)", "(0, 0)", "(0, 3)"),
+        ("(1, 1)", "(0, 0)", "(0, 4)"),
+        ("(1, 2)", "(0, 0, 0)", "(0, 0, 7)"),
+        ("(1, 2)", "(0, 0, 0)", "(0, 0, 13)"),
+        ("(1, 3)", "(0, 0, 0, 0)", "(0, 0, 0, 15)"),
+        ("(1, 3)", "(0, 0, 0, 0)", "(0, 0, 0, 40)"),
+        (None, None, None),
+        ("(1, 5)", "(0, 0, 0, 0, 0, 0)", "(1, 1, 1, 1, 1, 1)"),
+    ]
+    _, out, _ = _run(capsys, ["counterexamples"])
+    cases = json.loads(out)["cases"]
+    assert [(c["failing_pair"], c["lhs"], c["rhs"]) for c in cases] == golden
+    _, out, _ = _run(capsys, ["counterexamples", "--format", "csv"])
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert [(r["failing_pair"], r["lhs"], r["rhs"]) for r in rows] == [
+        tuple("" if x is None else x for x in row) for row in golden
+    ]
+
+
 def test_cli_tables(capsys):
     code, out, _ = _run(capsys, ["tables", "10"])
     assert code == 0
