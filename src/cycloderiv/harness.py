@@ -105,10 +105,12 @@ def sweep(form: RingForm, seed: int = 0, cap: int = DEFAULT_DEGREE_CAP) -> Sweep
     if check_degree(n, cap) < 2:
         raise ValueError(f"n = {n} is degenerate: fewer than two unit exponents")
     ring = CyclotomicRing(n)
+    us = units(n)
+    endos = {u: Endomorphism.zeta_power(ring, u) for u in us}
     rng = random.Random(seed)
     records = []
-    for u, v in combinations(units(n), 2):
-        pair = TwistedPair.zeta_powers(ring, u, v)
+    for u, v in combinations(us, 2):
+        pair = TwistedPair(endos[u], endos[v])
         multiplier = MultiplierMatrix(pair)
         valuation = valuate(form, u, v)
         predicted = predict_det(form, valuation)
@@ -308,9 +310,10 @@ def reproduce_tables(n: int, cap: int = DEFAULT_DEGREE_CAP) -> TableArtifact:
         raise ValueError(f"n = {n} is unsupported: fewer than two unit exponents")
     ring = CyclotomicRing(n)
     us = units(n)
+    endos = {u: Endomorphism.zeta_power(ring, u) for u in us}
     blocks = []
     for u, v in combinations(us, 2):
-        pair = TwistedPair.zeta_powers(ring, u, v)
+        pair = TwistedPair(endos[u], endos[v])
         multiplier = MultiplierMatrix(pair)
         adj = adjugate(multiplier.matrix)
         rows = tuple(

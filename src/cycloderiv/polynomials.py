@@ -11,9 +11,36 @@ from __future__ import annotations
 
 import functools
 import itertools
-from typing import Iterable
+from typing import Iterable, Sequence
 
 ZERO_POLY_DEGREE = float("-inf")
+
+
+def _convolve(left: Sequence[int], right: Sequence[int]) -> list[int]:
+    """Coefficients of the unreduced product of two ascending coefficient lists.
+
+    The nonzero terms of ``right`` are collected once and only nonzero pairs
+    are multiplied. The result has ``len(left) + len(right) - 1`` entries.
+    """
+    terms = [(j, b) for j, b in enumerate(right) if b]
+    out = [0] * (len(left) + len(right) - 1)
+    for i, a in enumerate(left):
+        if a:
+            for j, b in terms:
+                out[i + j] += a * b
+    return out
+
+
+def _power(base, exponent: int, one):
+    """``base ** exponent`` by square-and-multiply from ``one``; exponent >= 0."""
+    result = one
+    while exponent:
+        if exponent & 1:
+            result = result * base
+        exponent >>= 1
+        if exponent:
+            base = base * base
+    return result
 
 
 class Polynomial:
@@ -103,31 +130,14 @@ class Polynomial:
             return Polynomial(c * other for c in self.coeffs)
         if not isinstance(other, Polynomial):
             return NotImplemented
-        if self.is_zero() or other.is_zero():
-            return Polynomial()
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    if b:
-                        out[i + j] += a * b
-        return Polynomial(out)
+        return Polynomial(_convolve(self.coeffs, other.coeffs))
 
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int) -> Polynomial:
         if exponent < 0:
             raise ValueError("negative polynomial powers are not defined")
-        result = Polynomial((1,))
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            e >>= 1
-            if e:
-                base = base * base
-        return result
+        return _power(self, exponent, Polynomial((1,)))
 
     def __divmod__(self, den: Polynomial) -> tuple[Polynomial, Polynomial]:
         """Quotient and remainder for a monic divisor; exact in the integers.

@@ -3,7 +3,17 @@
 Elements are coordinate vectors over the basis ``1, theta, ..., theta^(d-1)``
 where ``theta`` is the class of x and d the degree of the modulus. A
 precomputed table of the reductions of ``theta^k`` for ``k <= 2d - 2`` lets a
-product be reduced with a single table pass instead of repeated division.
+product be reduced without repeated division. Rows k < d are unit vectors, so
+a product keeps its low coefficients and folds each nonzero high coefficient
+through the nonzero entries of its wrap row ``theta^k``, ``d <= k <= 2d - 2``,
+which the ring keeps as ``wrap_rows``. The convolution before it multiplies
+only nonzero pairs, so no zero is ever multiplied.
+
+For ``Phi_n`` the wrap rows are sparse. ``Phi_n`` divides ``x^n - 1``, so
+``theta^n = 1`` and a row with k >= n is the unit vector ``theta^(k-n)``. For
+a prime power n = p^a, ``Phi_n(x) = Phi_p(x^(n/p))`` has p terms, and a row
+with k < n is a shifted ``-(1 + y + ... + y^(p-2))``, ``y = theta^(n/p)``,
+with p - 1 nonzeros (Washington, *Introduction to Cyclotomic Fields*, ch. 2).
 
 All values are immutable after construction and every operation is a pure
 function, so rings and elements are safe to share across threads.
@@ -14,11 +24,11 @@ from __future__ import annotations
 import random
 from typing import Iterable, Sequence
 
-from .polynomials import Polynomial, cyclotomic_poly
+from .polynomials import Polynomial, _convolve, _power, cyclotomic_poly
 
 
 class QuotientRing:
-    __slots__ = ("modulus", "degree", "power_table")
+    __slots__ = ("modulus", "degree", "power_table", "wrap_rows")
 
     def __init__(self, modulus: Polynomial) -> None:
         if modulus.is_zero() or not modulus.is_monic():
@@ -37,6 +47,10 @@ class QuotientRing:
             shifted = (0,) + prev[: d - 1]
             table.append(tuple(s + lead * r for s, r in zip(shifted, reduction)))
         self.power_table = tuple(table)
+        # the nonzero (index, value) entries of theta^k for d <= k <= 2d - 2
+        self.wrap_rows = tuple(
+            tuple((i, c) for i, c in enumerate(row) if c) for row in table[d:]
+        )
 
     def element(self, coords: Sequence[int] | Iterable[int]) -> RingElement:
         cs = list(coords)
@@ -163,37 +177,22 @@ class RingElement:
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
-        d = self.ring.degree
-        prod = [0] * (2 * d - 1)
-        for i, a in enumerate(self.coords):
-            if a:
-                for j, b in enumerate(rhs.coords):
-                    if b:
-                        prod[i + j] += a * b
-        table = self.ring.power_table
-        out = [0] * d
-        for k, c in enumerate(prod):
+        ring = self.ring
+        d = ring.degree
+        prod = _convolve(self.coords, rhs.coords)
+        out = prod[:d]
+        for c, row in zip(prod[d:], ring.wrap_rows):
             if c:
-                row = table[k]
-                for i in range(d):
-                    out[i] += c * row[i]
-        return RingElement(self.ring, tuple(out))
+                for i, r in row:
+                    out[i] += c * r
+        return RingElement(ring, tuple(out))
 
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int) -> RingElement:
         if exponent < 0:
             raise ValueError("negative powers are not defined in the quotient ring")
-        result = self.ring.one()
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            e >>= 1
-            if e:
-                base = base * base
-        return result
+        return _power(self, exponent, self.ring.one())
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RingElement):

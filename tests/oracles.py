@@ -9,11 +9,34 @@ The same holds for ``cycloderiv.endomorphisms``: the power sums accumulated
 from two running power lists, and the product-rule scan over all d^2 basis
 pairs that ``leibniz_check`` cut to two rows. They use only the ring
 arithmetic and the pair's generator images.
+
+``dense_ring_product`` is the ring product before it skipped the zeros of
+the power table: a schoolbook convolution, then every coefficient folded
+through its full row of ``power_table``.
 """
 
 from __future__ import annotations
 
-from cycloderiv import IntMatrix, LeibnizReport, RatVector
+from cycloderiv import IntMatrix, LeibnizReport, RatVector, RingElement
+
+
+def dense_ring_product(x: RingElement, y: RingElement) -> RingElement:
+    """x * y by the schoolbook loop and the full-table reduction."""
+    d = x.ring.degree
+    prod = [0] * (2 * d - 1)
+    for i, a in enumerate(x.coords):
+        if a:
+            for j, b in enumerate(y.coords):
+                if b:
+                    prod[i + j] += a * b
+    table = x.ring.power_table
+    out = [0] * d
+    for k, c in enumerate(prod):
+        if c:
+            row = table[k]
+            for i in range(d):
+                out[i] += c * row[i]
+    return RingElement(x.ring, tuple(out))
 
 
 def laplace_det(m: IntMatrix) -> int:

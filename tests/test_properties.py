@@ -1,4 +1,4 @@
-"""Property tests: the product-rule check and the endomorphisms on random inputs.
+"""Property tests: the ring product, the product-rule check and the endomorphisms.
 
 Runs only where ``hypothesis`` is installed. Examples are derandomized, so a
 run is as deterministic as the rest of the suite.
@@ -9,7 +9,7 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
-from oracles import leibniz_scan  # noqa: E402
+from oracles import dense_ring_product, leibniz_scan  # noqa: E402
 
 from cycloderiv import (  # noqa: E402
     CyclotomicRing,
@@ -81,3 +81,21 @@ def test_endomorphism_is_additive_and_multiplicative(e, data):
     assert e(a + b) == e(a) + e(b)
     assert e(a * b) == e(a) * e(b)
     assert e(e.ring.one()) == e.ring.one()
+
+
+@st.composite
+def ring_with_two_elements(draw):
+    """Any monic modulus of degree 1-12 (zeros allowed) and two elements with wide coordinates."""
+    d = draw(st.integers(min_value=1, max_value=12))
+    low = draw(st.lists(st.integers(-20, 20), min_size=d, max_size=d))
+    ring = QuotientRing(Polynomial(low + [1]))
+    entries = st.lists(coords | st.integers(-(2**80), 2**80), min_size=d, max_size=d)
+    return ring.element(draw(entries)), ring.element(draw(entries))
+
+
+@PROPERTY_SETTINGS
+@given(ring_with_two_elements())
+def test_ring_product_equals_dense_oracle(elements):
+    x, y = elements
+    assert x * y == dense_ring_product(x, y)
+    assert y * x == dense_ring_product(y, x)
