@@ -13,11 +13,14 @@ is always a twisted derivation, i.e. it satisfies
 
     D(a b) = D(a) tau(b) + sigma(a) D(b);
 
-``leibniz_check`` verifies that identity on the basis pairs ``(1, theta^j)``
-and ``(theta, theta^j)``, which by induction on powers of theta certifies it
-on the whole ring; in rings with zero divisors it is exactly where the
-extension fails. The power sums come from one recurrence, ``_power_sums``,
-shared by the construction, ``sum_powers`` and ``telescope_check``.
+``leibniz_check`` verifies that identity on the basis pair ``(1, 1)`` and
+the pairs ``(theta, theta^j)``, d + 1 pairs that by induction on powers of
+theta certify it on the whole ring; in rings with zero divisors it is
+exactly where the extension fails. The power sums come from one recurrence,
+``_power_sums``, shared by the construction, ``sum_powers`` and
+``telescope_check``. A ``TwistedPair`` keeps the powers of ``tau(theta)``
+and the sums below degree d, so the derivations over one pair compute them
+once.
 """
 
 from __future__ import annotations
@@ -28,6 +31,11 @@ from math import gcd
 from typing import Iterator
 
 from .quotient import CyclotomicRing, QuotientRing, RingElement
+
+
+def _check_unit(exponent: int, n: int) -> None:
+    if not 1 <= exponent < n or gcd(exponent, n) != 1:
+        raise ValueError(f"exponent {exponent} is not a unit modulo {n}")
 
 
 class Endomorphism:
@@ -58,8 +66,7 @@ class Endomorphism:
             n = getattr(ring, "n", None)
             if n is None:
                 raise ValueError("exponents are only meaningful for cyclotomic rings")
-            if not 1 <= exponent < n or gcd(exponent, n) != 1:
-                raise ValueError(f"exponent {exponent} is not a unit modulo {n}")
+            _check_unit(exponent, n)
             if theta_image != ring.reduce_power(exponent):
                 raise ValueError(
                     f"image does not match the stated exponent {exponent}"
@@ -74,8 +81,7 @@ class Endomorphism:
         n = getattr(ring, "n", None)
         if n is None:
             raise ValueError("zeta_power requires a cyclotomic ring")
-        if not 1 <= u < n or gcd(u, n) != 1:
-            raise ValueError(f"exponent {u} is not a unit modulo {n}")
+        _check_unit(u, n)
         return cls(ring, ring.reduce_power(u), exponent=u)
 
     def __call__(self, x: RingElement) -> RingElement:
@@ -94,9 +100,15 @@ class Endomorphism:
 
 
 class TwistedPair:
-    """Two endomorphisms of the same ring with different generator images."""
+    """Two endomorphisms of the same ring with different generator images.
 
-    __slots__ = ("sigma", "tau")
+    What depends on the pair alone, the powers of ``tau(theta)`` and the
+    power sums below degree d, is computed on first use and kept, so every
+    derivation over one pair shares it. Two threads racing on first use
+    compute equal tuples, so a pair stays safe to share.
+    """
+
+    __slots__ = ("sigma", "tau", "_tau_powers", "_sums")
 
     def __init__(self, sigma: Endomorphism, tau: Endomorphism) -> None:
         if sigma.ring != tau.ring:
@@ -105,6 +117,8 @@ class TwistedPair:
             raise ValueError("the two endomorphisms must differ on the generator")
         self.sigma = sigma
         self.tau = tau
+        self._tau_powers: tuple[RingElement, ...] | None = None
+        self._sums: tuple[RingElement, ...] | None = None
 
     @classmethod
     def zeta_powers(cls, ring: CyclotomicRing, u: int, v: int) -> TwistedPair:
@@ -113,6 +127,23 @@ class TwistedPair:
     @property
     def ring(self) -> QuotientRing:
         return self.sigma.ring
+
+    @property
+    def tau_powers(self) -> tuple[RingElement, ...]:
+        """``tau(theta)^j`` for 0 <= j < d."""
+        if self._tau_powers is None:
+            powers = [self.ring.one()]
+            for _ in range(self.ring.degree - 1):
+                powers.append(powers[-1] * self.tau.theta_image)
+            self._tau_powers = tuple(powers)
+        return self._tau_powers
+
+    @property
+    def power_sums(self) -> tuple[RingElement, ...]:
+        """``S_1, ..., S_(d-1)`` of ``_power_sums``: index k - 1 holds ``sum_powers(self, k)``."""
+        if self._sums is None:
+            self._sums = tuple(islice(_power_sums(self), self.ring.degree - 1))
+        return self._sums
 
     def theta_difference(self) -> RingElement:
         """tau(theta) - sigma(theta), the multiplier innerness reduces to."""
@@ -172,7 +203,7 @@ class TwistedDerivation:
     def basis_images(self) -> tuple[RingElement, ...]:
         """D on the power basis: index k holds D(theta^k), with D(1) = 0."""
         if self._basis_images is None:
-            sums = islice(_power_sums(self.pair), self.pair.ring.degree - 1)
+            sums = self.pair.power_sums
             self._basis_images = (self.pair.ring.zero(), *(s * self.d_theta for s in sums))
         return self._basis_images
 
@@ -205,13 +236,15 @@ class LeibnizReport:
 
 
 def leibniz_check(derivation: TwistedDerivation) -> LeibnizReport:
-    """Check ``D(t^i t^j) = D(t^i) tau(t^j) + sigma(t^i) D(t^j)`` for i in {0, 1}.
+    """Check ``D(t^i t^j) = D(t^i) tau(t^j) + sigma(t^i) D(t^j)`` at (0, 0) and on row 1.
 
-    The 2d pairs of rows 0 and 1 are scanned in row-major order, and they
-    certify the product rule on the whole ring. D is Z-linear, so the defect
+    The pair (0, 0) and then the d pairs (1, j) in order certify the product
+    rule on the whole ring. D is Z-linear, so the defect
     ``D(ab) - D(a) tau(b) - sigma(a) D(b)`` is Z-bilinear and it suffices to
-    check basis pairs. Row 0 at j = 0 reads ``D(1) = 2 D(1)``, so D(1) = 0,
-    and then the rest of row 0 holds. Row 1 gives
+    check basis pairs. The pair (0, 0) reads ``D(1) = 2 D(1)``, so D(1) = 0.
+    At (0, j) the two sides are ``D(theta^j)`` and
+    ``D(1) tau(theta^j) + D(theta^j)``, so then all of row 0 holds, for any
+    Z-linear D, and need not be scanned. Row 1 gives
     ``D(theta y) = D(theta) tau(y) + sigma(theta) D(y)`` for every y, by
     linearity in y. If the rule holds for a = theta^i and every y, then
 
@@ -222,23 +255,23 @@ def leibniz_check(derivation: TwistedDerivation) -> LeibnizReport:
 
     the last step being row 1 at y = theta^i. So if rows 0 and 1 pass, every
     pair passes. Conversely, if any pair fails, some pair in rows 0 and 1
-    fails, so the first failing pair of the full d^2 scan lies in those rows:
-    the report, with both sides, is the one the full scan would give.
+    fails, so the first failing pair of the full d^2 scan lies in those rows,
+    and it is (0, 0) or in row 1: the report, with both sides, is the one the
+    full scan would give. A degree-1 ring has no row 1 and checks (0, 0)
+    alone. The powers of ``tau(theta)`` come from the pair, which keeps them.
     """
     pair = derivation.pair
     ring = pair.ring
     d = ring.degree
     sig_pows = (ring.one(), pair.sigma.theta_image)
-    tau_pows = [ring.one()]
-    for _ in range(d - 1):
-        tau_pows.append(tau_pows[-1] * pair.tau.theta_image)
+    tau_pows = pair.tau_powers
     images = derivation.basis_images
-    for i in range(min(2, d)):
-        for j in range(d):
-            lhs = derivation(ring.reduce_power(i + j))
-            rhs = images[i] * tau_pows[j] + sig_pows[i] * images[j]
-            if lhs != rhs:
-                return LeibnizReport(False, (i, j), lhs, rhs)
+    checked = [(0, 0)] + ([(1, j) for j in range(d)] if d > 1 else [])
+    for i, j in checked:
+        lhs = derivation(ring.reduce_power(i + j))
+        rhs = images[i] * tau_pows[j] + sig_pows[i] * images[j]
+        if lhs != rhs:
+            return LeibnizReport(False, (i, j), lhs, rhs)
     return LeibnizReport(True)
 
 

@@ -91,6 +91,8 @@ class QuotientRing:
         )
 
     def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
         if not isinstance(other, QuotientRing):
             return NotImplemented
         return self.modulus == other.modulus

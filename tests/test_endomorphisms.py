@@ -70,6 +70,20 @@ def test_zeta_power_validates_exponents():
         Endomorphism.zeta_power(ring, 10)
 
 
+def test_zeta_power_checks_the_exponent_before_building_the_monomial(monkeypatch):
+    ring = CyclotomicRing(10)
+    zeta = ring.zeta()
+
+    def no_power(self, k):
+        raise AssertionError(f"theta^{k} built before the exponent was checked")
+
+    monkeypatch.setattr(QuotientRing, "reduce_power", no_power)
+    with pytest.raises(ValueError, match="is not a unit modulo 10"):
+        Endomorphism.zeta_power(ring, 10**12 + 1)
+    with pytest.raises(ValueError, match="is not a unit modulo 10"):
+        Endomorphism(ring, zeta, exponent=10**12 + 1)
+
+
 def test_pair_requires_distinct_generator_images():
     ring = CyclotomicRing(10)
     with pytest.raises(ValueError):

@@ -1,10 +1,12 @@
-"""The two-row product-rule check and the power-sum recurrence against their oracles.
+"""The d + 1 pair product-rule check and the power-sum recurrence against their oracles.
 
 ``leibniz_check`` must give exactly the report of the full d^2 scan (verdict,
 first failing pair and both sides), and ``basis_images``, ``sum_powers`` and
 ``telescope_check`` must agree with power sums accumulated from two power
 lists. The rings include zero divisors, where the power-formula extension
-really fails the product rule.
+really fails the product rule. The values a ``TwistedPair`` keeps for its
+derivations must equal the oracles, and reports over a shared pair must equal
+those over fresh pairs.
 """
 
 import random
@@ -49,15 +51,15 @@ def truncated_pairs():
                     yield TwistedPair(Endomorphism(ring, a * theta), Endomorphism(ring, b * theta))
 
 
-def cyclotomic_pairs():
-    """Z[zeta_n] with zeta -> zeta^u and zeta -> zeta^v, n <= 16."""
-    for n in range(3, 17):
+def cyclotomic_pairs(largest=16):
+    """Z[zeta_n] with zeta -> zeta^u and zeta -> zeta^v, n <= largest."""
+    for n in range(3, largest + 1):
         ring = CyclotomicRing(n)
-        us = units(n)
-        for u in us:
-            for v in us:
-                if u != v:
-                    yield TwistedPair.zeta_powers(ring, u, v)
+        endos = [Endomorphism.zeta_power(ring, u) for u in units(n)]
+        for sigma in endos:
+            for tau in endos:
+                if sigma is not tau:
+                    yield TwistedPair(sigma, tau)
 
 
 def _d_thetas(ring, rng):
@@ -163,3 +165,76 @@ def test_telescope_check_follows_two_list_power_sums():
             assert verdict == total.is_zero(), (pair, k)
             verdicts.add(verdict)
     assert verdicts == {True, False}
+
+
+def _fields(report):
+    return (report.ok, report.indices, report.lhs, report.rhs)
+
+
+class CountingMap(LinearMap):
+    """A ``LinearMap`` that counts its evaluations."""
+
+    def __init__(self, pair, images):
+        super().__init__(pair, images)
+        self.calls = 0
+
+    def __call__(self, x):
+        self.calls += 1
+        return super().__call__(x)
+
+
+def test_leibniz_check_evaluates_the_map_on_d_plus_one_pairs():
+    # a passing map is evaluated at (0, 0) and on row 1 only, d + 1 times
+    # where a scan of rows 0 and 1 takes 2d; D(1) != 0 stops at (0, 0)
+    rng = random.Random(3)
+    pairs = [*roots_of_unity_pairs(), *truncated_pairs(), *cyclotomic_pairs()]
+    for pair in rng.sample(pairs, 40):
+        ring = pair.ring
+        basis = [ring.reduce_power(k) for k in range(ring.degree)]
+        beta = ring.random_element(rng)
+        inner = CountingMap(pair, [beta * (pair.tau(b) - pair.sigma(b)) for b in basis])
+        assert leibniz_check(inner).ok
+        assert inner.calls == ring.degree + 1
+        lifted = CountingMap(pair, [ring.one(), *inner.basis_images[1:]])
+        assert leibniz_check(lifted).indices == (0, 0)
+        assert lifted.calls == 1
+
+
+def test_kept_pair_values_equal_oracles():
+    rng = random.Random(9)
+    pairs = [*roots_of_unity_pairs(), *truncated_pairs(), *cyclotomic_pairs(30)]
+    for pair in rng.sample(pairs, 60):
+        ring = pair.ring
+        d = ring.degree
+        tau_powers, power_sums = pair.tau_powers, pair.power_sums
+        assert isinstance(tau_powers, tuple) and isinstance(power_sums, tuple)
+        assert pair.tau_powers is tau_powers and pair.power_sums is power_sums
+        expected = [ring.one()]
+        for _ in range(d - 1):
+            expected.append(expected[-1] * pair.tau.theta_image)
+        assert tau_powers == tuple(expected)
+        assert power_sums == tuple(two_list_sum_powers(pair, k) for k in range(1, d))
+
+
+def test_derivations_sharing_a_pair_report_as_on_fresh_pairs():
+    # several pairs of each ring, several D(theta) per pair: the values one
+    # pair keeps must serve only its own derivations
+    rng = random.Random(30)
+    by_ring = {}
+    for pair in [*roots_of_unity_pairs(), *truncated_pairs(), *cyclotomic_pairs(30)]:
+        by_ring.setdefault(id(pair.ring), []).append(pair)
+    verdicts = set()
+    for pairs in by_ring.values():
+        for pair in rng.sample(pairs, min(3, len(pairs))):
+            ring = pair.ring
+            domain = isinstance(ring, CyclotomicRing)
+            for d_theta in _d_thetas(ring, rng):
+                shared = leibniz_check(TwistedDerivation(pair, d_theta))
+                fresh = TwistedDerivation(TwistedPair(pair.sigma, pair.tau), d_theta)
+                assert _fields(shared) == _fields(leibniz_check(fresh)), (pair, d_theta)
+                if domain:
+                    assert shared.ok, (pair, d_theta)
+                else:
+                    assert _fields(shared) == _fields(leibniz_scan(fresh)), (pair, d_theta)
+                verdicts.add((domain, shared.ok))
+    assert verdicts == {(True, True), (False, True), (False, False)}

@@ -74,6 +74,19 @@ def test_leibniz_check_equals_full_scan(twist):
 
 
 @PROPERTY_SETTINGS
+@given(non_domain_twist(), st.data())
+def test_derivations_sharing_a_pair_equal_the_full_scan(twist, data):
+    # the pair keeps its tau powers and power sums for every derivation
+    pair, first = twist
+    more = data.draw(st.integers(min_value=1, max_value=3))
+    for d_theta in [first, *(_element(data.draw, pair.ring) for _ in range(more))]:
+        derivation = TwistedDerivation(pair, d_theta)
+        fresh = TwistedDerivation(TwistedPair(pair.sigma, pair.tau), d_theta)
+        reports = (leibniz_check(derivation), leibniz_check(fresh), leibniz_scan(derivation))
+        assert len({(r.ok, r.indices, r.lhs, r.rhs) for r in reports}) == 1
+
+
+@PROPERTY_SETTINGS
 @given(endomorphism(), st.data())
 def test_endomorphism_is_additive_and_multiplicative(e, data):
     a = _element(data.draw, e.ring)

@@ -106,3 +106,24 @@ def test_random_element_coordinates_within_bound():
 def test_ring_equality_is_by_modulus():
     assert CyclotomicRing(10) == QuotientRing(Polynomial((1, -1, 1, -1, 1)))
     assert CyclotomicRing(10) != CyclotomicRing(12)
+
+
+def test_equal_rings_built_apart_still_combine():
+    # ring equality answers at once for one ring object; two objects with
+    # one modulus must still be the same ring, and same-degree rings with
+    # different moduli must still refuse to mix
+    a, b = CyclotomicRing(10), QuotientRing(Polynomial((1, -1, 1, -1, 1)))
+    assert a is not b and a == b and a == a
+    x, y = a.element((1, 2, 0, -3)), b.element((0, 4, 5, 1))
+    assert (x + y).coords == (1, 6, 5, -2)
+    assert x * y == y * x == a.element((1, 2, 0, -3)) * a.element((0, 4, 5, 1))
+    assert a.element((7,)) == b.element((7,))
+    for other in (CyclotomicRing(5), CyclotomicRing(8), CyclotomicRing(12)):
+        z = other.element((1, 2, 0, -3))
+        assert other.degree == a.degree and z != x
+        with pytest.raises(ValueError):
+            x + z
+        with pytest.raises(ValueError):
+            x * z
+        with pytest.raises(ValueError):
+            z - x
