@@ -25,10 +25,9 @@ once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import islice
 from math import gcd
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .quotient import CyclotomicRing, QuotientRing, RingElement
 
@@ -211,19 +210,19 @@ class TwistedDerivation:
         if x.ring != self.pair.ring:
             raise ValueError("argument belongs to a different ring")
         images = self.basis_images
-        total = self.pair.ring.zero()
+        total = [0] * len(images)
         for k in range(1, len(images)):
             c = x.coords[k]
             if c:
-                total = total + c * images[k]
-        return total
+                for i, a in enumerate(images[k].coords):
+                    total[i] += c * a
+        return RingElement(self.pair.ring, tuple(total))
 
     def __repr__(self) -> str:
         return f"TwistedDerivation({self.pair!r}, D(theta)={self.d_theta.coords!r})"
 
 
-@dataclass(frozen=True)
-class LeibnizReport:
+class LeibnizReport(NamedTuple):
     """Outcome of the basis-pair product-rule check."""
 
     ok: bool

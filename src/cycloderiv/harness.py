@@ -4,7 +4,7 @@ A sweep walks every unordered pair of unit exponents of a ring, builds the
 multiplier matrix, compares ``|det|`` against the prediction for the ring's
 form, and runs one seeded inner round-trip per pair (draw an integral beta,
 rebuild the derivation it defines, confirm classification recovers beta
-exactly). Reports are plain frozen dataclasses; rendering lives in
+exactly). Reports are immutable named tuples; rendering lives in
 ``reporting``. Identical (form, seed, version) inputs produce identical
 reports; the measured elapsed time is kept on the object but never
 serialized, so emitted bytes stay reproducible.
@@ -14,8 +14,8 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass
 from itertools import combinations
+from typing import NamedTuple
 
 from ._version import __version__
 from .arith import totient, units
@@ -49,8 +49,7 @@ def check_degree(n: int, cap: int = DEFAULT_DEGREE_CAP) -> int:
     return degree
 
 
-@dataclass(frozen=True)
-class PairRecord:
+class PairRecord(NamedTuple):
     u: int
     v: int
     e1: int
@@ -62,8 +61,7 @@ class PairRecord:
     roundtrip: bool
 
 
-@dataclass(frozen=True)
-class SweepReport:
+class SweepReport(NamedTuple):
     form: RingForm
     records: tuple[PairRecord, ...]
     seed: int
@@ -139,8 +137,7 @@ def sweep(form: RingForm, seed: int = 0, cap: int = DEFAULT_DEGREE_CAP) -> Sweep
     )
 
 
-@dataclass(frozen=True)
-class TheoremVerdict:
+class TheoremVerdict(NamedTuple):
     n: int
     u: int
     v: int
@@ -172,8 +169,7 @@ def verify_theorem(n: int, u: int, v: int, trials: int = 100, seed: int = 0) -> 
     return TheoremVerdict(n=n, u=u, v=v, trials=trials, passes=passes, seed=seed)
 
 
-@dataclass(frozen=True)
-class CounterexampleCase:
+class CounterexampleCase(NamedTuple):
     """One regression case: a power-formula extension and its expected verdict.
 
     A failing case keeps the first basis pair ``(i, j)`` where the product
@@ -280,8 +276,7 @@ def counterexample_suite() -> tuple[CounterexampleCase, ...]:
     return tuple(cases)
 
 
-@dataclass(frozen=True)
-class TableBlock:
+class TableBlock(NamedTuple):
     u: int
     v: int
     matrix: IntMatrix
@@ -289,8 +284,7 @@ class TableBlock:
     solution_rows: tuple[RatVector, ...]
 
 
-@dataclass(frozen=True)
-class TableArtifact:
+class TableArtifact(NamedTuple):
     n: int
     blocks: tuple[TableBlock, ...]
     version: str

@@ -25,9 +25,9 @@ against ``|det|``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from math import gcd
+from typing import NamedTuple
 
 from .arith import factorize, is_prime, multiplicity
 from .endomorphisms import TwistedDerivation, TwistedPair
@@ -72,36 +72,40 @@ class MultiplierMatrix:
         return f"MultiplierMatrix({self.pair!r})"
 
 
-@dataclass(frozen=True)
-class RingForm:
+class _RingFormFields(NamedTuple):
+    kind: str
+    p: int
+    r: int | None = None
+    k: int | None = None
+
+
+class RingForm(_RingFormFields):
     """One of the two conductor families with a determinant prediction.
 
     kind "2rp" is n = 2^r p with r >= 1 and p an odd prime; kind "pk" is
     n = p^k with p prime and k >= 2 (k = 1 carries no prediction here).
     """
 
-    kind: str
-    p: int
-    r: int | None = None
-    k: int | None = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.kind == "2rp":
-            if self.r is None or self.r < 1:
+    def __new__(cls, kind: str, p: int, r: int | None = None, k: int | None = None) -> RingForm:
+        if kind == "2rp":
+            if r is None or r < 1:
                 raise ValueError("form 2rp requires r >= 1")
-            if self.k is not None:
+            if k is not None:
                 raise ValueError("form 2rp does not take k")
-            if self.p == 2 or not is_prime(self.p):
-                raise ValueError(f"form 2rp requires an odd prime p, got {self.p}")
-        elif self.kind == "pk":
-            if self.k is None or self.k < 2:
+            if p == 2 or not is_prime(p):
+                raise ValueError(f"form 2rp requires an odd prime p, got {p}")
+        elif kind == "pk":
+            if k is None or k < 2:
                 raise ValueError("form pk requires k >= 2")
-            if self.r is not None:
+            if r is not None:
                 raise ValueError("form pk does not take r")
-            if not is_prime(self.p):
-                raise ValueError(f"form pk requires a prime p, got {self.p}")
+            if not is_prime(p):
+                raise ValueError(f"form pk requires a prime p, got {p}")
         else:
-            raise ValueError(f"unknown ring form kind {self.kind!r}")
+            raise ValueError(f"unknown ring form kind {kind!r}")
+        return super().__new__(cls, kind, p, r, k)
 
     @classmethod
     def form_2rp(cls, r: int, p: int) -> RingForm:
@@ -143,8 +147,7 @@ class RingForm:
         return f"{self.kind}({inner})"
 
 
-@dataclass(frozen=True)
-class Valuation:
+class Valuation(NamedTuple):
     """Multiplicities extracted from |v - u|; e2 only exists for form 2rp."""
 
     e1: int
@@ -182,8 +185,7 @@ def predict_det(form: RingForm, valuation: Valuation) -> int:
     return form.p ** (form.p**valuation.e1)
 
 
-@dataclass(frozen=True)
-class Classification:
+class Classification(NamedTuple):
     """Inner/outer verdict with the exact witness.
 
     The witness always satisfies ``A numerators = denominator * C``; the

@@ -20,10 +20,9 @@ decided by ``denominator == 1``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce
 from math import gcd
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 IntVector = tuple[int, ...]
 
@@ -32,20 +31,22 @@ class SingularMatrixError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class IntMatrix:
+class _IntMatrixFields(NamedTuple):
     rows: int
     cols: int
     entries: tuple[int, ...]  # row-major
 
-    def __post_init__(self) -> None:
-        if self.rows < 1 or self.cols < 1:
+
+class IntMatrix(_IntMatrixFields):
+    __slots__ = ()
+
+    def __new__(cls, rows: int, cols: int, entries: Iterable[int]) -> IntMatrix:
+        if rows < 1 or cols < 1:
             raise ValueError("matrix dimensions must be positive")
-        object.__setattr__(self, "entries", tuple(self.entries))
-        if len(self.entries) != self.rows * self.cols:
-            raise ValueError(
-                f"expected {self.rows * self.cols} entries, got {len(self.entries)}"
-            )
+        entries = tuple(entries)
+        if len(entries) != rows * cols:
+            raise ValueError(f"expected {rows * cols} entries, got {len(entries)}")
+        return super().__new__(cls, rows, cols, entries)
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[int]]) -> IntMatrix:
@@ -108,8 +109,7 @@ class IntMatrix:
         return f"IntMatrix({self.rows}x{self.cols}, {self.entries!r})"
 
 
-@dataclass
-class _Echelon:
+class _Echelon(NamedTuple):
     """``[PA | PB]`` after one forward Bareiss pass, in the pivot columns of A."""
 
     rows: list[list[int]]
@@ -241,19 +241,22 @@ def mat_vec(matrix: IntMatrix, vector: Sequence[int]) -> IntVector:
     )
 
 
-@dataclass(frozen=True)
-class RatVector:
-    """Integer numerators over one positive denominator, fully reduced."""
-
+class _RatVectorFields(NamedTuple):
     numerators: IntVector
     denominator: int
 
-    def __post_init__(self) -> None:
-        if self.denominator < 1:
+
+class RatVector(_RatVectorFields):
+    """Integer numerators over one positive denominator, fully reduced."""
+
+    __slots__ = ()
+
+    def __new__(cls, numerators: IntVector, denominator: int) -> RatVector:
+        if denominator < 1:
             raise ValueError("denominator must be positive")
-        g = reduce(gcd, self.numerators, self.denominator)
-        if g != 1:
+        if reduce(gcd, numerators, denominator) != 1:
             raise ValueError("numerators and denominator must be reduced")
+        return super().__new__(cls, numerators, denominator)
 
     @classmethod
     def reduced(cls, numerators: Iterable[int], denominator: int) -> RatVector:

@@ -134,6 +134,34 @@ def test_derivation_eval_examples():
     assert derivation(ring.element((0, 0, 1, 0))).coords == (0, 1, 0, 1)
 
 
+
+def test_derivation_is_the_linear_combination_of_basis_images():
+    rng = random.Random(7)
+    truncated = QuotientRing(Polynomial.monomial(4))
+    pairs = [
+        _pair(10, 1, 3),
+        _pair(27, 1, 2),
+        _pair(3, 1, 2),
+        TwistedPair(
+            Endomorphism(truncated, truncated.generator()),
+            Endomorphism(truncated, 3 * truncated.generator()),
+        ),
+    ]
+    for pair in pairs:
+        ring = pair.ring
+        derivation = TwistedDerivation(pair, ring.random_element(rng))
+        images = derivation.basis_images
+        samples = [ring.zero(), ring.one(), *(ring.reduce_power(k) for k in range(2 * ring.degree))]
+        samples += [ring.random_element(rng) for _ in range(5)]
+        samples.append(ring.element(tuple(rng.getrandbits(200) - 2**199 for _ in range(ring.degree))))
+        for x in samples:
+            expected = ring.zero()
+            for c, image in zip(x.coords, images):
+                expected = expected + c * image
+            value = derivation(x)
+            assert value == expected, (pair, x)
+            assert value.ring is ring and type(value.coords) is tuple
+
 def test_leibniz_passes_over_cyclotomic_rings():
     pair = _pair(10, 1, 3)
     rng = random.Random(42)
