@@ -193,10 +193,10 @@ def _build_form(args: argparse.Namespace) -> RingForm:
     if args.form == "2rp":
         if args.r is None or args.p is None:
             raise ValueError("form 2rp requires --r and --p")
-        return RingForm.form_2rp(args.r, args.p)
-    if args.p is None or args.k is None:
+    elif args.p is None or args.k is None:
         raise ValueError("form pk requires --p and --k")
-    return RingForm.form_pk(args.p, args.k)
+    # RingForm rejects the option the form does not take
+    return RingForm(args.form, args.p, args.r, args.k)
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:

@@ -25,10 +25,12 @@ from .innerness import (
     MultiplierMatrix,
     RingForm,
     classify,
+    multiplication_matrix,
+    multiplier_inverse,
     predict_det,
     valuate,
 )
-from .intlinalg import IntMatrix, RatVector, adjugate
+from .intlinalg import IntMatrix, RatVector
 from .polynomials import Polynomial
 from .quotient import CyclotomicRing, QuotientRing, RingElement
 
@@ -296,8 +298,10 @@ def reproduce_tables(n: int, cap: int = DEFAULT_DEGREE_CAP) -> TableArtifact:
     Solution row i gives the coefficients of ``c_0 .. c_{d-1}`` over a
     positive denominator such that row . C is the i-th coordinate of the
     unique solution of ``A X = C``; each row is the corresponding row of
-    ``adj(A) = det(A) A^-1`` over det(A), reduced. One elimination of
-    ``[A | I]`` per pair gives the adjugate (see ``intlinalg``).
+    ``A^-1``, reduced. ``A^-1`` is the matrix of ``num`` over m for the
+    closed-form inverse ``(num, m)`` of ``multiplier_inverse``, checked per
+    pair as ``delta * num == m``; the determinant is measured by the one
+    elimination of ``MultiplierMatrix.det``.
     Deterministic: no randomness is involved.
     """
     if check_degree(n, cap) < 2:
@@ -309,10 +313,11 @@ def reproduce_tables(n: int, cap: int = DEFAULT_DEGREE_CAP) -> TableArtifact:
     for u, v in combinations(us, 2):
         pair = TwistedPair(endos[u], endos[v])
         multiplier = MultiplierMatrix(pair)
-        adj = adjugate(multiplier.matrix)
-        rows = tuple(
-            RatVector.reduced(adj.row(i), multiplier.det) for i in range(ring.degree)
-        )
+        num, m = multiplier_inverse(pair)
+        if pair.theta_difference() * num != ring.element((m,)):
+            raise ArithmeticError(f"inverse {num!r} does not satisfy delta * num = {m} for {pair!r}")
+        inverse = multiplication_matrix(num)
+        rows = tuple(RatVector.reduced(inverse.row(i), m) for i in range(ring.degree))
         blocks.append(
             TableBlock(
                 u=u,

@@ -1,13 +1,24 @@
 """Multiplier matrices, inner/outer classification, and determinant predictions.
 
 A twisted derivation D on Z[zeta] is inner exactly when some beta in the ring
-satisfies ``D(zeta) = beta * (tau(zeta) - sigma(zeta))``. In coordinates that
-is the square integer system ``A X = C``: column j of the multiplier matrix A
-holds ``theta^j * (tau(theta) - sigma(theta))``, X the coordinates of beta,
-and C those of D(zeta). Because the cyclotomic modulus is irreducible, A is
+satisfies ``D(zeta) = beta * delta`` with ``delta = tau(zeta) - sigma(zeta)``.
+In coordinates that is the square integer system ``A X = C``: column j of the
+multiplier matrix A holds ``theta^j * delta``, X the coordinates of beta, and
+C those of D(zeta). Because the cyclotomic modulus is irreducible, A is
 nonsingular and the unique rational solution decides the question: an
 integral solution is the inner witness, a fractional one certifies an outer
 derivation (there is no separate "outer" computation to disagree with).
+
+That solution needs no elimination. For ``sigma: zeta -> zeta^u`` and
+``tau: zeta -> zeta^v``, ``delta = zeta^u (w - 1)`` with ``w = zeta^k``,
+``k = v - u mod n``, a primitive m-th root of unity, ``m = n / gcd(n, k)``.
+Since ``1 + w + ... + w^(m-1) = 0``, ``(w - 1) sum_(j=1)^(m-1) j w^j = m``, so
+``delta^-1 = num / m`` with ``num = sum_j j zeta^(kj - u)`` (Washington,
+*Introduction to Cyclotomic Fields*, ch. 2); ``multiplier_inverse`` builds it.
+The solution is ``D(zeta) num / m``, and ``A^-1`` is the matrix of ``num``
+over m. The determinant of A is still measured, by one elimination in
+``MultiplierMatrix.det``: it is the value the predictions below are scored
+against.
 
 For the two ring families that carry determinant predictions the absolute
 determinant of A is conjectured to depend only on the multiplicities of 2
@@ -31,13 +42,40 @@ from typing import NamedTuple
 
 from .arith import factorize, is_prime, multiplicity
 from .endomorphisms import TwistedDerivation, TwistedPair
-from .intlinalg import (
-    IntMatrix,
-    RatVector,
-    SingularMatrixError,
-    mat_vec,
-    solve_unique,
-)
+from .intlinalg import IntMatrix, RatVector, SingularMatrixError
+from .polynomials import Polynomial
+from .quotient import RingElement
+
+
+def multiplication_matrix(x: RingElement) -> IntMatrix:
+    """The matrix of ``beta -> beta * x``: column j holds ``theta^j * x``."""
+    theta = x.ring.generator()
+    columns = [x.coords]
+    for _ in range(x.ring.degree - 1):
+        x = x * theta
+        columns.append(x.coords)
+    return IntMatrix.from_columns(columns)
+
+
+def multiplier_inverse(pair: TwistedPair) -> tuple[RingElement, int]:
+    """``(num, m)`` with ``(tau(zeta) - sigma(zeta)) * num = m``, in closed form.
+
+    Puts the integer j at exponent ``(k j - u) mod n`` for ``1 <= j < m``
+    (see the module docstring) and reduces modulo ``Phi_n`` once. The
+    exponents u and v are those of ``Endomorphism.exponent``; a pair without
+    them raises ``ValueError``.
+    """
+    u, v = pair.sigma.exponent, pair.tau.exponent
+    if u is None or v is None:
+        raise ValueError(f"the closed-form inverse needs zeta-power exponents, {pair!r} has none")
+    ring = pair.ring
+    n = ring.n
+    k = (v - u) % n
+    m = n // gcd(n, k)
+    coeffs = [0] * n
+    for j in range(1, m):
+        coeffs[(k * j - u) % n] = j
+    return ring.reduce(Polynomial(coeffs)), m
 
 
 class MultiplierMatrix:
@@ -48,15 +86,8 @@ class MultiplierMatrix:
     """
 
     def __init__(self, pair: TwistedPair) -> None:
-        ring = pair.ring
-        theta = ring.generator()
-        col = pair.theta_difference()
-        columns = [col.coords]
-        for _ in range(ring.degree - 1):
-            col = col * theta
-            columns.append(col.coords)
         self.pair = pair
-        self.matrix = IntMatrix.from_columns(columns)
+        self.matrix = multiplication_matrix(pair.theta_difference())
 
     @cached_property
     def det(self) -> int:
@@ -205,10 +236,13 @@ class Classification(NamedTuple):
 def classify(
     derivation: TwistedDerivation, multiplier: MultiplierMatrix | None = None
 ) -> Classification:
-    """Decide innerness of a derivation by solving the multiplier system.
+    """Decide innerness of a derivation from the closed-form inverse of its multiplier.
 
-    A prebuilt ``MultiplierMatrix`` for the same pair may be passed to avoid
-    rebuilding it across many classifications.
+    The witness is ``D(zeta) num / m`` from ``multiplier_inverse``, reduced,
+    and is checked in the ring as ``delta * numerators == denominator *
+    D(zeta)``. The multiplier matrix is eliminated once, for ``det_abs`` and
+    the singular guard. A prebuilt ``MultiplierMatrix`` for the same pair may
+    be passed to avoid rebuilding it across many classifications.
     """
     pair = derivation.pair
     if multiplier is None:
@@ -223,11 +257,12 @@ def classify(
         # Cannot happen for an irreducible modulus; kept as a guard for
         # hand-built rings.
         raise SingularMatrixError("multiplier matrix is singular (det = 0)")
-    c = derivation.d_theta.coords
-    witness = solve_unique(multiplier.matrix, c)
-    # Independent check of the elimination, kept under ``python -O``.
-    if mat_vec(multiplier.matrix, witness.numerators) != tuple(
-        witness.denominator * x for x in c
+    d_theta = derivation.d_theta
+    num, m = multiplier_inverse(pair)
+    witness = RatVector.reduced((d_theta * num).coords, m)
+    # Independent check of the closed form, kept under ``python -O``.
+    if pair.theta_difference() * pair.ring.element(witness.numerators) != (
+        d_theta * witness.denominator
     ):
         raise ArithmeticError(
             f"witness {witness} does not satisfy A X = {witness.denominator} C for {pair!r}"

@@ -5,13 +5,21 @@ shortcuts. A single private kernel runs one forward Bareiss pass (Bareiss
 1968, *Sylvester's identity and multistep integer-preserving Gaussian
 elimination*) with row pivoting over an augmented matrix ``[A | B]``. Every
 intermediate value is a minor of ``[A | B]`` and therefore an integer, and
-the last pivot is ``det(PA)`` for the row permutation P. The public routines
-are thin callers:
+the last pivot is ``det(PA)`` for the row permutation P. A row whose
+multiplier is zero is not rescaled at that step: the kernel keeps, per row,
+the pivot it was last divided by and brings the row up to date only when it
+is next updated or chosen as pivot (see ``_eliminate``). On multiplier
+matrices most multipliers are zero, so most row passes are skipped. The
+public routines are thin callers:
 
 * ``det`` eliminates A alone;
 * ``solve_unique`` eliminates ``[A | C]`` and back-substitutes fraction-free
   for ``det(PA) A^-1 C``;
 * ``adjugate`` eliminates ``[A | I]`` the same way and applies the sign of P.
+
+The package itself only calls ``det``: ``innerness`` inverts a multiplier
+matrix in closed form. ``solve_unique`` and ``adjugate`` stay public for
+callers with other matrices and as references for that closed form.
 
 The unique solution of a nonsingular square system is returned as an integer
 vector over a single positive denominator, fully reduced, so integrality is
@@ -21,6 +29,7 @@ decided by ``denominator == 1``.
 from __future__ import annotations
 
 from functools import reduce
+from itertools import chain
 from math import gcd
 from typing import Iterable, NamedTuple, Sequence
 
@@ -64,9 +73,7 @@ class IntMatrix(_IntMatrixFields):
         height = len(cols[0])
         if any(len(c) != height for c in cols):
             raise ValueError("columns must all have the same length")
-        return cls(
-            height, len(cols), tuple(cols[j][i] for i in range(height) for j in range(len(cols)))
-        )
+        return cls(height, len(cols), tuple(chain.from_iterable(zip(*cols))))
 
     @classmethod
     def identity(cls, d: int) -> IntMatrix:
@@ -110,7 +117,11 @@ class IntMatrix(_IntMatrixFields):
 
 
 class _Echelon(NamedTuple):
-    """``[PA | PB]`` after one forward Bareiss pass, in the pivot columns of A."""
+    """``[PA | PB]`` after one forward Bareiss pass, in the pivot columns of A.
+
+    Pivot rows are exact. Rows past the rank of a singular A keep their
+    stored, not yet rescaled, values.
+    """
 
     rows: list[list[int]]
     order: list[int]  # order[i] is the row of A that ended in position i
@@ -131,14 +142,31 @@ class _Echelon(NamedTuple):
 def _eliminate(matrix: IntMatrix, rhs: Sequence[Sequence[int]] = ()) -> _Echelon:
     """One forward Bareiss pass over ``[A | B]`` for a square A; B is given by its columns.
 
-    After the step with pivot row r, every entry below it is the minor of
-    ``[PA | PB]`` on rows ``0..r`` plus its own row and the pivot columns plus
-    its own column, so the division by the previous pivot is exact. A column
-    with no nonzero entry at or below the current row is skipped, which leaves
-    the rank and, for a full-rank A, ``det(PA)`` as the last pivot.
+    After the step with pivot row r, the true value of every entry below it
+    is the minor of ``[PA | PB]`` on rows ``0..r`` plus its own row and the
+    pivot columns plus its own column. A row is not rewritten to that value
+    at every step. Row i keeps ``div[i]``, the pivot of the last step that
+    updated it (1 at the start), and stores ``true * div[i] / prev``, where
+    prev is the latest pivot: between two updates the eager pass would only
+    rescale it by ``pivot / prev`` per step, and those factors telescope.
+
+    * A row whose multiplier is zero is left as it is.
+    * A row with a nonzero multiplier is updated in one pass as
+      ``(x * pivot - a_ik * y) // div[i]`` from its stored values. The
+      quotient is the true minor, so the division is exact. Then
+      ``div[i] = pivot``.
+    * The pivot row is caught up once, over A and B, as
+      ``x * prev // div[r]`` when it is chosen; again the quotient is a minor.
+
+    So every pivot row ends exact, as in the eager pass, and only rows past
+    the rank of a singular A are left stored, not caught up. A column with no
+    nonzero entry at or below the current row (a stored entry is zero exactly
+    when its true value is) is skipped, which leaves the rank and, for a
+    full-rank A, ``det(PA)`` as the last pivot.
     """
     d = matrix.rows
     a = [list(matrix.row(i)) + [c[i] for c in rhs] for i in range(d)]
+    div = [1] * d
     order = list(range(d))
     sign, prev, r = 1, 1, 0
     pivots: list[int] = []
@@ -148,21 +176,24 @@ def _eliminate(matrix: IntMatrix, rhs: Sequence[Sequence[int]] = ()) -> _Echelon
             continue
         if p != r:
             a[r], a[p] = a[p], a[r]
+            div[r], div[p] = div[p], div[r]
             order[r], order[p] = order[p], order[r]
             sign = -sign
         row_r = a[r]
+        if div[r] != prev:
+            row_r[k:] = [x * prev // div[r] for x in row_r[k:]]
         pivot = row_r[k]
         tail_r = row_r[k + 1 :]
         for i in range(r + 1, d):
             row_i = a[i]
             aik = row_i[k]
             if aik:
+                di = div[i]
                 row_i[k + 1 :] = [
-                    (x * pivot - aik * y) // prev for x, y in zip(row_i[k + 1 :], tail_r)
+                    (x * pivot - aik * y) // di for x, y in zip(row_i[k + 1 :], tail_r)
                 ]
                 row_i[k] = 0
-            elif pivot != prev:
-                row_i[k + 1 :] = [x * pivot // prev for x in row_i[k + 1 :]]
+                div[i] = pivot
         prev = pivot
         pivots.append(k)
         r += 1

@@ -4,6 +4,8 @@ These are the slow, obviously-correct routines that ``cycloderiv.intlinalg``
 replaced with one fraction-free elimination: Laplace expansion, a plain
 Bareiss determinant, Cramer's rule and the cofactor adjugate. None of them
 calls into ``intlinalg`` beyond the ``IntMatrix`` and ``RatVector`` types.
+``eager_eliminate`` is that elimination before its rows were scaled lazily:
+it rewrites every row below the pivot at every step.
 
 The same holds for ``cycloderiv.endomorphisms``: the power sums accumulated
 from two running power lists, and the product-rule scan over all d^2 basis
@@ -74,6 +76,40 @@ def bareiss_det(m: IntMatrix) -> int:
             a[i][k] = 0
         prev = pivot
     return sign * a[n - 1][n - 1]
+
+
+def eager_eliminate(matrix: IntMatrix, rhs=()):
+    """Bareiss over ``[A | B]`` rescaling every row at every step; (rows, order, sign, pivots)."""
+    d = matrix.rows
+    a = [list(matrix.row(i)) + [c[i] for c in rhs] for i in range(d)]
+    order = list(range(d))
+    sign, prev, r = 1, 1, 0
+    pivots = []
+    for k in range(d):
+        p = next((i for i in range(r, d) if a[i][k]), None)
+        if p is None:
+            continue
+        if p != r:
+            a[r], a[p] = a[p], a[r]
+            order[r], order[p] = order[p], order[r]
+            sign = -sign
+        row_r = a[r]
+        pivot = row_r[k]
+        tail_r = row_r[k + 1 :]
+        for i in range(r + 1, d):
+            row_i = a[i]
+            aik = row_i[k]
+            if aik:
+                row_i[k + 1 :] = [
+                    (x * pivot - aik * y) // prev for x, y in zip(row_i[k + 1 :], tail_r)
+                ]
+                row_i[k] = 0
+            elif pivot != prev:
+                row_i[k + 1 :] = [x * pivot // prev for x in row_i[k + 1 :]]
+        prev = pivot
+        pivots.append(k)
+        r += 1
+    return a, order, sign, pivots
 
 
 def replace_column(m: IntMatrix, j: int, values) -> IntMatrix:

@@ -1,17 +1,23 @@
 import pytest
 
 from cycloderiv import (
+    CyclotomicRing,
     IntMatrix,
+    MultiplierMatrix,
     RatVector,
     RingForm,
     SweepReport,
+    TwistedPair,
+    adjugate,
     counterexample_suite,
+    det,
     render,
     reproduce_tables,
     sweep,
     totient,
     verify_theorem,
 )
+from cycloderiv import harness
 
 from reference_tables import (
     KNOWN_BAD_SOLUTION_ROWS,
@@ -116,6 +122,43 @@ def test_tables_n10_blocks_and_identity():
                 for j in range(d)
             )
             assert prod == tuple(row.denominator if j == i else 0 for j in range(d))
+
+
+def _assert_table_rows_are_the_adjugate_over_det(n):
+    artifact = reproduce_tables(n)
+    for block in artifact.blocks:
+        assert block.det == det(block.matrix) != 0
+        assert block.matrix == MultiplierMatrix(
+            TwistedPair.zeta_powers(CyclotomicRing(n), block.u, block.v)
+        ).matrix
+        adj = adjugate(block.matrix)
+        assert block.solution_rows == tuple(
+            RatVector.reduced(adj.row(i), block.det) for i in range(block.matrix.rows)
+        )
+    return len(artifact.blocks)
+
+
+@pytest.mark.parametrize("n", [9, 10, 12, 21])
+def test_tables_rows_are_the_adjugate_over_det(n):
+    assert _assert_table_rows_are_the_adjugate_over_det(n) == totient(n) * (totient(n) - 1) // 2
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("n", [25, 27])
+def test_tables_rows_are_the_adjugate_over_det_slow(n):
+    assert _assert_table_rows_are_the_adjugate_over_det(n) == totient(n) * (totient(n) - 1) // 2
+
+
+def test_tables_reject_a_tampered_inverse(monkeypatch):
+    inverse = harness.multiplier_inverse
+
+    def tampered(pair):
+        num, m = inverse(pair)
+        return 2 * num, m
+
+    monkeypatch.setattr(harness, "multiplier_inverse", tampered)
+    with pytest.raises(ArithmeticError, match="does not satisfy delta \\* num = 5"):
+        reproduce_tables(10)
 
 
 def test_tables_n9_dets_match_reference():

@@ -3,13 +3,16 @@ import random
 import subprocess
 import sys
 from itertools import combinations
+from math import gcd
 from pathlib import Path
 
 import pytest
 
+import cycloderiv
 from cycloderiv import (
     Classification,
     CyclotomicRing,
+    Endomorphism,
     MultiplierMatrix,
     RatVector,
     RingForm,
@@ -19,9 +22,14 @@ from cycloderiv import (
     classify,
     mat_vec,
     predict_det,
+    reproduce_tables,
+    solve_unique,
+    sweep,
     units,
     valuate,
 )
+from cycloderiv import intlinalg
+from cycloderiv.innerness import multiplier_inverse
 from oracles import laplace_det
 
 
@@ -225,17 +233,17 @@ def test_classification_is_inner_flag():
 _TAMPER_SCRIPT = """
 import sys
 import cycloderiv.innerness as innerness
-from cycloderiv import CyclotomicRing, RatVector, TwistedDerivation, TwistedPair, classify
+from cycloderiv import CyclotomicRing, TwistedDerivation, TwistedPair, classify
 
 if not sys.flags.optimize:
     sys.exit("expected to run under python -O")
-solve = innerness.solve_unique
+inverse = innerness.multiplier_inverse
 
-def tampered(matrix, rhs):
-    w = solve(matrix, rhs)
-    return RatVector.reduced((w.numerators[0] + 1,) + w.numerators[1:], w.denominator)
+def tampered(pair):
+    num, m = inverse(pair)
+    return 2 * num, m
 
-innerness.solve_unique = tampered
+innerness.multiplier_inverse = tampered
 pair = TwistedPair.zeta_powers(CyclotomicRing(10), 1, 3)
 try:
     classify(TwistedDerivation(pair, pair.theta_difference()))
@@ -255,3 +263,95 @@ def test_classify_rejects_a_tampered_witness_under_python_O():
     )
     assert proc.returncode == 0, proc.stderr
     assert "does not satisfy A X" in proc.stdout
+
+
+# -- the closed-form inverse of the multiplier --------------------------------
+
+
+def _pairs(lo, hi):
+    for n in range(lo, hi + 1):
+        ring = CyclotomicRing(n)
+        for u, v in combinations(units(n), 2):
+            yield TwistedPair.zeta_powers(ring, u, v)
+
+
+def _assert_closed_form_equals_elimination(pairs, seed):
+    """delta * num == m, and the witness is the unique solution of A X = C."""
+    rng = random.Random(seed)
+    count = 0
+    for pair in pairs:
+        ring = pair.ring
+        num, m = multiplier_inverse(pair)
+        u, v = pair.sigma.exponent, pair.tau.exponent
+        assert m == ring.n // gcd(ring.n, v - u)
+        assert pair.theta_difference() * num == ring.element((m,))
+        mm = MultiplierMatrix(pair)
+        big = ring.element(rng.choice((-1, 1)) * rng.getrandbits(200) for _ in range(ring.degree))
+        for c in (ring.random_element(rng), big):
+            verdict = classify(TwistedDerivation(pair, c), mm)
+            assert verdict.witness == solve_unique(mm.matrix, c.coords)
+            assert verdict.kind == ("inner" if verdict.witness.denominator == 1 else "outer")
+        count += 1
+    return count
+
+
+def test_closed_form_witness_equals_solve_unique_up_to_30():
+    assert _assert_closed_form_equals_elimination(_pairs(3, 30), seed=30) == 1806
+
+
+@pytest.mark.slow
+def test_closed_form_witness_equals_solve_unique_from_31_to_45():
+    assert _assert_closed_form_equals_elimination(_pairs(31, 45), seed=45) > 3000
+
+
+def test_closed_form_needs_the_exponents():
+    ring = CyclotomicRing(10)
+    pair = TwistedPair(
+        Endomorphism(ring, ring.reduce_power(1)), Endomorphism(ring, ring.reduce_power(3))
+    )
+    with pytest.raises(ValueError, match="exponents"):
+        multiplier_inverse(pair)
+    with pytest.raises(ValueError, match="exponents"):
+        classify(TwistedDerivation(pair, ring.one()))
+    half = TwistedPair(Endomorphism.zeta_power(ring, 1), Endomorphism(ring, ring.reduce_power(3)))
+    with pytest.raises(ValueError, match="exponents"):
+        multiplier_inverse(half)
+
+
+def _bindings(*functions):
+    """(module, name) of every binding in the package of one of the given functions."""
+    for key, module in list(sys.modules.items()):
+        if key == "cycloderiv" or key.startswith("cycloderiv."):
+            for name, value in list(vars(module).items()):
+                if any(value is f for f in functions):
+                    yield module, name
+
+
+def test_one_elimination_per_pair_and_no_solve_or_adjugate(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("solve_unique and adjugate are not on the program's path")
+
+    for module, name in list(_bindings(intlinalg.solve_unique, intlinalg.adjugate)):
+        monkeypatch.setattr(module, name, refuse)
+    calls = []
+    real_det = intlinalg.det
+
+    def counting_det(matrix):
+        calls.append(matrix.rows)
+        return real_det(matrix)
+
+    for module, name in list(_bindings(real_det)):
+        monkeypatch.setattr(module, name, counting_det)
+    assert cycloderiv.solve_unique is cycloderiv.adjugate is refuse
+
+    report = sweep(RingForm.form_pk(3, 2))
+    assert len(report.records) == 15 and report.all_ok
+    assert calls == [6] * 15
+    calls.clear()
+    assert len(reproduce_tables(10).blocks) == 6
+    assert calls == [4] * 6
+    calls.clear()
+    pair = _pair(49, 13, 3)
+    verdict = classify(TwistedDerivation(pair, pair.ring.random_element(random.Random(4))))
+    assert verdict.kind == "outer" and verdict.witness.denominator == 7
+    assert calls == [42]

@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import pytest
 
@@ -15,7 +16,8 @@ from cycloderiv import (
     solve_unique,
     units,
 )
-from oracles import bareiss_det, cofactor_adjugate, cramer_solve, laplace_det
+from cycloderiv.intlinalg import _eliminate
+from oracles import bareiss_det, cofactor_adjugate, cramer_solve, eager_eliminate, laplace_det
 
 
 def _random_matrix(rng, d, bound=9):
@@ -37,6 +39,17 @@ def test_matrix_accessors():
     assert m.row(0) == (1, 2, 3)
     assert m.column(1) == (2, 5)
     assert IntMatrix.from_columns([(1, 4), (2, 5), (3, 6)]) == m
+
+
+def test_from_columns_is_the_transpose_of_from_rows():
+    rng = random.Random(5)
+    for _ in range(50):
+        h, w = rng.randint(1, 9), rng.randint(1, 9)
+        cols = [[rng.randint(-9, 9) for _ in range(h)] for _ in range(w)]
+        m = IntMatrix.from_columns(cols)
+        assert (m.rows, m.cols) == (h, w)
+        assert m == IntMatrix.from_rows([[c[i] for c in cols] for i in range(h)])
+        assert [list(m.column(j)) for j in range(w)] == cols
 
 
 def test_det_identity_and_rejections():
@@ -308,3 +321,140 @@ def test_kernel_matches_oracles_on_every_multiplier_matrix_up_to_30():
     rng = random.Random(30)
     for m in _multiplier_matrices(30):
         _assert_multiplier_matches_oracles(m, rng, cofactor_up_to=10)
+
+
+# -- lazy row scaling: sparse matrices, where most multipliers are zero -------
+#
+# The kernel leaves a row whose multiplier is zero as it is and keeps the
+# divisor it was last updated with, so these cases reach rows that are
+# several steps stale when they are next updated or chosen as pivot.
+
+
+def _sparse_matrix(rng, d, density, bits=None):
+    def entry():
+        if rng.random() >= density:
+            return 0
+        if bits is None:
+            return rng.choice((-1, 1)) * rng.randint(1, 9)
+        return rng.choice((-1, 1)) * (rng.getrandbits(bits) | 1)
+
+    return IntMatrix(d, d, tuple(entry() for _ in range(d * d)))
+
+
+def _assert_lazy_matches_eager(m, rhs=()):
+    """Order, sign, pivots and every pivot row equal the eager pass exactly."""
+    ech = _eliminate(m, rhs)
+    rows, order, sign, pivots = eager_eliminate(m, rhs)
+    assert (ech.order, ech.sign, ech.pivots) == (order, sign, pivots)
+    rank = len(pivots)
+    assert ech.rows[:rank] == rows[:rank]
+    if ech.full_rank:
+        assert ech.rows == rows
+
+
+def _assert_sparse_matches_oracles(m, rng, bits=None):
+    _assert_matches_oracles(m, rng, bits)
+    if m.rows == 6:  # _assert_matches_oracles expands up to 5
+        assert det(m) == laplace_det(m)
+    d = m.rows
+    c = tuple(rng.randint(-9, 9) for _ in range(d))
+    _assert_lazy_matches_eager(m)
+    _assert_lazy_matches_eager(m, [c])
+    _assert_lazy_matches_eager(m, [IntMatrix.identity(d).column(j) for j in range(d)])
+
+
+def test_lazy_kernel_on_sparse_matrices_small_entries():
+    rng = random.Random(55)
+    ranks = set()
+    for _ in range(160):
+        d = rng.randint(1, 12)
+        m = _sparse_matrix(rng, d, rng.uniform(0.05, 0.3))
+        _assert_sparse_matches_oracles(m, rng)
+        ranks.add(len(_eliminate(m).pivots) - d)
+    assert {0, -1, -2} <= ranks  # full rank, rank d - 1 and below are all drawn
+
+
+def test_lazy_kernel_on_sparse_matrices_200_bit_entries():
+    rng = random.Random(56)
+    for _ in range(40):
+        d = rng.randint(1, 10)
+        m = _sparse_matrix(rng, d, rng.uniform(0.05, 0.3), bits=200)
+        _assert_sparse_matches_oracles(m, rng, bits=200)
+
+
+def _block_diagonal(blocks):
+    d = sum(b.rows for b in blocks)
+    rows, at = [], 0
+    for b in blocks:
+        for i in range(b.rows):
+            rows.append([0] * at + list(b.row(i)) + [0] * (d - at - b.cols))
+        at += b.cols
+    return IntMatrix.from_rows(rows)
+
+
+def test_lazy_kernel_on_structured_matrices():
+    rng = random.Random(58)
+    for _ in range(30):
+        d = rng.randint(1, 12)
+        perm = list(range(d))
+        rng.shuffle(perm)
+        m = IntMatrix.from_rows([[1 if j == perm[i] else 0 for j in range(d)] for i in range(d)])
+        inversions = sum(perm[i] > perm[j] for i in range(d) for j in range(i + 1, d))
+        assert det(m) == (-1) ** inversions
+        _assert_sparse_matches_oracles(m, rng)
+    for _ in range(30):
+        blocks = [_sparse_matrix(rng, rng.randint(1, 4), 0.6) for _ in range(rng.randint(2, 3))]
+        m = _block_diagonal(blocks)
+        product = 1
+        for b in blocks:
+            product *= bareiss_det(b)
+        assert det(m) == product
+        _assert_sparse_matches_oracles(m, rng)
+    for _ in range(30):
+        d = rng.randint(2, 10)
+        rows = _sparse_matrix(rng, d, 0.4).row_list()
+        if rng.random() < 0.5:
+            rows[rng.randrange(d)] = [0] * d
+        else:
+            j = rng.randrange(d)
+            for r in rows:
+                r[j] = 0
+        m = IntMatrix.from_rows(rows)
+        assert det(m) == 0
+        _assert_sparse_matches_oracles(m, rng)
+
+
+def _sparse_low_rank(rng, d, rank):
+    if rank == 0:
+        return _zero(d)
+    b = [[rng.randint(-4, 4) if rng.random() < 0.35 else 0 for _ in range(rank)] for _ in range(d)]
+    c = [[rng.randint(-4, 4) if rng.random() < 0.35 else 0 for _ in range(d)] for _ in range(rank)]
+    for i in range(rank):  # keep the rank: a unit in each factor's diagonal
+        b[i][i] = c[i][i] = 1
+    return IntMatrix.from_rows(b) @ IntMatrix.from_rows(c)
+
+
+def test_lazy_kernel_on_sparse_low_rank_matrices():
+    rng = random.Random(59)
+    nonzero = 0
+    for _ in range(60):
+        d = rng.randint(2, 10)
+        m = _sparse_low_rank(rng, d, d - 1)
+        _assert_sparse_matches_oracles(m, rng)
+        nonzero += adjugate(m) != _zero(d)
+    assert nonzero >= 30
+    for _ in range(40):
+        d = rng.randint(2, 10)
+        m = _sparse_low_rank(rng, d, rng.randint(0, d - 2))
+        assert adjugate(m) == _zero(d)
+        _assert_sparse_matches_oracles(m, rng)
+
+
+def test_lazy_kernel_on_multiplier_matrices():
+    rng = random.Random(60)
+    for n in (14, 21, 25, 27):
+        ring = CyclotomicRing(n)
+        for u, v in list(combinations(units(n), 2))[:12]:
+            m = MultiplierMatrix(TwistedPair.zeta_powers(ring, u, v)).matrix
+            c = tuple(rng.randint(-9, 9) for _ in range(m.rows))
+            _assert_lazy_matches_eager(m, [c])

@@ -1,4 +1,4 @@
-"""Property tests: the ring product, the product-rule check and the endomorphisms.
+"""Property tests: the ring product, the product-rule check, the endomorphisms and the elimination.
 
 Runs only where ``hypothesis`` is installed. Examples are derandomized, so a
 run is as deterministic as the rest of the suite.
@@ -9,18 +9,30 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
-from oracles import dense_ring_product, leibniz_scan  # noqa: E402
+from oracles import (  # noqa: E402
+    bareiss_det,
+    cofactor_adjugate,
+    cramer_solve,
+    dense_ring_product,
+    eager_eliminate,
+    leibniz_scan,
+)
 
 from cycloderiv import (  # noqa: E402
     CyclotomicRing,
     Endomorphism,
+    IntMatrix,
     Polynomial,
     QuotientRing,
     TwistedDerivation,
     TwistedPair,
+    adjugate,
+    det,
     leibniz_check,
+    solve_unique,
 )
 from cycloderiv.arith import units  # noqa: E402
+from cycloderiv.intlinalg import _eliminate  # noqa: E402
 
 PROPERTY_SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=40)
 
@@ -112,3 +124,28 @@ def test_ring_product_equals_dense_oracle(elements):
     x, y = elements
     assert x * y == dense_ring_product(x, y)
     assert y * x == dense_ring_product(y, x)
+
+
+@st.composite
+def sparse_system(draw):
+    """A square matrix of size 1-8 with about one entry in four nonzero, and a right-hand side."""
+    d = draw(st.integers(min_value=1, max_value=8))
+    nonzero = st.integers(-9, 9) | st.integers(-(2**64), 2**64)
+    entries = [draw(nonzero) if draw(st.integers(0, 3)) == 0 else 0 for _ in range(d * d)]
+    rhs = draw(st.lists(coords, min_size=d, max_size=d))
+    return IntMatrix(d, d, entries), tuple(rhs)
+
+
+@PROPERTY_SETTINGS
+@given(sparse_system())
+def test_lazy_elimination_equals_eager_and_the_oracles(system):
+    m, c = system
+    ech = _eliminate(m, [c])
+    rows, order, sign, pivots = eager_eliminate(m, [c])
+    assert (ech.order, ech.sign, ech.pivots) == (order, sign, pivots)
+    assert ech.rows[: len(pivots)] == rows[: len(pivots)]
+    d0 = bareiss_det(m)
+    assert det(m) == d0
+    assert adjugate(m) == cofactor_adjugate(m)
+    if d0:
+        assert solve_unique(m, c) == cramer_solve(m, c)

@@ -201,13 +201,13 @@ def test_record_reprs_name_the_type_and_fields():
 
 
 def test_classify_error_message_prints_the_witness_repr(monkeypatch):
-    solve = innerness.solve_unique
+    inverse = innerness.multiplier_inverse
 
-    def tampered(matrix, rhs):
-        w = solve(matrix, rhs)
-        return RatVector.reduced((w.numerators[0] + 1,) + w.numerators[1:], w.denominator)
+    def tampered(pair):
+        num, m = inverse(pair)
+        return 2 * num, m
 
-    monkeypatch.setattr(innerness, "solve_unique", tampered)
+    monkeypatch.setattr(innerness, "multiplier_inverse", tampered)
     pair = TwistedPair.zeta_powers(CyclotomicRing(10), 1, 3)
     with pytest.raises(ArithmeticError) as info:
         classify(TwistedDerivation(pair, pair.theta_difference()))

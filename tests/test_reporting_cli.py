@@ -219,6 +219,25 @@ def test_cli_sweep_missing_params(capsys):
     assert "--r" in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--form", "pk", "--p", "3", "--k", "2", "--r", "1"], "error: form pk does not take r"),
+    (["--form", "2rp", "--r", "1", "--p", "5", "--k", "2"], "error: form 2rp does not take k"),
+])
+def test_cli_sweep_refuses_an_option_the_form_does_not_take(capsys, argv, message):
+    code, out, err = _run(capsys, ["sweep", *argv])
+    assert code == 2 and out == ""
+    assert err.splitlines() == [message]
+
+
+def test_cli_sweep_missing_params_keep_their_messages(capsys):
+    assert _run(capsys, ["sweep", "--form", "2rp", "--p", "5", "--k", "2"])[2].splitlines() == [
+        "error: form 2rp requires --r and --p"
+    ]
+    assert _run(capsys, ["sweep", "--form", "pk", "--k", "2", "--r", "1"])[2].splitlines() == [
+        "error: form pk requires --p and --k"
+    ]
+
+
 def test_cli_sweep_csv_row_count(capsys):
     code, out, _ = _run(
         capsys, ["sweep", "--form", "2rp", "--r", "1", "--p", "5", "--format", "csv"]
