@@ -8,6 +8,9 @@ file instead, and a relative ``--output`` path is resolved against the
 command that builds a ring takes ``--cap`` (default 64) and refuses a ring
 degree phi(n) above it before building anything.
 
+Each command returns its report and exit code; ``main`` alone renders the
+report through ``reporting.render`` and writes it.
+
 Exit codes: 0 on success or all-pass, 1 on an assertion-style failure
 (prediction mismatch, failed round-trip, a Leibniz failure where a pass was
 expected), 2 on usage errors.
@@ -24,6 +27,8 @@ from ._version import __version__
 from .endomorphisms import TwistedDerivation, TwistedPair
 from .harness import (
     DEFAULT_DEGREE_CAP,
+    SweepReport,
+    TableArtifact,
     check_degree,
     counterexample_suite,
     reproduce_tables,
@@ -33,7 +38,7 @@ from .harness import (
 from .innerness import MultiplierMatrix, RingForm, classify, predict_det, valuate
 from .polynomials import cyclotomic_poly
 from .quotient import CyclotomicRing
-from .reporting import csv_text, json_text, markdown_table, render, write_text
+from .reporting import Report, record_cells, render, write_text
 
 
 def _emit(text: str, args: argparse.Namespace) -> None:
@@ -47,31 +52,16 @@ def _emit(text: str, args: argparse.Namespace) -> None:
     write_text(text, dest)
 
 
-def _render_rows(title: str, columns, rows, fmt: str, payload) -> str:
-    if fmt == "json":
-        return json_text(payload)
-    if fmt == "csv":
-        return csv_text(columns, rows)
-    lines = [f"# {title}", ""]
-    lines.extend(markdown_table(columns, rows))
-    return "\n".join(lines) + "\n"
+def _one_row(title: str, row: dict) -> Report:
+    """A report whose JSON document is its one row."""
+    return Report(title, tuple(row), [row], row)
 
 
-def _cmd_phi_poly(args: argparse.Namespace) -> int:
+def _cmd_phi_poly(args: argparse.Namespace) -> tuple[Report, int]:
     check_degree(args.n, args.cap)
-    poly = cyclotomic_poly(args.n)
-    coeffs = [str(c) for c in poly.coeffs]
-    payload = {"n": str(args.n), "degree": str(len(coeffs) - 1), "coefficients": coeffs}
-    rows = [{"n": str(args.n), "degree": str(len(coeffs) - 1), "coefficients": " ".join(coeffs)}]
-    text = _render_rows(
-        f"Cyclotomic polynomial, n = {args.n}",
-        ("n", "degree", "coefficients"),
-        rows,
-        args.format,
-        payload,
-    )
-    _emit(text, args)
-    return 0
+    coeffs = [str(c) for c in cyclotomic_poly(args.n).coeffs]
+    row = {"n": str(args.n), "degree": str(len(coeffs) - 1), "coefficients": coeffs}
+    return _one_row(f"Cyclotomic polynomial, n = {args.n}", row), 0
 
 
 def _prediction_fields(n: int, u: int, v: int, det_abs: int) -> dict:
@@ -89,7 +79,7 @@ def _prediction_fields(n: int, u: int, v: int, det_abs: int) -> dict:
     }
 
 
-def _cmd_matrix(args: argparse.Namespace) -> int:
+def _cmd_matrix(args: argparse.Namespace) -> tuple[Report, int]:
     check_degree(args.n, args.cap)
     ring = CyclotomicRing(args.n)
     pair = TwistedPair.zeta_powers(ring, args.u, args.v)
@@ -98,41 +88,19 @@ def _cmd_matrix(args: argparse.Namespace) -> int:
     matrix_rows = [
         [str(x) for x in multiplier.matrix.row(i)] for i in range(ring.degree)
     ]
-    payload = {
-        "n": str(args.n),
-        "u": str(args.u),
-        "v": str(args.v),
-        "matrix": matrix_rows,
-        "det": str(multiplier.det),
-        "det_abs": str(multiplier.det_abs),
-        **pred,
-    }
+    ids = {"n": str(args.n), "u": str(args.u), "v": str(args.v)}
+    dets = {"det": str(multiplier.det), "det_abs": str(multiplier.det_abs), **pred}
+    # JSON holds the whole matrix; CSV and Markdown give one row per matrix row
     rows = [
-        {
-            "n": str(args.n),
-            "u": str(args.u),
-            "v": str(args.v),
-            "row": str(i),
-            "entries": " ".join(r),
-            "det": str(multiplier.det),
-            "det_abs": str(multiplier.det_abs),
-            **pred,
-        }
-        for i, r in enumerate(matrix_rows)
+        {**ids, "row": str(i), "entries": r, **dets} for i, r in enumerate(matrix_rows)
     ]
-    columns = ("n", "u", "v", "row", "entries", "det", "det_abs",
-               "e1", "e2", "m", "predicted", "match")
-    text = _render_rows(
+    report = Report(
         f"Multiplier matrix: n = {args.n}, pair ({args.u}, {args.v})",
-        columns,
+        tuple(rows[0]),
         rows,
-        args.format,
-        payload,
+        {**ids, "matrix": matrix_rows, **dets},
     )
-    _emit(text, args)
-    if pred["match"] is False:
-        return 1
-    return 0
+    return report, 1 if pred["match"] is False else 0
 
 
 def _parse_coords(text: str, expected: int) -> tuple[int, ...]:
@@ -148,13 +116,13 @@ def _parse_coords(text: str, expected: int) -> tuple[int, ...]:
     return coords
 
 
-def _cmd_classify(args: argparse.Namespace) -> int:
+def _cmd_classify(args: argparse.Namespace) -> tuple[Report, int]:
     coords = _parse_coords(args.dzeta, check_degree(args.n, args.cap))
     ring = CyclotomicRing(args.n)
     pair = TwistedPair.zeta_powers(ring, args.u, args.v)
     derivation = TwistedDerivation(pair, ring.element(coords))
     verdict = classify(derivation)
-    payload = {
+    row = {
         "n": str(args.n),
         "u": str(args.u),
         "v": str(args.v),
@@ -164,29 +132,7 @@ def _cmd_classify(args: argparse.Namespace) -> int:
         "witness_denominator": str(verdict.witness.denominator),
         "det_abs": str(verdict.det_abs),
     }
-    rows = [
-        {
-            "n": str(args.n),
-            "u": str(args.u),
-            "v": str(args.v),
-            "d_zeta": " ".join(str(c) for c in coords),
-            "kind": verdict.kind,
-            "witness_numerators": " ".join(str(x) for x in verdict.witness.numerators),
-            "witness_denominator": str(verdict.witness.denominator),
-            "det_abs": str(verdict.det_abs),
-        }
-    ]
-    columns = ("n", "u", "v", "d_zeta", "kind",
-               "witness_numerators", "witness_denominator", "det_abs")
-    text = _render_rows(
-        f"Classification: n = {args.n}, pair ({args.u}, {args.v})",
-        columns,
-        rows,
-        args.format,
-        payload,
-    )
-    _emit(text, args)
-    return 0
+    return _one_row(f"Classification: n = {args.n}, pair ({args.u}, {args.v})", row), 0
 
 
 def _build_form(args: argparse.Namespace) -> RingForm:
@@ -199,68 +145,30 @@ def _build_form(args: argparse.Namespace) -> RingForm:
     return RingForm(args.form, args.p, args.r, args.k)
 
 
-def _cmd_sweep(args: argparse.Namespace) -> int:
-    form = _build_form(args)
-    report = sweep(form, seed=args.seed, cap=args.cap)
-    _emit(render(report, args.format), args)
-    return 0 if report.all_ok else 1
+def _cmd_sweep(args: argparse.Namespace) -> tuple[SweepReport, int]:
+    report = sweep(_build_form(args), seed=args.seed, cap=args.cap)
+    return report, 0 if report.all_ok else 1
 
 
-def _cmd_verify_theorem(args: argparse.Namespace) -> int:
+def _cmd_verify_theorem(args: argparse.Namespace) -> tuple[Report, int]:
     check_degree(args.n, args.cap)
     verdict = verify_theorem(args.n, args.u, args.v, trials=args.trials, seed=args.seed)
-    payload = {
-        "n": str(verdict.n),
-        "u": str(verdict.u),
-        "v": str(verdict.v),
-        "trials": str(verdict.trials),
-        "passes": str(verdict.passes),
-        "seed": str(verdict.seed),
-        "all_pass": verdict.all_pass,
-    }
-    rows = [dict(payload)]
-    columns = ("n", "u", "v", "trials", "passes", "seed", "all_pass")
-    text = _render_rows(
-        f"Derivation construction check: n = {verdict.n}, pair ({verdict.u}, {verdict.v})",
-        columns,
-        rows,
-        args.format,
-        payload,
+    row = {**record_cells(verdict), "all_pass": verdict.all_pass}
+    title = f"Derivation construction check: n = {verdict.n}, pair ({verdict.u}, {verdict.v})"
+    return _one_row(title, row), 0 if verdict.all_pass else 1
+
+
+def _cmd_tables(args: argparse.Namespace) -> tuple[TableArtifact, int]:
+    return reproduce_tables(args.n, cap=args.cap), 0
+
+
+def _cmd_counterexamples(args: argparse.Namespace) -> tuple[Report, int]:
+    rows = [{**record_cells(c), "ok": c.ok} for c in counterexample_suite()]
+    all_ok = all(row["ok"] for row in rows)
+    report = Report(
+        "Counterexample regressions", tuple(rows[0]), rows, {"cases": rows, "all_ok": all_ok}
     )
-    _emit(text, args)
-    return 0 if verdict.all_pass else 1
-
-
-def _cmd_tables(args: argparse.Namespace) -> int:
-    artifact = reproduce_tables(args.n, cap=args.cap)
-    _emit(render(artifact, args.format), args)
-    return 0
-
-
-def _cmd_counterexamples(args: argparse.Namespace) -> int:
-    cases = counterexample_suite()
-    rows = [
-        {
-            "name": c.name,
-            "modulus": c.modulus,
-            "sigma": c.sigma,
-            "tau": c.tau,
-            "d_theta": c.d_theta,
-            "expects_derivation": c.expects_derivation,
-            "leibniz_ok": c.leibniz_ok,
-            "failing_pair": None if c.failing_pair is None else str(c.failing_pair),
-            "lhs": c.lhs,
-            "rhs": c.rhs,
-            "ok": c.ok,
-        }
-        for c in cases
-    ]
-    payload = {"cases": rows, "all_ok": all(c.ok for c in cases)}
-    columns = ("name", "modulus", "sigma", "tau", "d_theta", "expects_derivation",
-               "leibniz_ok", "failing_pair", "lhs", "rhs", "ok")
-    text = _render_rows("Counterexample regressions", columns, rows, args.format, payload)
-    _emit(text, args)
-    return 0 if all(c.ok for c in cases) else 1
+    return report, 0 if all_ok else 1
 
 
 def _add_cap_flag(sp: argparse.ArgumentParser) -> None:
@@ -368,13 +276,15 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(_join_negative_values(sys.argv[1:] if argv is None else argv))
     try:
-        return args.func(args)
+        report, code = args.func(args)
+        _emit(render(report, args.format), args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    return code
 
 
 if __name__ == "__main__":

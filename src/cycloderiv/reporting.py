@@ -1,18 +1,20 @@
-"""Deterministic rendering of reports to JSON, CSV and Markdown.
+"""One report record per command, and the one renderer for JSON, CSV and Markdown.
 
-Every integer is serialized as a decimal string so downstream consumers never
-face 64-bit overflow; booleans are JSON booleans (the strings "true"/"false"
-in CSV and Markdown). The same report rendered twice yields identical bytes.
+A command describes its output once, as a ``Report``: a title, the table
+columns, the rows, and the JSON document. ``render`` formats it:
 
-Sweep JSON schema:
+* JSON is the payload, indented by two spaces.
+* CSV is the columns as a header and one line per row.
+* Markdown is ``# title``, a blank line, and either the rows as a table or,
+  where the report sets it, its own body lines.
 
-    {"ring": {"n", "form", "params"},
-     "pairs": [{"u", "v", "e1", "e2", "m", "det_abs", "predicted",
-                "match", "roundtrip"}],
-     "summary": {"pairs", "matches", "seed", "version"}}
-
-``e2`` is null for prime-power rings. CSV carries the same pair columns, one
-row per pair; Markdown renders the pairs as a table plus a summary line.
+Every integer travels as a decimal string, so consumers never face 64-bit
+overflow. In JSON, booleans are booleans and a missing value is null; in CSV
+and Markdown they are ``true``/``false`` and an empty cell, and a list cell is
+joined with spaces. ``render`` also takes a ``SweepReport`` or a
+``TableArtifact`` and converts it first; the README lists every command's
+JSON keys and CSV columns. The same report rendered twice yields identical
+bytes.
 """
 
 from __future__ import annotations
@@ -21,193 +23,159 @@ import csv
 import io
 import json
 import sys
+from collections.abc import Iterable
+from itertools import chain
 from pathlib import Path
+from typing import NamedTuple
 
-from .harness import SweepReport, TableArtifact
-
-FORMATS = ("json", "csv", "markdown")
-
-SWEEP_COLUMNS = (
-    "u", "v", "e1", "e2", "m", "det_abs", "predicted", "match", "roundtrip",
-)
+from .harness import PairRecord, SweepReport, TableArtifact
 
 
-def json_text(payload) -> str:
-    return json.dumps(payload, indent=2) + "\n"
+class Report(NamedTuple):
+    """One command's output.
+
+    ``rows`` are dicts keyed by ``columns``, with str, bool, None or
+    list-of-str cells; ``payload`` is the JSON document. ``markdown``, when
+    set, holds the Markdown body lines used in place of the table. ``rows``
+    and ``markdown`` are iterated once, and only by the formats that use
+    them, so either may be a generator.
+    """
+
+    title: str
+    columns: tuple[str, ...]
+    rows: Iterable[dict]
+    payload: object
+    markdown: Iterable[str] | None = None
 
 
-def csv_text(columns, rows) -> str:
-    buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=list(columns), lineterminator="\n")
-    writer.writeheader()
-    for row in rows:
-        writer.writerow({k: _csv_cell(row.get(k)) for k in columns})
-    return buf.getvalue()
+def record_cells(record) -> dict:
+    """A named tuple's fields as report cells: bool and None kept, anything else as str."""
+    return {
+        k: v if v is None or isinstance(v, bool) else str(v)
+        for k, v in zip(record._fields, record)
+    }
 
 
-def _csv_cell(value) -> str:
+def _cell(value) -> str:
+    if isinstance(value, str):
+        return value
     if value is None:
         return ""
     if isinstance(value, bool):
         return "true" if value else "false"
-    return str(value)
+    return " ".join(value)
 
 
-def markdown_table(columns, rows) -> list[str]:
-    lines = [
-        "| " + " | ".join(columns) + " |",
-        "|" + "|".join(" --- " for _ in columns) + "|",
-    ]
+def _markdown_table(columns, rows):
+    yield "| " + " | ".join(columns) + " |"
+    yield "|" + "|".join(" --- " for _ in columns) + "|"
     for row in rows:
-        lines.append("| " + " | ".join(_csv_cell(row.get(k)) for k in columns) + " |")
-    return lines
+        yield "| " + " | ".join(_cell(row[k]) for k in columns) + " |"
 
 
-def _sweep_rows(report: SweepReport) -> list[dict]:
-    rows = []
-    for rec in report.records:
-        rows.append(
-            {
-                "u": str(rec.u),
-                "v": str(rec.v),
-                "e1": str(rec.e1),
-                "e2": None if rec.e2 is None else str(rec.e2),
-                "m": str(rec.m),
-                "det_abs": str(rec.det_abs),
-                "predicted": str(rec.predicted),
-                "match": rec.match,
-                "roundtrip": rec.roundtrip,
-            }
-        )
-    return rows
-
-
-def sweep_to_json(report: SweepReport) -> str:
+def _sweep_report(report: SweepReport) -> Report:
+    form = report.form
+    rows = [record_cells(rec) for rec in report.records]
     payload = {
         "ring": {
-            "n": str(report.form.n),
-            "form": report.form.kind,
-            "params": {k: str(v) for k, v in report.form.params().items()},
+            "n": str(form.n),
+            "form": form.kind,
+            "params": {k: str(v) for k, v in form.params().items()},
         },
-        "pairs": _sweep_rows(report),
+        "pairs": rows,
         "summary": {
-            "pairs": str(len(report.records)),
+            "pairs": str(len(rows)),
             "matches": str(report.matches),
             "seed": str(report.seed),
             "version": report.version,
         },
     }
-    return json_text(payload)
+    summary = (f"{len(rows)} pairs, {report.matches} matches, "
+               f"seed {report.seed}, version {report.version}")
+    columns = PairRecord._fields
+    markdown = chain(_markdown_table(columns, rows), ("", summary))
+    return Report(f"Sweep: n = {form.n}, form {form.label()}", columns, rows, payload, markdown)
 
 
-def sweep_to_csv(report: SweepReport) -> str:
-    return csv_text(SWEEP_COLUMNS, _sweep_rows(report))
+def _tables_markdown(blocks: list[dict], version: str):
+    for blk in blocks:
+        yield f"## pair ({blk['u']}, {blk['v']})"
+        yield ""
+        yield f"det = {blk['det']} (|det| = {blk['det_abs']})"
+        yield ""
+        yield "matrix rows:"
+        for r in blk["matrix"]:
+            yield "    " + " ".join(f"{x:>4}" for x in r)
+        yield ""
+        yield "solution template (coefficients of c_0..c_{d-1} over denominator):"
+        for s in blk["solution"]:
+            nums = " ".join(f"{x:>4}" for x in s["coeffs"])
+            yield f"    ( {nums} ) / {s['denominator']}"
+        yield ""
+    yield f"version {version}"
 
 
-def sweep_to_markdown(report: SweepReport) -> str:
-    lines = [f"# Sweep: n = {report.form.n}, form {report.form.label()}", ""]
-    lines.extend(markdown_table(SWEEP_COLUMNS, _sweep_rows(report)))
-    lines.append("")
-    lines.append(
-        f"{len(report.records)} pairs, {report.matches} matches, "
-        f"seed {report.seed}, version {report.version}"
+def _tables_report(artifact: TableArtifact) -> Report:
+    n = str(artifact.n)
+    blocks = [
+        {
+            "u": str(b.u),
+            "v": str(b.v),
+            "det": str(b.det),
+            "det_abs": str(abs(b.det)),
+            "matrix": [[str(x) for x in b.matrix.row(i)] for i in range(b.matrix.rows)],
+            "solution": [
+                {"coeffs": [str(x) for x in row.numerators], "denominator": str(row.denominator)}
+                for row in b.solution_rows
+            ],
+        }
+        for b in artifact.blocks
+    ]
+    # CSV and Markdown read the JSON blocks, one CSV line per block: matrix
+    # rows joined by " ; ", solution rows by " | "
+    rows = (
+        {
+            "n": n,
+            "u": blk["u"],
+            "v": blk["v"],
+            "det": blk["det"],
+            "det_abs": blk["det_abs"],
+            "matrix": " ; ".join(" ".join(r) for r in blk["matrix"]),
+            "solution": " | ".join(
+                " ".join(s["coeffs"]) + f" / {s['denominator']}" for s in blk["solution"]
+            ),
+        }
+        for blk in blocks
     )
-    return "\n".join(lines) + "\n"
+    return Report(
+        f"Multiplier tables: n = {n}",
+        ("n", "u", "v", "det", "det_abs", "matrix", "solution"),
+        rows,
+        {"n": n, "version": artifact.version, "blocks": blocks},
+        _tables_markdown(blocks, artifact.version),
+    )
 
 
-TABLE_COLUMNS = ("n", "u", "v", "det", "det_abs", "matrix", "solution")
-
-
-def _matrix_rows_str(block) -> list[list[str]]:
-    return [[str(x) for x in block.matrix.row(i)] for i in range(block.matrix.rows)]
-
-
-def _solution_str(block) -> str:
-    parts = []
-    for row in block.solution_rows:
-        parts.append(" ".join(str(x) for x in row.numerators) + f" / {row.denominator}")
-    return " | ".join(parts)
-
-
-def tables_to_json(artifact: TableArtifact) -> str:
-    payload = {
-        "n": str(artifact.n),
-        "version": artifact.version,
-        "blocks": [
-            {
-                "u": str(b.u),
-                "v": str(b.v),
-                "det": str(b.det),
-                "det_abs": str(abs(b.det)),
-                "matrix": _matrix_rows_str(b),
-                "solution": [
-                    {
-                        "coeffs": [str(x) for x in row.numerators],
-                        "denominator": str(row.denominator),
-                    }
-                    for row in b.solution_rows
-                ],
-            }
-            for b in artifact.blocks
-        ],
-    }
-    return json_text(payload)
-
-
-def tables_to_csv(artifact: TableArtifact) -> str:
-    rows = []
-    for b in artifact.blocks:
-        rows.append(
-            {
-                "n": str(artifact.n),
-                "u": str(b.u),
-                "v": str(b.v),
-                "det": str(b.det),
-                "det_abs": str(abs(b.det)),
-                "matrix": " ; ".join(" ".join(r) for r in _matrix_rows_str(b)),
-                "solution": _solution_str(b),
-            }
-        )
-    return csv_text(TABLE_COLUMNS, rows)
-
-
-def tables_to_markdown(artifact: TableArtifact) -> str:
-    lines = [f"# Multiplier tables: n = {artifact.n}", ""]
-    for b in artifact.blocks:
-        lines.append(f"## pair ({b.u}, {b.v})")
-        lines.append("")
-        lines.append(f"det = {b.det} (|det| = {abs(b.det)})")
-        lines.append("")
-        lines.append("matrix rows:")
-        for r in _matrix_rows_str(b):
-            lines.append("    " + " ".join(f"{x:>4}" for x in r))
-        lines.append("")
-        lines.append("solution template (coefficients of c_0..c_{d-1} over denominator):")
-        for row in b.solution_rows:
-            nums = " ".join(f"{x:>4}" for x in (str(v) for v in row.numerators))
-            lines.append(f"    ( {nums} ) / {row.denominator}")
-        lines.append("")
-    lines.append(f"version {artifact.version}")
-    return "\n".join(lines) + "\n"
-
-
-def render(artifact, fmt: str) -> str:
-    """Render a SweepReport or TableArtifact in the requested format."""
-    if fmt not in FORMATS:
-        raise ValueError(f"unknown format {fmt!r}; expected one of {FORMATS}")
-    if isinstance(artifact, SweepReport):
-        return {
-            "json": sweep_to_json,
-            "csv": sweep_to_csv,
-            "markdown": sweep_to_markdown,
-        }[fmt](artifact)
-    if isinstance(artifact, TableArtifact):
-        return {
-            "json": tables_to_json,
-            "csv": tables_to_csv,
-            "markdown": tables_to_markdown,
-        }[fmt](artifact)
-    raise TypeError(f"cannot render objects of type {type(artifact).__name__}")
+def render(report, fmt: str) -> str:
+    """Render a Report, SweepReport or TableArtifact as json, csv or markdown."""
+    if fmt not in ("json", "csv", "markdown"):
+        raise ValueError(f"unknown format {fmt!r}; expected one of ('json', 'csv', 'markdown')")
+    if isinstance(report, SweepReport):
+        report = _sweep_report(report)
+    elif isinstance(report, TableArtifact):
+        report = _tables_report(report)
+    elif not isinstance(report, Report):
+        raise TypeError(f"cannot render objects of type {type(report).__name__}")
+    if fmt == "json":
+        return json.dumps(report.payload, indent=2) + "\n"
+    if fmt == "csv":
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(report.columns)
+        writer.writerows([_cell(row[k]) for k in report.columns] for row in report.rows)
+        return buf.getvalue()
+    body = _markdown_table(report.columns, report.rows) if report.markdown is None else report.markdown
+    return "\n".join([f"# {report.title}", "", *body]) + "\n"
 
 
 def write_text(text: str, destination: str | Path | None) -> None:
