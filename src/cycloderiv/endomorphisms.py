@@ -33,7 +33,9 @@ from .quotient import CyclotomicRing, QuotientRing, RingElement
 
 
 def _check_unit(exponent: int, n: int) -> None:
-    if not 1 <= exponent < n or gcd(exponent, n) != 1:
+    if not 1 <= exponent < n:
+        raise ValueError(f"exponent {exponent} is not a unit modulo {n} in 1..{n - 1}")
+    if gcd(exponent, n) != 1:
         raise ValueError(f"exponent {exponent} is not a unit modulo {n}")
 
 

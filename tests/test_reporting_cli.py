@@ -20,6 +20,8 @@ def _norm(value):
         return "false"
     if value is None:
         return ""
+    if isinstance(value, list):
+        return " ".join(value)
     return str(value)
 
 
@@ -66,14 +68,20 @@ def test_sweep_csv_shape():
     assert len(lines) == 1 + 6
 
 
-def test_all_formats_encode_the_same_records():
-    report = sweep(RingForm.form_2rp(1, 5), seed=3)
-    json_rows = [
-        {k: _norm(v) for k, v in row.items()}
-        for row in json.loads(render(report, "json"))["pairs"]
-    ]
-    csv_rows = [dict(r) for r in csv.DictReader(io.StringIO(render(report, "csv")))]
-    md_rows = _markdown_rows(render(report, "markdown"))
+@pytest.mark.parametrize("argv, key", [
+    (["sweep", "--form", "2rp", "--r", "1", "--p", "5", "--seed", "3"], "pairs"),
+    (["phi-poly", "12"], None),
+    (["classify", "10", "1", "3", "--dzeta=-9,4,0,2"], None),
+    (["verify-theorem", "10", "1", "3", "--trials", "5"], None),
+    (["counterexamples"], "cases"),
+])
+def test_all_formats_encode_the_same_records(capsys, argv, key):
+    out = {fmt: _run(capsys, [*argv, "--format", fmt])[1] for fmt in ("json", "csv", "markdown")}
+    payload = json.loads(out["json"])
+    rows = [payload] if key is None else payload[key]
+    json_rows = [{k: _norm(v) for k, v in row.items()} for row in rows]
+    csv_rows = [dict(r) for r in csv.DictReader(io.StringIO(out["csv"]))]
+    md_rows = _markdown_rows(out["markdown"])
     assert json_rows == csv_rows == md_rows
 
 
@@ -196,6 +204,15 @@ def test_cli_classify_wrong_coordinate_count(capsys):
     code, _, err = _run(capsys, ["classify", "10", "1", "3", "--dzeta", "0,1"])
     assert code == 2
     assert "exactly 4" in err
+
+
+@pytest.mark.parametrize("u, line", [
+    ("13", "error: exponent 13 is not a unit modulo 10 in 1..9"),
+    ("2", "error: exponent 2 is not a unit modulo 10"),
+])
+def test_cli_says_why_an_exponent_is_not_a_unit(capsys, u, line):
+    code, out, err = _run(capsys, ["matrix", "10", u, "3"])
+    assert (code, out, err.splitlines()) == (2, "", [line])
 
 
 def test_cli_classify_noncoprime_exponent(capsys):
