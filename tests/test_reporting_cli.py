@@ -74,7 +74,7 @@ def test_sweep_csv_shape():
     (["classify", "10", "1", "3", "--dzeta=-9,4,0,2"], None),
     (["verify-theorem", "10", "1", "3", "--trials", "5"], None),
     (["counterexamples"], "cases"),
-])
+], ids=["sweep", "phi-poly", "classify", "verify-theorem", "counterexamples"])
 def test_all_formats_encode_the_same_records(capsys, argv, key):
     out = {fmt: _run(capsys, [*argv, "--format", fmt])[1] for fmt in ("json", "csv", "markdown")}
     payload = json.loads(out["json"])
