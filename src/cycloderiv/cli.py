@@ -29,6 +29,7 @@ from .harness import (
     DEFAULT_DEGREE_CAP,
     SweepReport,
     TableArtifact,
+    _factor_limit,
     check_degree,
     counterexample_suite,
     reproduce_tables,
@@ -141,6 +142,14 @@ def _build_form(args: argparse.Namespace) -> RingForm:
             raise ValueError("form 2rp requires --r and --p")
     elif args.p is None or args.k is None:
         raise ValueError("form pk requires --p and --k")
+    # n >= p and n >= 2^e for the form's exponent e, so a p or e this large
+    # is refused before a primality test or a power is computed
+    e, limit = (args.r if args.form == "2rp" else args.k), _factor_limit(args.cap)
+    if args.p >= 2 and e >= 1 and (args.p > limit or e > limit.bit_length()):
+        n = f"2^{e}*{args.p}" if args.form == "2rp" else f"{args.p}^{e}"
+        raise ValueError(
+            f"ring degree of n = {n} exceeds the cap {args.cap}; raise the cap to proceed"
+        )
     # RingForm rejects the option the form does not take
     return RingForm(args.form, args.p, args.r, args.k)
 

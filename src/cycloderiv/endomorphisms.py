@@ -1,7 +1,10 @@
 """Ring endomorphisms fixing Z, twisted pairs, and the maps they induce.
 
 An endomorphism of ``Z[x]/(f)`` that fixes the integers is determined by the
-image of the generator, which must itself be a root of f in the ring. A
+image of the generator, which must itself be a root of f in the ring. Each
+endomorphism is checked once, at construction: a given image by evaluating f
+at it, and ``zeta -> zeta^u`` of a cyclotomic ring by the unit check on u and
+a comparison with ``theta^u``, with no evaluation of ``Phi_n``. A
 twisted pair ``(sigma, tau)`` of two such maps with different generator
 images induces, for every choice of ``D(theta)``, a Z-linear map ``D`` with
 ``D(1) = 0`` and
@@ -32,7 +35,11 @@ from typing import Iterator, NamedTuple
 from .quotient import CyclotomicRing, QuotientRing, RingElement
 
 
-def _check_unit(exponent: int, n: int) -> None:
+def _check_unit(exponent: int, ring: QuotientRing) -> None:
+    """Refuse an exponent that is not a unit u in 1..n-1 of a cyclotomic ring."""
+    n = getattr(ring, "n", None)
+    if n is None:
+        raise ValueError("exponents are only meaningful for cyclotomic rings")
     if not 1 <= exponent < n:
         raise ValueError(f"exponent {exponent} is not a unit modulo {n} in 1..{n - 1}")
     if gcd(exponent, n) != 1:
@@ -42,9 +49,13 @@ def _check_unit(exponent: int, n: int) -> None:
 class Endomorphism:
     """A ring endomorphism fixing Z, given by the image of the generator.
 
-    The image is validated at construction: it must be a root of the ring
-    modulus, otherwise the map would not be well defined. A failed check
-    reports the nonzero residue so the offending input is easy to spot.
+    The image is validated once, at construction: it must be a root of the
+    ring modulus, otherwise the map would not be well defined. Without an
+    exponent the modulus is evaluated at the image, and a failed check
+    reports the nonzero residue so the offending input is easy to spot. With
+    an exponent u the image must equal ``theta^u`` for a unit u modulo n;
+    ``zeta^u`` is then a primitive n-th root of unity, so a root of
+    ``Phi_n``, and no evaluation is needed.
     """
 
     __slots__ = ("ring", "theta_image", "exponent")
@@ -57,17 +68,15 @@ class Endomorphism:
     ) -> None:
         if theta_image.ring != ring:
             raise ValueError("generator image must live in the target ring")
-        residue = ring.modulus(theta_image)
-        if not residue.is_zero():
-            raise ValueError(
-                "generator image is not a root of the ring modulus; "
-                f"residue has coordinates {residue.coords}"
-            )
-        if exponent is not None:
-            n = getattr(ring, "n", None)
-            if n is None:
-                raise ValueError("exponents are only meaningful for cyclotomic rings")
-            _check_unit(exponent, n)
+        if exponent is None:
+            residue = ring.modulus(theta_image)
+            if not residue.is_zero():
+                raise ValueError(
+                    "generator image is not a root of the ring modulus; "
+                    f"residue has coordinates {residue.coords}"
+                )
+        else:
+            _check_unit(exponent, ring)
             if theta_image != ring.reduce_power(exponent):
                 raise ValueError(
                     f"image does not match the stated exponent {exponent}"
@@ -78,11 +87,11 @@ class Endomorphism:
 
     @classmethod
     def zeta_power(cls, ring: CyclotomicRing, u: int) -> Endomorphism:
-        """The endomorphism zeta -> zeta^u of a cyclotomic ring."""
-        n = getattr(ring, "n", None)
-        if n is None:
-            raise ValueError("zeta_power requires a cyclotomic ring")
-        _check_unit(u, n)
+        """The endomorphism zeta -> zeta^u of a cyclotomic ring.
+
+        u is checked before ``theta^u`` is built, so a huge exponent costs nothing.
+        """
+        _check_unit(u, ring)
         return cls(ring, ring.reduce_power(u), exponent=u)
 
     def __call__(self, x: RingElement) -> RingElement:

@@ -1,12 +1,16 @@
 """Batch drivers: pair sweeps, randomized verification, regressions, tables.
 
-A sweep walks every unordered pair of unit exponents of a ring, builds the
-multiplier matrix, compares ``|det|`` against the prediction for the ring's
-form, and runs one seeded inner round-trip per pair (draw an integral beta,
-rebuild the derivation it defines, confirm classification recovers beta
-exactly). Reports are immutable named tuples; rendering lives in
-``reporting``. Identical (form, seed, version) inputs produce identical
-reports; the measured elapsed time is kept on the object but never
+Sweeps and tables share one pair walk, ``_zeta_pairs``: it checks the ring
+degree against the cap, builds ``Z[zeta_n]`` and one endomorphism
+``zeta -> zeta^u`` per unit u, and yields every unordered pair of unit
+exponents in the order of ``combinations(units(n), 2)``. A sweep builds each
+pair's multiplier matrix, compares ``|det|`` against the prediction for the
+ring's form, and runs one seeded inner round-trip per pair (draw an integral
+beta, rebuild the derivation it defines, confirm classification recovers
+beta exactly). The regression suite is a table of power-formula extensions
+over rings with zero divisors. Reports are immutable named tuples; rendering
+lives in ``reporting``. Identical (form, seed, version) inputs produce
+identical reports; the measured elapsed time is kept on the object but never
 serialized, so emitted bytes stay reproducible.
 """
 
@@ -15,13 +19,13 @@ from __future__ import annotations
 import random
 import time
 from itertools import combinations
-from typing import NamedTuple
+from math import isqrt
+from typing import Iterator, NamedTuple
 
 from ._version import __version__
 from .arith import totient, units
 from .endomorphisms import Endomorphism, TwistedDerivation, TwistedPair, leibniz_check
 from .innerness import (
-    Classification,
     MultiplierMatrix,
     RingForm,
     classify,
@@ -32,17 +36,34 @@ from .innerness import (
 )
 from .intlinalg import IntMatrix, RatVector
 from .polynomials import Polynomial
-from .quotient import CyclotomicRing, QuotientRing, RingElement
+from .quotient import CyclotomicRing, QuotientRing
 
 DEFAULT_DEGREE_CAP = 64
+
+
+def _factor_limit(cap: int) -> int:
+    """A bound on n above which phi(n) exceeds the cap: ``(2 cap^2 + 2)^2``.
+
+    ``phi(n) >= sqrt(n / 2)``, so above this bound ``isqrt(n // 2) > cap``
+    and n need not be factored. At or below it, trial division takes at most
+    ``2 cap^2 + 2`` steps.
+    """
+    return (2 * cap * cap + 2) ** 2
 
 
 def check_degree(n: int, cap: int = DEFAULT_DEGREE_CAP) -> int:
     """The ring degree phi(n), refused above the cap before anything is built.
 
     Rings and multiplier matrices grow with phi(n) and phi(n)^2, so every
-    entry point checks the degree from the factorization of n alone first.
+    entry point checks the degree from n alone first. Above ``_factor_limit``
+    the refusal states the lower bound ``isqrt(n // 2)`` of phi(n), so the
+    work is bounded by the cap, not by n.
     """
+    if n > _factor_limit(cap):
+        raise ValueError(
+            f"ring degree phi({n}) >= {isqrt(n // 2)} exceeds the cap {cap}; "
+            "raise the cap to proceed"
+        )
     degree = totient(n)
     if degree > cap:
         raise ValueError(
@@ -83,39 +104,32 @@ class SweepReport(NamedTuple):
         return all(r.match and r.roundtrip for r in self.records)
 
 
-def _inner_roundtrip(
-    ring: CyclotomicRing,
-    pair: TwistedPair,
-    multiplier: MultiplierMatrix,
-    beta: RingElement,
-) -> bool:
-    d_theta = beta * pair.theta_difference()
-    verdict: Classification = classify(TwistedDerivation(pair, d_theta), multiplier)
-    return (
-        verdict.is_inner
-        and verdict.witness.numerators == beta.coords
-        and verdict.witness.denominator == 1
-    )
+def _zeta_pairs(n: int, cap: int) -> Iterator[tuple[int, int, TwistedPair]]:
+    """``(u, v, pair)`` for every unordered pair of unit exponents of Z[zeta_n].
+
+    The degree is checked against the cap before the ring is built, and each
+    endomorphism zeta -> zeta^u is built once and shared by its pairs.
+    """
+    if check_degree(n, cap) < 2:
+        raise ValueError(f"n = {n} is unsupported: fewer than two unit exponents")
+    ring = CyclotomicRing(n)
+    endos = {u: Endomorphism.zeta_power(ring, u) for u in units(n)}
+    for u, v in combinations(endos, 2):
+        yield u, v, TwistedPair(endos[u], endos[v])
 
 
 def sweep(form: RingForm, seed: int = 0, cap: int = DEFAULT_DEGREE_CAP) -> SweepReport:
     """Score the determinant prediction over all unordered pairs of a ring."""
     started = time.perf_counter()
-    n = form.n
-    if check_degree(n, cap) < 2:
-        raise ValueError(f"n = {n} is degenerate: fewer than two unit exponents")
-    ring = CyclotomicRing(n)
-    us = units(n)
-    endos = {u: Endomorphism.zeta_power(ring, u) for u in us}
     rng = random.Random(seed)
     records = []
-    for u, v in combinations(us, 2):
-        pair = TwistedPair(endos[u], endos[v])
+    for u, v, pair in _zeta_pairs(form.n, cap):
         multiplier = MultiplierMatrix(pair)
         valuation = valuate(form, u, v)
         predicted = predict_det(form, valuation)
         det_abs = multiplier.det_abs
-        beta = ring.random_element(rng)
+        beta = pair.ring.random_element(rng)
+        verdict = classify(TwistedDerivation(pair, beta * pair.theta_difference()), multiplier)
         records.append(
             PairRecord(
                 u=u,
@@ -126,7 +140,7 @@ def sweep(form: RingForm, seed: int = 0, cap: int = DEFAULT_DEGREE_CAP) -> Sweep
                 det_abs=det_abs,
                 predicted=predicted,
                 match=det_abs == predicted,
-                roundtrip=_inner_roundtrip(ring, pair, multiplier, beta),
+                roundtrip=verdict.is_inner and verdict.witness.numerators == beta.coords,
             )
         )
     elapsed = time.perf_counter() - started
@@ -194,21 +208,43 @@ class CounterexampleCase(NamedTuple):
         return self.leibniz_ok == self.expects_derivation
 
 
+# name, modulus coefficients, (image, description) of sigma and of tau,
+# D(theta), and whether the extension is expected to be a derivation; images
+# and D(theta) are coordinates in the power basis
+_CASES = (
+    *(
+        (f"truncated-x^{r}-scale-{m}", (0,) * r + (1,), ((0, 1), "theta -> theta"),
+         ((0, m), f"theta -> {m}*theta"), (1,), False)
+        for r in (2, 3, 4)
+        for m in (2, 3)
+    ),
+    ("truncated-x^3-scale-2-zero-map", (0, 0, 0, 1), ((0, 1), "theta -> theta"),
+     ((0, 2), "theta -> 2*theta"), (), True),
+    ("sixth-roots-square-twist", (-1, 0, 0, 0, 0, 0, 1), ((0, 1), "x -> x"),
+     ((0, 0, 1), "x -> x^2"), (0, 1), False),
+)
+
+
 def _run_case(
     name: str,
-    pair: TwistedPair,
-    d_theta: RingElement,
+    modulus: tuple[int, ...],
+    sigma: tuple[tuple[int, ...], str],
+    tau: tuple[tuple[int, ...], str],
+    d_theta: tuple[int, ...],
     expects_derivation: bool,
-    sigma_desc: str,
-    tau_desc: str,
 ) -> CounterexampleCase:
-    report = leibniz_check(TwistedDerivation(pair, d_theta))
+    ring = QuotientRing(Polynomial(modulus))
+    pair = TwistedPair(
+        Endomorphism(ring, ring.element(sigma[0])), Endomorphism(ring, ring.element(tau[0]))
+    )
+    d = ring.element(d_theta)
+    report = leibniz_check(TwistedDerivation(pair, d))
     return CounterexampleCase(
         name=name,
-        modulus=str(pair.ring.modulus),
-        sigma=sigma_desc,
-        tau=tau_desc,
-        d_theta=str(d_theta.coords),
+        modulus=str(ring.modulus),
+        sigma=sigma[1],
+        tau=tau[1],
+        d_theta=str(d.coords),
         expects_derivation=expects_derivation,
         leibniz_ok=report.ok,
         failing_pair=report.indices,
@@ -226,56 +262,7 @@ def counterexample_suite() -> tuple[CounterexampleCase, ...]:
     D(theta) is not a derivation; the zero map always is, which pins the
     failure on the construction rather than the ring.
     """
-    cases = []
-    for r in (2, 3, 4):
-        for m in (2, 3):
-            ring = QuotientRing(Polynomial.monomial(r))
-            theta = ring.generator()
-            pair = TwistedPair(
-                Endomorphism(ring, theta), Endomorphism(ring, m * theta)
-            )
-            cases.append(
-                _run_case(
-                    f"truncated-x^{r}-scale-{m}",
-                    pair,
-                    ring.one(),
-                    expects_derivation=False,
-                    sigma_desc="theta -> theta",
-                    tau_desc=f"theta -> {m}*theta",
-                )
-            )
-    control_ring = QuotientRing(Polynomial.monomial(3))
-    control_theta = control_ring.generator()
-    control_pair = TwistedPair(
-        Endomorphism(control_ring, control_theta),
-        Endomorphism(control_ring, 2 * control_theta),
-    )
-    cases.append(
-        _run_case(
-            "truncated-x^3-scale-2-zero-map",
-            control_pair,
-            control_ring.zero(),
-            expects_derivation=True,
-            sigma_desc="theta -> theta",
-            tau_desc="theta -> 2*theta",
-        )
-    )
-    ring6 = QuotientRing(Polynomial((-1, 0, 0, 0, 0, 0, 1)))
-    pair6 = TwistedPair(
-        Endomorphism(ring6, ring6.generator()),
-        Endomorphism(ring6, ring6.reduce_power(2)),
-    )
-    cases.append(
-        _run_case(
-            "sixth-roots-square-twist",
-            pair6,
-            ring6.generator(),
-            expects_derivation=False,
-            sigma_desc="x -> x",
-            tau_desc="x -> x^2",
-        )
-    )
-    return tuple(cases)
+    return tuple(_run_case(*case) for case in _CASES)
 
 
 class TableBlock(NamedTuple):
@@ -304,20 +291,14 @@ def reproduce_tables(n: int, cap: int = DEFAULT_DEGREE_CAP) -> TableArtifact:
     elimination of ``MultiplierMatrix.det``.
     Deterministic: no randomness is involved.
     """
-    if check_degree(n, cap) < 2:
-        raise ValueError(f"n = {n} is unsupported: fewer than two unit exponents")
-    ring = CyclotomicRing(n)
-    us = units(n)
-    endos = {u: Endomorphism.zeta_power(ring, u) for u in us}
     blocks = []
-    for u, v in combinations(us, 2):
-        pair = TwistedPair(endos[u], endos[v])
+    for u, v, pair in _zeta_pairs(n, cap):
         multiplier = MultiplierMatrix(pair)
         num, m = multiplier_inverse(pair)
-        if pair.theta_difference() * num != ring.element((m,)):
+        if pair.theta_difference() * num != pair.ring.element((m,)):
             raise ArithmeticError(f"inverse {num!r} does not satisfy delta * num = {m} for {pair!r}")
         inverse = multiplication_matrix(num)
-        rows = tuple(RatVector.reduced(inverse.row(i), m) for i in range(ring.degree))
+        rows = tuple(RatVector.reduced(inverse.row(i), m) for i in range(pair.ring.degree))
         blocks.append(
             TableBlock(
                 u=u,

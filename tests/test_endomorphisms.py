@@ -68,6 +68,8 @@ def test_zeta_power_validates_exponents():
         Endomorphism.zeta_power(ring, 0)
     with pytest.raises(ValueError):
         Endomorphism.zeta_power(ring, 10)
+    with pytest.raises(ValueError, match="only meaningful for cyclotomic rings"):
+        Endomorphism.zeta_power(QuotientRing(Polynomial.monomial(2)), 1)
 
 
 def test_zeta_power_checks_the_exponent_before_building_the_monomial(monkeypatch):
@@ -82,6 +84,24 @@ def test_zeta_power_checks_the_exponent_before_building_the_monomial(monkeypatch
         Endomorphism.zeta_power(ring, 10**12 + 1)
     with pytest.raises(ValueError, match="is not a unit modulo 10"):
         Endomorphism(ring, zeta, exponent=10**12 + 1)
+
+
+def test_image_that_is_not_the_stated_power_is_rejected():
+    ring = CyclotomicRing(10)
+    with pytest.raises(ValueError, match="does not match the stated exponent 7"):
+        Endomorphism(ring, ring.reduce_power(3), exponent=7)
+
+
+def test_zeta_power_evaluates_no_polynomial(monkeypatch):
+    ring = CyclotomicRing(49)
+
+    def no_evaluation(self, value):
+        raise AssertionError("the ring modulus was evaluated at the image")
+
+    monkeypatch.setattr(Polynomial, "__call__", no_evaluation)
+    sigma = Endomorphism.zeta_power(ring, 13)
+    assert sigma.theta_image == ring.reduce_power(13)
+    assert sigma.exponent == 13
 
 
 def test_pair_requires_distinct_generator_images():

@@ -1,7 +1,11 @@
+from itertools import combinations
+from math import isqrt
+
 import pytest
 
 from cycloderiv import (
     CyclotomicRing,
+    Endomorphism,
     IntMatrix,
     MultiplierMatrix,
     RatVector,
@@ -15,6 +19,7 @@ from cycloderiv import (
     reproduce_tables,
     sweep,
     totient,
+    units,
     verify_theorem,
 )
 from cycloderiv import harness
@@ -68,6 +73,24 @@ def test_sweep_records_sorted_by_pair():
     assert all(u < v for u, v in pairs)
 
 
+@pytest.mark.parametrize("run", [
+    lambda: sweep(RingForm.form_pk(3, 2)).records,
+    lambda: reproduce_tables(9).blocks,
+], ids=["sweep", "tables"])
+def test_pair_walk_builds_each_endomorphism_once_in_combination_order(monkeypatch, run):
+    built = []
+    zeta_power = Endomorphism.zeta_power.__func__
+
+    def counting(cls, ring, u):
+        built.append(u)
+        return zeta_power(cls, ring, u)
+
+    monkeypatch.setattr(Endomorphism, "zeta_power", classmethod(counting))
+    visited = [(r.u, r.v) for r in run()]
+    assert len(built) == totient(9)
+    assert visited == list(combinations(units(9), 2))
+
+
 def test_sweep_cap_is_enforced():
     with pytest.raises(ValueError, match="cap"):
         sweep(RingForm.form_pk(5, 2), seed=0, cap=10)
@@ -79,6 +102,32 @@ def test_sweep_is_deterministic_per_seed():
     assert a.records == b.records
     assert render(a, "json") == render(b, "json")
     assert render(a, "csv") == render(b, "csv")
+
+
+def test_phi_is_at_least_the_root_of_half_n():
+    # the bound check_degree states when it refuses n without factoring it
+    assert all(totient(n) >= isqrt(n // 2) for n in range(1, 5000))
+
+
+@pytest.mark.parametrize("cap", [-3, 0, 1, 2, 8, 64])
+def test_check_degree_refuses_above_the_limit_without_factoring(monkeypatch, cap):
+    limit = harness._factor_limit(cap)
+    assert isqrt((limit + 1) // 2) > cap
+
+    def no_totient(n):
+        raise AssertionError(f"phi({n}) computed above the limit")
+
+    monkeypatch.setattr(harness, "totient", no_totient)
+    for n in (limit + 1, 10**18 + 3, 3**2000):
+        with pytest.raises(ValueError, match=f">= [0-9]+ exceeds the cap {cap};"):
+            harness.check_degree(n, cap)
+
+
+def test_check_degree_at_the_limit_names_the_exact_degree():
+    limit = harness._factor_limit(64)
+    with pytest.raises(ValueError, match=f"^ring degree {totient(limit)} exceeds the cap 64;"):
+        harness.check_degree(limit, 64)
+    assert harness.check_degree(49, 64) == 42
 
 
 def test_verify_theorem_reference_runs():

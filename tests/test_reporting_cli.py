@@ -397,3 +397,39 @@ def test_cli_refuses_a_huge_ring_before_building_it():
     assert proc.stderr.splitlines() == [
         "error: ring degree 100002 exceeds the cap 64; raise the cap to proceed"
     ]
+
+
+HUGE = "1000000000000000003"
+
+
+@pytest.mark.parametrize("argv", [
+    ["phi-poly", HUGE],
+    ["matrix", HUGE, "1", "2"],
+    ["classify", HUGE, "1", "2", "--dzeta", "1"],
+    ["verify-theorem", HUGE, "1", "2"],
+    ["tables", HUGE],
+    ["sweep", "--form", "pk", "--p", HUGE, "--k", "2"],
+    ["sweep", "--form", "2rp", "--r", "100000", "--p", "3"],
+    ["sweep", "--form", "pk", "--p", "3", "--k", "100000"],
+    ["sweep", "--form", "2rp", "--r", str(10**12), "--p", "3"],
+], ids=lambda argv: " ".join(argv)[:40])
+def test_cli_refuses_an_oversized_input_in_bounded_time(argv):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "cycloderiv.cli", *argv],
+        env=env, capture_output=True, text=True, timeout=10,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    (line,) = proc.stderr.splitlines()
+    assert line.startswith("error: ring degree ") and "exceeds the cap 64" in line
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--form", "pk", "--p", "1", "--k", "100000"], "form pk requires a prime p, got 1"),
+    (["--form", "2rp", "--r", "0", "--p", HUGE], "form 2rp requires r >= 1"),
+])
+def test_cli_sweep_size_bound_leaves_invalid_forms_to_their_own_error(capsys, argv, message):
+    # n = p^k or 2^r p is no bound on phi(n) when p < 2 or the exponent is below 1
+    assert _run(capsys, ["sweep", *argv]) == (2, "", f"error: {message}\n")
