@@ -4,96 +4,75 @@ Everything runs over arbitrary-precision integers: polynomial and power-basis
 arithmetic, endomorphism pairs and the derivations they induce, fraction-free
 linear algebra, inner/outer classification with exact witnesses, and batch
 sweep drivers with deterministic serialized reports.
+
+The public names resolve on first use (PEP 562): ``_HOMES`` lists each one
+under the module that defines it, and ``__getattr__`` imports that module
+when the name is first read. The value is looked up in its home module on
+every access, never copied into this namespace, so a rebinding there (a test
+double, a tracer) is what ``cycloderiv.<name>`` returns.
 """
 
-from ._version import __version__
-from .arith import is_prime, totient, units
-from .endomorphisms import (
-    Endomorphism,
-    LeibnizReport,
-    TwistedDerivation,
-    TwistedPair,
-    leibniz_check,
-    sum_powers,
-    telescope_check,
-)
-from .harness import (
-    CounterexampleCase,
-    PairRecord,
-    SweepReport,
-    TableArtifact,
-    TableBlock,
-    TheoremVerdict,
-    counterexample_suite,
-    reproduce_tables,
-    sweep,
-    verify_theorem,
-)
-from .innerness import (
-    Classification,
-    MultiplierMatrix,
-    RingForm,
-    Valuation,
-    classify,
-    predict_det,
-    valuate,
-)
-from .intlinalg import (
-    IntMatrix,
-    IntVector,
-    RatVector,
-    SingularMatrixError,
-    adjugate,
-    det,
-    mat_vec,
-    solve_unique,
-)
-from .polynomials import Polynomial, cyclotomic_poly
-from .quotient import CyclotomicRing, QuotientRing, RingElement
-from .reporting import render, write_report
+from importlib import import_module
 
-__all__ = [
-    "__version__",
-    "is_prime",
-    "totient",
-    "units",
-    "Polynomial",
-    "cyclotomic_poly",
-    "QuotientRing",
-    "CyclotomicRing",
-    "RingElement",
-    "Endomorphism",
-    "TwistedPair",
-    "TwistedDerivation",
-    "LeibnizReport",
-    "sum_powers",
-    "leibniz_check",
-    "telescope_check",
-    "IntMatrix",
-    "IntVector",
-    "RatVector",
-    "SingularMatrixError",
-    "det",
-    "adjugate",
-    "mat_vec",
-    "solve_unique",
-    "MultiplierMatrix",
-    "RingForm",
-    "Valuation",
-    "valuate",
-    "predict_det",
-    "Classification",
-    "classify",
-    "sweep",
-    "SweepReport",
-    "PairRecord",
-    "verify_theorem",
-    "TheoremVerdict",
-    "counterexample_suite",
-    "CounterexampleCase",
-    "reproduce_tables",
-    "TableArtifact",
-    "TableBlock",
-    "render",
-    "write_report",
-]
+from ._version import __version__
+
+_HOMES = {
+    "arith": ("is_prime", "totient", "units"),
+    "polynomials": ("Polynomial", "cyclotomic_poly"),
+    "quotient": ("QuotientRing", "CyclotomicRing", "RingElement"),
+    "endomorphisms": (
+        "Endomorphism",
+        "TwistedPair",
+        "TwistedDerivation",
+        "LeibnizReport",
+        "sum_powers",
+        "leibniz_check",
+        "telescope_check",
+    ),
+    "intlinalg": (
+        "IntMatrix",
+        "IntVector",
+        "RatVector",
+        "SingularMatrixError",
+        "det",
+        "adjugate",
+        "mat_vec",
+        "solve_unique",
+    ),
+    "innerness": (
+        "MultiplierMatrix",
+        "RingForm",
+        "Valuation",
+        "valuate",
+        "predict_det",
+        "Classification",
+        "classify",
+    ),
+    "harness": (
+        "sweep",
+        "SweepReport",
+        "PairRecord",
+        "verify_theorem",
+        "TheoremVerdict",
+        "counterexample_suite",
+        "CounterexampleCase",
+        "reproduce_tables",
+        "TableArtifact",
+        "TableBlock",
+    ),
+    "reporting": ("render", "write_report"),
+}
+_HOME = {name: module for module, names in _HOMES.items() for name in names}
+
+__all__ = ["__version__", *_HOME]
+
+
+def __getattr__(name: str):
+    module = _HOME.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(f".{module}", __name__), name)
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_HOME})

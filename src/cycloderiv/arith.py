@@ -1,7 +1,8 @@
-"""Small integer helpers: primality, totients, unit groups, multiplicities.
+"""Small integer helpers: primality, totients, the degree cap, unit groups, multiplicities.
 
 Everything here runs on desk-sized inputs (a few thousand at most), so plain
-trial division is the right tool.
+trial division is the right tool. ``check_degree`` keeps it that way: it
+refuses an n whose ring degree phi(n) exceeds the cap before any other work.
 """
 
 from __future__ import annotations
@@ -48,6 +49,45 @@ def totient(n: int) -> int:
     for p in factorize(n):
         result -= result // p
     return result
+
+
+DEFAULT_DEGREE_CAP = 64
+
+
+def _factor_limit(cap: int) -> int:
+    """A bound on n above which phi(n) exceeds the cap: ``(2 cap^2 + 2)^2``.
+
+    ``phi(n) >= sqrt(n / 2)``, so above this bound ``isqrt(n // 2) > cap``
+    and n need not be factored. At or below it, trial division takes at most
+    ``2 cap^2 + 2`` steps.
+    """
+    return (2 * cap * cap + 2) ** 2
+
+
+def check_degree(n: int, cap: int = DEFAULT_DEGREE_CAP) -> int:
+    """The ring degree phi(n), refused above the cap before anything is built.
+
+    Rings and multiplier matrices grow with phi(n) and phi(n)^2, so every
+    entry point checks the degree from n alone first. Above ``_factor_limit``
+    the refusal states the lower bound ``isqrt(n // 2)`` of phi(n), so the
+    work is bounded by the cap, not by n. An n too long to write in decimal
+    (``sys.get_int_max_str_digits``) and its bound are given by bit length.
+    """
+    if n > _factor_limit(cap):
+        bound = isqrt(n // 2)
+        try:
+            stated = f"phi({n}) >= {bound}"
+        except ValueError:
+            stated = f"phi(n) of a {n.bit_length()}-bit n >= 2^{bound.bit_length() - 1}"
+        raise ValueError(
+            f"ring degree {stated} exceeds the cap {cap}; raise the cap to proceed"
+        )
+    degree = totient(n)
+    if degree > cap:
+        raise ValueError(
+            f"ring degree {degree} exceeds the cap {cap}; raise the cap to proceed"
+        )
+    return degree
 
 
 def units(n: int) -> tuple[int, ...]:

@@ -11,6 +11,11 @@ degree phi(n) above it before building anything.
 Each command returns its report and exit code; ``main`` alone renders the
 report through ``reporting.render`` and writes it.
 
+Start-up loads only the parser and the degree check (``arith``). A command
+checks its input first and only then imports the modules it runs, so
+``--version``, ``--help`` and a refused ring degree load no other part of the
+library, and ``main`` imports the renderer once the command has returned.
+
 Exit codes: 0 on success or all-pass, 1 on an assertion-style failure
 (prediction mismatch, failed round-trip, a Leibniz failure where a pass was
 expected), 2 on usage errors.
@@ -24,48 +29,39 @@ import sys
 from pathlib import Path
 
 from ._version import __version__
-from .endomorphisms import TwistedDerivation, TwistedPair
-from .harness import (
-    DEFAULT_DEGREE_CAP,
-    SweepReport,
-    TableArtifact,
-    _factor_limit,
-    check_degree,
-    counterexample_suite,
-    reproduce_tables,
-    sweep,
-    verify_theorem,
-)
-from .innerness import MultiplierMatrix, RingForm, classify, predict_det, valuate
-from .polynomials import cyclotomic_poly
-from .quotient import CyclotomicRing
-from .reporting import Report, record_cells, render, write_text
+from .arith import DEFAULT_DEGREE_CAP, _factor_limit, check_degree
 
 
-def _emit(text: str, args: argparse.Namespace) -> None:
+def _destination(args: argparse.Namespace) -> str | Path | None:
     dest = args.output
-    if dest is not None and dest != "-":
-        path = Path(dest)
-        base = os.environ.get("CYCLODERIV_OUTPUT_DIR")
-        if base and not path.is_absolute():
-            path = Path(base) / path
-        dest = path
-    write_text(text, dest)
+    if dest is None or dest == "-":
+        return dest
+    path = Path(dest)
+    base = os.environ.get("CYCLODERIV_OUTPUT_DIR")
+    if base and not path.is_absolute():
+        path = Path(base) / path
+    return path
 
 
 def _one_row(title: str, row: dict) -> Report:
     """A report whose JSON document is its one row."""
+    from .reporting import Report
+
     return Report(title, tuple(row), [row], row)
 
 
 def _cmd_phi_poly(args: argparse.Namespace) -> tuple[Report, int]:
     check_degree(args.n, args.cap)
+    from .polynomials import cyclotomic_poly
+
     coeffs = [str(c) for c in cyclotomic_poly(args.n).coeffs]
     row = {"n": str(args.n), "degree": str(len(coeffs) - 1), "coefficients": coeffs}
     return _one_row(f"Cyclotomic polynomial, n = {args.n}", row), 0
 
 
 def _prediction_fields(n: int, u: int, v: int, det_abs: int) -> dict:
+    from .innerness import RingForm, predict_det, valuate
+
     form = RingForm.detect(n)
     if form is None:
         return {"e1": None, "e2": None, "m": None, "predicted": None, "match": None}
@@ -82,6 +78,11 @@ def _prediction_fields(n: int, u: int, v: int, det_abs: int) -> dict:
 
 def _cmd_matrix(args: argparse.Namespace) -> tuple[Report, int]:
     check_degree(args.n, args.cap)
+    from .endomorphisms import TwistedPair
+    from .innerness import MultiplierMatrix
+    from .quotient import CyclotomicRing
+    from .reporting import Report
+
     ring = CyclotomicRing(args.n)
     pair = TwistedPair.zeta_powers(ring, args.u, args.v)
     multiplier = MultiplierMatrix(pair)
@@ -119,6 +120,10 @@ def _parse_coords(text: str, expected: int) -> tuple[int, ...]:
 
 def _cmd_classify(args: argparse.Namespace) -> tuple[Report, int]:
     coords = _parse_coords(args.dzeta, check_degree(args.n, args.cap))
+    from .endomorphisms import TwistedDerivation, TwistedPair
+    from .innerness import classify
+    from .quotient import CyclotomicRing
+
     ring = CyclotomicRing(args.n)
     pair = TwistedPair.zeta_powers(ring, args.u, args.v)
     derivation = TwistedDerivation(pair, ring.element(coords))
@@ -150,17 +155,25 @@ def _build_form(args: argparse.Namespace) -> RingForm:
         raise ValueError(
             f"ring degree of n = {n} exceeds the cap {args.cap}; raise the cap to proceed"
         )
+    from .innerness import RingForm
+
     # RingForm rejects the option the form does not take
     return RingForm(args.form, args.p, args.r, args.k)
 
 
 def _cmd_sweep(args: argparse.Namespace) -> tuple[SweepReport, int]:
-    report = sweep(_build_form(args), seed=args.seed, cap=args.cap)
+    form = _build_form(args)
+    from .harness import sweep
+
+    report = sweep(form, seed=args.seed, cap=args.cap)
     return report, 0 if report.all_ok else 1
 
 
 def _cmd_verify_theorem(args: argparse.Namespace) -> tuple[Report, int]:
     check_degree(args.n, args.cap)
+    from .harness import verify_theorem
+    from .reporting import record_cells
+
     verdict = verify_theorem(args.n, args.u, args.v, trials=args.trials, seed=args.seed)
     row = {**record_cells(verdict), "all_pass": verdict.all_pass}
     title = f"Derivation construction check: n = {verdict.n}, pair ({verdict.u}, {verdict.v})"
@@ -168,10 +181,16 @@ def _cmd_verify_theorem(args: argparse.Namespace) -> tuple[Report, int]:
 
 
 def _cmd_tables(args: argparse.Namespace) -> tuple[TableArtifact, int]:
+    check_degree(args.n, args.cap)
+    from .harness import reproduce_tables
+
     return reproduce_tables(args.n, cap=args.cap), 0
 
 
 def _cmd_counterexamples(args: argparse.Namespace) -> tuple[Report, int]:
+    from .harness import counterexample_suite
+    from .reporting import Report, record_cells
+
     rows = [{**record_cells(c), "ok": c.ok} for c in counterexample_suite()]
     all_ok = all(row["ok"] for row in rows)
     report = Report(
@@ -286,7 +305,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(_join_negative_values(sys.argv[1:] if argv is None else argv))
     try:
         report, code = args.func(args)
-        _emit(render(report, args.format), args)
+        from .reporting import render, write_text
+
+        write_text(render(report, args.format), _destination(args))
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -19,11 +19,10 @@ from __future__ import annotations
 import random
 import time
 from itertools import combinations
-from math import isqrt
 from typing import Iterator, NamedTuple
 
 from ._version import __version__
-from .arith import totient, units
+from .arith import DEFAULT_DEGREE_CAP, check_degree, units
 from .endomorphisms import Endomorphism, TwistedDerivation, TwistedPair, leibniz_check
 from .innerness import (
     MultiplierMatrix,
@@ -37,39 +36,6 @@ from .innerness import (
 from .intlinalg import IntMatrix, RatVector
 from .polynomials import Polynomial
 from .quotient import CyclotomicRing, QuotientRing
-
-DEFAULT_DEGREE_CAP = 64
-
-
-def _factor_limit(cap: int) -> int:
-    """A bound on n above which phi(n) exceeds the cap: ``(2 cap^2 + 2)^2``.
-
-    ``phi(n) >= sqrt(n / 2)``, so above this bound ``isqrt(n // 2) > cap``
-    and n need not be factored. At or below it, trial division takes at most
-    ``2 cap^2 + 2`` steps.
-    """
-    return (2 * cap * cap + 2) ** 2
-
-
-def check_degree(n: int, cap: int = DEFAULT_DEGREE_CAP) -> int:
-    """The ring degree phi(n), refused above the cap before anything is built.
-
-    Rings and multiplier matrices grow with phi(n) and phi(n)^2, so every
-    entry point checks the degree from n alone first. Above ``_factor_limit``
-    the refusal states the lower bound ``isqrt(n // 2)`` of phi(n), so the
-    work is bounded by the cap, not by n.
-    """
-    if n > _factor_limit(cap):
-        raise ValueError(
-            f"ring degree phi({n}) >= {isqrt(n // 2)} exceeds the cap {cap}; "
-            "raise the cap to proceed"
-        )
-    degree = totient(n)
-    if degree > cap:
-        raise ValueError(
-            f"ring degree {degree} exceeds the cap {cap}; raise the cap to proceed"
-        )
-    return degree
 
 
 class PairRecord(NamedTuple):

@@ -14,12 +14,12 @@ and Markdown they are ``true``/``false`` and an empty cell, and a list cell is
 joined with spaces. ``render`` also takes a ``SweepReport`` or a
 ``TableArtifact`` and converts it first; the README lists every command's
 JSON keys and CSV columns. The same report rendered twice yields identical
-bytes.
+bytes. ``csv`` and ``harness`` are imported only by the renderings that use
+them, so rendering a command's own ``Report`` as JSON loads neither.
 """
 
 from __future__ import annotations
 
-import csv
 import io
 import json
 import sys
@@ -27,8 +27,6 @@ from collections.abc import Iterable
 from itertools import chain
 from pathlib import Path
 from typing import NamedTuple
-
-from .harness import PairRecord, SweepReport, TableArtifact
 
 
 class Report(NamedTuple):
@@ -74,6 +72,8 @@ def _markdown_table(columns, rows):
 
 
 def _sweep_report(report: SweepReport) -> Report:
+    from .harness import PairRecord
+
     form = report.form
     rows = [record_cells(rec) for rec in report.records]
     payload = {
@@ -160,15 +160,20 @@ def render(report, fmt: str) -> str:
     """Render a Report, SweepReport or TableArtifact as json, csv or markdown."""
     if fmt not in ("json", "csv", "markdown"):
         raise ValueError(f"unknown format {fmt!r}; expected one of ('json', 'csv', 'markdown')")
-    if isinstance(report, SweepReport):
-        report = _sweep_report(report)
-    elif isinstance(report, TableArtifact):
-        report = _tables_report(report)
-    elif not isinstance(report, Report):
-        raise TypeError(f"cannot render objects of type {type(report).__name__}")
+    if not isinstance(report, Report):
+        from .harness import SweepReport, TableArtifact
+
+        if isinstance(report, SweepReport):
+            report = _sweep_report(report)
+        elif isinstance(report, TableArtifact):
+            report = _tables_report(report)
+        else:
+            raise TypeError(f"cannot render objects of type {type(report).__name__}")
     if fmt == "json":
         return json.dumps(report.payload, indent=2) + "\n"
     if fmt == "csv":
+        import csv
+
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(report.columns)

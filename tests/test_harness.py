@@ -1,3 +1,4 @@
+import sys
 from itertools import combinations
 from math import isqrt
 
@@ -22,7 +23,7 @@ from cycloderiv import (
     units,
     verify_theorem,
 )
-from cycloderiv import harness
+from cycloderiv import arith, harness
 
 from reference_tables import (
     KNOWN_BAD_SOLUTION_ROWS,
@@ -109,25 +110,47 @@ def test_phi_is_at_least_the_root_of_half_n():
     assert all(totient(n) >= isqrt(n // 2) for n in range(1, 5000))
 
 
+def _no_totient(n):
+    raise AssertionError(f"phi({n}) computed above the limit")
+
+
 @pytest.mark.parametrize("cap", [-3, 0, 1, 2, 8, 64])
 def test_check_degree_refuses_above_the_limit_without_factoring(monkeypatch, cap):
-    limit = harness._factor_limit(cap)
+    limit = arith._factor_limit(cap)
     assert isqrt((limit + 1) // 2) > cap
 
-    def no_totient(n):
-        raise AssertionError(f"phi({n}) computed above the limit")
-
-    monkeypatch.setattr(harness, "totient", no_totient)
+    monkeypatch.setattr(arith, "totient", _no_totient)
     for n in (limit + 1, 10**18 + 3, 3**2000):
         with pytest.raises(ValueError, match=f">= [0-9]+ exceeds the cap {cap};"):
-            harness.check_degree(n, cap)
+            arith.check_degree(n, cap)
 
 
 def test_check_degree_at_the_limit_names_the_exact_degree():
-    limit = harness._factor_limit(64)
+    limit = arith._factor_limit(64)
     with pytest.raises(ValueError, match=f"^ring degree {totient(limit)} exceeds the cap 64;"):
-        harness.check_degree(limit, 64)
-    assert harness.check_degree(49, 64) == 42
+        arith.check_degree(limit, 64)
+    assert arith.check_degree(49, 64) == 42
+    assert harness.check_degree is arith.check_degree
+
+
+def test_check_degree_states_an_n_beyond_the_decimal_limit_by_bit_length(monkeypatch):
+    monkeypatch.setattr(arith, "totient", _no_totient)
+    n = 3**10000  # 4772 digits, above Python's default 4300-digit conversion limit
+    assert (n.bit_length(), isqrt(n // 2).bit_length()) == (15850, 7925)
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        with pytest.raises(ValueError) as refused:
+            arith.check_degree(n)
+        # 3**2000 (955 digits) still reads in decimal
+        stated = f"^ring degree phi\\({3**2000}\\) >= {isqrt(3**2000 // 2)} exceeds"
+        with pytest.raises(ValueError, match=stated):
+            arith.check_degree(3**2000)
+    finally:
+        sys.set_int_max_str_digits(old)
+    assert str(refused.value) == (
+        "ring degree phi(n) of a 15850-bit n >= 2^7924 exceeds the cap 64; raise the cap to proceed"
+    )
 
 
 def test_verify_theorem_reference_runs():

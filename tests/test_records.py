@@ -5,7 +5,8 @@ input (``IntMatrix``, ``RatVector``, ``RingForm``) are a fields tuple plus a
 subclass whose ``__new__`` runs the checks. ``_make`` and ``_replace`` build
 a tuple without calling that ``__new__``, so the library must not use them.
 The CLI's import stays free of ``dataclasses`` and the introspection modules
-it pulls in, which would otherwise dominate the start-up of every command.
+it pulls in, which would otherwise dominate the start-up of every command,
+and each command loads only the library modules it runs.
 """
 
 import ast
@@ -38,20 +39,51 @@ from cycloderiv import (
 from cycloderiv.intlinalg import _Echelon
 
 SRC = Path(__file__).resolve().parents[1] / "src"
-HEAVY_MODULES = ("dataclasses", "inspect", "ast", "dis", "tokenize")
+HEAVY_MODULES = {"dataclasses", "inspect", "ast", "dis", "tokenize"}
+# what the parser and the degree check need; `-m` runs cli as __main__
+STARTUP = {"cycloderiv", "cycloderiv._version", "cycloderiv.arith", "cycloderiv.cli"}
+FORMATS = {"json", "csv"}
+
+
+def _imports(*args):
+    """Exit code and the set of modules imported by ``python -X importtime *args``."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", *args],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    lines = [line for line in proc.stderr.splitlines() if line.startswith("import time:")]
+    return proc.returncode, {line.rpartition("|")[2].strip() for line in lines[1:]}
+
+
+def _library(modules):
+    return {m for m in modules if m == "cycloderiv" or m.startswith("cycloderiv.")}
 
 
 def test_cli_import_loads_no_dataclasses_or_introspection_modules():
-    code = (
-        "import sys, cycloderiv.cli\n"
-        f"print(' '.join(m for m in {HEAVY_MODULES!r} if m in sys.modules))"
-    )
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == []
+    code, modules = _imports("-c", "import cycloderiv.cli")
+    assert code == 0
+    assert modules & HEAVY_MODULES == set()
+    assert _library(modules) == STARTUP
+    assert modules & FORMATS == set()
+
+
+def test_version_and_a_refused_degree_load_only_the_parser_and_the_check():
+    for argv, expected_code in (
+        (["--version"], 0),
+        (["classify", "1000000000000000003", "1", "2", "--dzeta", "1"], 2),
+    ):
+        code, modules = _imports("-m", "cycloderiv.cli", *argv)
+        assert code == expected_code, argv
+        assert _library(modules) <= STARTUP, argv
+        assert modules & FORMATS == set(), argv
+
+
+def test_json_classify_loads_neither_the_batch_drivers_nor_csv():
+    code, modules = _imports("-m", "cycloderiv.cli", "classify", "10", "1", "3", "--dzeta", "1,2,3,4")
+    assert code == 0
+    assert "cycloderiv.innerness" in modules
+    assert modules & {"cycloderiv.harness", "csv"} == set()
 
 
 def test_library_never_calls_make_or_replace():
