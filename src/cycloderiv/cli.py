@@ -31,6 +31,9 @@ from pathlib import Path
 from ._version import __version__
 from .arith import DEFAULT_DEGREE_CAP, _factor_limit, check_degree
 
+# Annotations such as ``Report`` and ``RingForm`` name types of the modules a
+# command imports when it runs; they are never evaluated at run time.
+
 
 def _destination(args: argparse.Namespace) -> str | Path | None:
     dest = args.output
