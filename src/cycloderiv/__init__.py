@@ -60,7 +60,7 @@ _HOMES = {
         "TableArtifact",
         "TableBlock",
     ),
-    "reporting": ("render", "write_report"),
+    "reporting": ("render",),
 }
 _HOME = {name: module for module, names in _HOMES.items() for name in names}
 

@@ -124,7 +124,7 @@ def _parse_coords(text: str, expected: int) -> tuple[int, ...]:
 def _cmd_classify(args: argparse.Namespace) -> tuple[Report, int]:
     coords = _parse_coords(args.dzeta, check_degree(args.n, args.cap))
     from .endomorphisms import TwistedDerivation, TwistedPair
-    from .innerness import classify
+    from .innerness import MultiplierMatrix, classify
     from .quotient import CyclotomicRing
 
     ring = CyclotomicRing(args.n)
@@ -139,7 +139,7 @@ def _cmd_classify(args: argparse.Namespace) -> tuple[Report, int]:
         "kind": verdict.kind,
         "witness_numerators": [str(x) for x in verdict.witness.numerators],
         "witness_denominator": str(verdict.witness.denominator),
-        "det_abs": str(verdict.det_abs),
+        "det_abs": str(MultiplierMatrix(pair).det_abs),
     }
     return _one_row(f"Classification: n = {args.n}, pair ({args.u}, {args.v})", row), 0
 

@@ -90,12 +90,11 @@ def sweep(form: RingForm, seed: int = 0, cap: int = DEFAULT_DEGREE_CAP) -> Sweep
     rng = random.Random(seed)
     records = []
     for u, v, pair in _zeta_pairs(form.n, cap):
-        multiplier = MultiplierMatrix(pair)
+        det_abs = MultiplierMatrix(pair).det_abs
         valuation = valuate(form, u, v)
         predicted = predict_det(form, valuation)
-        det_abs = multiplier.det_abs
         beta = pair.ring.random_element(rng)
-        verdict = classify(TwistedDerivation(pair, beta * pair.theta_difference()), multiplier)
+        verdict = classify(TwistedDerivation(pair, beta * pair.theta_difference()))
         records.append(
             PairRecord(
                 u=u,

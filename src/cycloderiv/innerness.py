@@ -16,9 +16,9 @@ Since ``1 + w + ... + w^(m-1) = 0``, ``(w - 1) sum_(j=1)^(m-1) j w^j = m``, so
 ``delta^-1 = num / m`` with ``num = sum_j j zeta^(kj - u)`` (Washington,
 *Introduction to Cyclotomic Fields*, ch. 2); ``multiplier_inverse`` builds it.
 The solution is ``D(zeta) num / m``, and ``A^-1`` is the matrix of ``num``
-over m. The determinant of A is still measured, by one elimination in
-``MultiplierMatrix.det``: it is the value the predictions below are scored
-against.
+over m, so ``classify`` decides innerness without building A. The
+determinant of A is a separate quantity with one routine: one elimination in
+``MultiplierMatrix.det``, the value the predictions below are scored against.
 
 For the two ring families that carry determinant predictions the absolute
 determinant of A is conjectured to depend only on the multiplicities of 2
@@ -42,7 +42,7 @@ from typing import NamedTuple
 
 from .arith import factorize, is_prime, multiplicity
 from .endomorphisms import TwistedDerivation, TwistedPair
-from .intlinalg import IntMatrix, RatVector, SingularMatrixError
+from .intlinalg import IntMatrix, RatVector
 from .polynomials import Polynomial
 from .quotient import RingElement
 
@@ -226,37 +226,22 @@ class Classification(NamedTuple):
 
     kind: str  # "inner" | "outer"
     witness: RatVector
-    det_abs: int
 
     @property
     def is_inner(self) -> bool:
         return self.kind == "inner"
 
 
-def classify(
-    derivation: TwistedDerivation, multiplier: MultiplierMatrix | None = None
-) -> Classification:
+def classify(derivation: TwistedDerivation) -> Classification:
     """Decide innerness of a derivation from the closed-form inverse of its multiplier.
 
     The witness is ``D(zeta) num / m`` from ``multiplier_inverse``, reduced,
     and is checked in the ring as ``delta * numerators == denominator *
-    D(zeta)``. The multiplier matrix is eliminated once, for ``det_abs`` and
-    the singular guard. A prebuilt ``MultiplierMatrix`` for the same pair may
-    be passed to avoid rebuilding it across many classifications.
+    D(zeta)``. No matrix is built and nothing is eliminated; ``|det A|`` is
+    measured by ``MultiplierMatrix.det_abs`` alone. The pair needs zeta-power
+    exponents, so the ring is ``Z[zeta_n]``, a domain, and ``delta != 0``.
     """
     pair = derivation.pair
-    if multiplier is None:
-        multiplier = MultiplierMatrix(pair)
-    elif (
-        multiplier.pair.ring != pair.ring
-        or multiplier.pair.sigma.theta_image != pair.sigma.theta_image
-        or multiplier.pair.tau.theta_image != pair.tau.theta_image
-    ):
-        raise ValueError("multiplier matrix was built for a different pair")
-    if multiplier.det == 0:
-        # Cannot happen for an irreducible modulus; kept as a guard for
-        # hand-built rings.
-        raise SingularMatrixError("multiplier matrix is singular (det = 0)")
     d_theta = derivation.d_theta
     num, m = multiplier_inverse(pair)
     witness = RatVector.reduced((d_theta * num).coords, m)
@@ -268,4 +253,4 @@ def classify(
             f"witness {witness} does not satisfy A X = {witness.denominator} C for {pair!r}"
         )
     kind = "inner" if witness.is_integral else "outer"
-    return Classification(kind=kind, witness=witness, det_abs=multiplier.det_abs)
+    return Classification(kind=kind, witness=witness)

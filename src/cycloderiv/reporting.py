@@ -193,7 +193,3 @@ def write_text(text: str, destination: str | Path | None) -> None:
         path.write_text(text, encoding="utf-8")
     except OSError as exc:
         raise OSError(f"failed writing report to {path}: {exc}") from exc
-
-
-def write_report(artifact, fmt: str, destination: str | Path | None) -> None:
-    write_text(render(artifact, fmt), destination)

@@ -153,14 +153,10 @@ def test_criterion_08_inner_roundtrip_oracle():
         ring = CyclotomicRing(n)
         for u, v in pairs:
             pair = TwistedPair.zeta_powers(ring, u, v)
-            multiplier = MultiplierMatrix(pair)
             rng = random.Random(n * 1000 + u * 10 + v)
             for _ in range(100):
                 beta = ring.random_element(rng)
-                verdict = classify(
-                    TwistedDerivation(pair, beta * pair.theta_difference()),
-                    multiplier,
-                )
+                verdict = classify(TwistedDerivation(pair, beta * pair.theta_difference()))
                 if not (
                     verdict.is_inner
                     and verdict.witness.numerators == beta.coords
@@ -177,10 +173,9 @@ def test_criterion_09_divisibility_sufficiency():
         rng = random.Random(n)
         for u, v in pairs:
             pair = TwistedPair.zeta_powers(ring, u, v)
-            multiplier = MultiplierMatrix(pair)
             for _ in range(50):
                 d_theta = p * ring.random_element(rng)
-                verdict = classify(TwistedDerivation(pair, d_theta), multiplier)
+                verdict = classify(TwistedDerivation(pair, d_theta))
                 if not verdict.is_inner:
                     failures.append((n, u, v, d_theta.coords))
     _verdict(9, "coordinates divisible by p always classify inner", not failures, str(failures))

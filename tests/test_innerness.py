@@ -1,3 +1,4 @@
+import json
 import os
 import random
 import subprocess
@@ -28,7 +29,7 @@ from cycloderiv import (
     units,
     valuate,
 )
-from cycloderiv import intlinalg
+from cycloderiv import cli, intlinalg
 from cycloderiv.innerness import multiplier_inverse
 from oracles import laplace_det
 
@@ -75,19 +76,18 @@ def test_classify_difference_image_gives_unit_witness():
     assert verdict.kind == "inner"
     assert verdict.witness.numerators == (1, 0, 0, 0)
     assert verdict.witness.denominator == 1
-    assert verdict.det_abs == 5
+    assert MultiplierMatrix(pair).det_abs == 5
 
 
 def test_classify_roundtrip_recovers_random_beta():
     for n, u, v in ((10, 1, 3), (9, 2, 5), (12, 1, 7)):
         pair = _pair(n, u, v)
         ring = pair.ring
-        mm = MultiplierMatrix(pair)
         rng = random.Random(n + u + v)
         for _ in range(25):
             beta = ring.random_element(rng)
             d_theta = beta * pair.theta_difference()
-            verdict = classify(TwistedDerivation(pair, d_theta), mm)
+            verdict = classify(TwistedDerivation(pair, d_theta))
             assert verdict.is_inner
             assert verdict.witness.numerators == beta.coords
             assert verdict.witness.denominator == 1
@@ -105,7 +105,7 @@ def test_outer_case_matches_divisibility_oracle():
         for i in range(6)
     )
     divisible = all(x % mm.det_abs == 0 for x in adj_col)
-    verdict = classify(TwistedDerivation(pair, ring.element((0, 1, 0, 0, 0, 0))), mm)
+    verdict = classify(TwistedDerivation(pair, ring.element((0, 1, 0, 0, 0, 0))))
     assert verdict.is_inner == divisible
     assert verdict.kind == "outer"
     assert verdict.witness.denominator == 3
@@ -118,7 +118,7 @@ def test_witness_always_satisfies_scaled_system():
         mm = MultiplierMatrix(pair)
         for _ in range(20):
             d_theta = pair.ring.random_element(rng)
-            verdict = classify(TwistedDerivation(pair, d_theta), mm)
+            verdict = classify(TwistedDerivation(pair, d_theta))
             lhs = mat_vec(mm.matrix, verdict.witness.numerators)
             rhs = tuple(verdict.witness.denominator * x for x in d_theta.coords)
             assert lhs == rhs
@@ -130,13 +130,13 @@ def test_classification_symmetric_under_pair_swap():
         ring = CyclotomicRing(n)
         fwd = TwistedPair.zeta_powers(ring, u, v)
         rev = TwistedPair.zeta_powers(ring, v, u)
+        assert MultiplierMatrix(fwd).det_abs == MultiplierMatrix(rev).det_abs
         for _ in range(10):
             d_theta = ring.random_element(rng)
             a = classify(TwistedDerivation(fwd, d_theta))
             b = classify(TwistedDerivation(rev, -d_theta))
             assert a.kind == b.kind
             assert a.witness == b.witness
-            assert a.det_abs == b.det_abs
 
 
 def test_divisible_coordinates_classify_inner():
@@ -146,18 +146,10 @@ def test_divisible_coordinates_classify_inner():
         rng = random.Random(n)
         for u, v in pairs:
             pair = TwistedPair.zeta_powers(ring, u, v)
-            mm = MultiplierMatrix(pair)
             for _ in range(20):
                 c = p * ring.random_element(rng)
-                verdict = classify(TwistedDerivation(pair, c), mm)
+                verdict = classify(TwistedDerivation(pair, c))
                 assert verdict.is_inner
-
-
-def test_classify_rejects_foreign_multiplier():
-    mm = MultiplierMatrix(_pair(10, 1, 3))
-    other = TwistedDerivation(_pair(10, 1, 7), CyclotomicRing(10).one())
-    with pytest.raises(ValueError):
-        classify(other, mm)
 
 
 def test_valuate_examples():
@@ -226,8 +218,8 @@ def test_ring_form_n_and_params():
 
 
 def test_classification_is_inner_flag():
-    assert Classification("inner", RatVector((1,), 1), 5).is_inner
-    assert not Classification("outer", RatVector((1,), 3), 5).is_inner
+    assert Classification("inner", RatVector((1,), 1)).is_inner
+    assert not Classification("outer", RatVector((1,), 3)).is_inner
 
 
 _TAMPER_SCRIPT = """
@@ -288,7 +280,7 @@ def _assert_closed_form_equals_elimination(pairs, seed):
         mm = MultiplierMatrix(pair)
         big = ring.element(rng.choice((-1, 1)) * rng.getrandbits(200) for _ in range(ring.degree))
         for c in (ring.random_element(rng), big):
-            verdict = classify(TwistedDerivation(pair, c), mm)
+            verdict = classify(TwistedDerivation(pair, c))
             assert verdict.witness == solve_unique(mm.matrix, c.coords)
             assert verdict.kind == ("inner" if verdict.witness.denominator == 1 else "outer")
         count += 1
@@ -327,7 +319,7 @@ def _bindings(*functions):
                     yield module, name
 
 
-def test_one_elimination_per_pair_and_no_solve_or_adjugate(monkeypatch):
+def test_one_elimination_per_pair_and_no_solve_or_adjugate(monkeypatch, capsys):
     def refuse(*args):
         raise AssertionError("solve_unique and adjugate are not on the program's path")
 
@@ -352,6 +344,13 @@ def test_one_elimination_per_pair_and_no_solve_or_adjugate(monkeypatch):
     assert calls == [4] * 6
     calls.clear()
     pair = _pair(49, 13, 3)
-    verdict = classify(TwistedDerivation(pair, pair.ring.random_element(random.Random(4))))
+    d_zeta = pair.ring.random_element(random.Random(4))
+    verdict = classify(TwistedDerivation(pair, d_zeta))
     assert verdict.kind == "outer" and verdict.witness.denominator == 7
+    assert calls == []
+    # the classify command measures det_abs by the one elimination
+    dzeta = ",".join(map(str, d_zeta.coords))
+    assert cli.main(["classify", "49", "13", "3", f"--dzeta={dzeta}"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert (payload["kind"], payload["witness_denominator"], payload["det_abs"]) == ("outer", "7", "7")
     assert calls == [42]

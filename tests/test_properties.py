@@ -1,8 +1,12 @@
-"""Property tests: the ring product, the product-rule check, the endomorphisms and the elimination.
+"""Property tests: the ring product, the product-rule check, the endomorphisms, the
+elimination and the inner/outer classification.
 
 Runs only where ``hypothesis`` is installed. Examples are derandomized, so a
 run is as deterministic as the rest of the suite.
 """
+
+import random
+from math import gcd
 
 import pytest
 
@@ -27,11 +31,12 @@ from cycloderiv import (  # noqa: E402
     TwistedDerivation,
     TwistedPair,
     adjugate,
+    classify,
     det,
     leibniz_check,
     solve_unique,
 )
-from cycloderiv.arith import units  # noqa: E402
+from cycloderiv.arith import factorize, units  # noqa: E402
 from cycloderiv.intlinalg import _eliminate  # noqa: E402
 
 PROPERTY_SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=40)
@@ -149,3 +154,32 @@ def test_lazy_elimination_equals_eager_and_the_oracles(system):
     assert adjugate(m) == cofactor_adjugate(m)
     if d0:
         assert solve_unique(m, c) == cramer_solve(m, c)
+
+
+@st.composite
+def zeta_pair(draw):
+    """A pair zeta -> zeta^u, zeta -> zeta^v (u != v) of Z[zeta_n], 3 <= n <= 60, and a seed."""
+    n = draw(st.integers(min_value=3, max_value=60))
+    u, v = draw(st.lists(st.sampled_from(units(n)), min_size=2, max_size=2, unique=True))
+    return TwistedPair.zeta_powers(CyclotomicRing(n), u, v), draw(st.integers(0, 2**32))
+
+
+@PROPERTY_SETTINGS
+@given(zeta_pair())
+def test_classify_round_trip_and_the_witness_denominator(drawn):
+    pair, seed = drawn
+    ring, delta = pair.ring, pair.theta_difference()
+    rng = random.Random(seed)
+    beta = ring.random_element(rng)
+    verdict = classify(TwistedDerivation(pair, beta * delta))
+    assert verdict.is_inner and verdict.witness.numerators == beta.coords
+    d_theta = ring.random_element(rng)
+    verdict = classify(TwistedDerivation(pair, d_theta))
+    witness = verdict.witness
+    assert delta * ring.element(witness.numerators) == witness.denominator * d_theta
+    # delta * num = m in closed form, so the denominator divides m
+    m = ring.n // gcd(ring.n, pair.tau.exponent - pair.sigma.exponent)
+    assert m % witness.denominator == 0
+    if len(factorize(m)) > 1:
+        # delta is a unit when m is not a prime power: every derivation is inner
+        assert verdict.is_inner

@@ -110,7 +110,7 @@ def _records():
         (lambda: RingForm(kind="2rp", p=5, r=1), "p"),
         (lambda: Valuation(e1=1, m=3), "e2"),
         (lambda: Valuation(e1=1, m=1, e2=2), "e1"),
-        (lambda: Classification("outer", RatVector((1, -2, 0, 3), 5), 5), "kind"),
+        (lambda: Classification("outer", RatVector((1, -2, 0, 3), 5)), "kind"),
         (lambda: LeibnizReport(True), "ok"),
         (lambda: LeibnizReport(False, (1, 3), ring.one(), ring.element((0, 1))), "lhs"),
         (lambda: PairRecord(1, 3, 1, 0, 1, 5, 5, True, True), "match"),
@@ -227,8 +227,8 @@ def test_ring_form_fields_and_repr():
 def test_record_reprs_name_the_type_and_fields():
     assert repr(Valuation(e1=1, m=3)) == "Valuation(e1=1, m=3, e2=None)"
     assert repr(LeibnizReport(True)) == "LeibnizReport(ok=True, indices=None, lhs=None, rhs=None)"
-    assert repr(Classification("inner", RatVector((1,), 1), 5)) == (
-        "Classification(kind='inner', witness=RatVector(numerators=(1,), denominator=1), det_abs=5)"
+    assert repr(Classification("inner", RatVector((1,), 1))) == (
+        "Classification(kind='inner', witness=RatVector(numerators=(1,), denominator=1))"
     )
 
 
