@@ -1,28 +1,36 @@
-"""Small integer helpers: primality, totients, the degree cap, unit groups, multiplicities.
+"""Small integer helpers: primality, totients, the argument rules, unit groups, multiplicities.
 
 Everything here runs on desk-sized inputs (a few thousand at most), so plain
 trial division is the right tool. ``check_degree`` keeps it that way: it
 refuses an n whose ring degree phi(n) exceeds the cap before any other work.
+The argument rules (``check_degree``, ``check_unit``, ``check_trials``) live
+here so that the CLI can apply them before it loads any ring module.
 """
 
 from __future__ import annotations
 
 from math import gcd, isqrt
+from typing import Iterator
+
+
+def _prime_factors(n: int) -> Iterator[int]:
+    """The prime factors of ``n >= 1`` with multiplicity, ascending, by trial division.
+
+    The one trial-division loop of the package. It is lazy, so a caller that
+    needs only the smallest factor stops at the first one found.
+    """
+    f = 2
+    while f * f <= n:
+        while n % f == 0:
+            yield f
+            n //= f
+        f += 1 if f == 2 else 2
+    if n > 1:
+        yield n
 
 
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f <= isqrt(n):
-        if n % f == 0:
-            return False
-        f += 2
-    return True
+    return n >= 2 and next(_prime_factors(n)) == n
 
 
 def factorize(n: int) -> dict[int, int]:
@@ -30,14 +38,8 @@ def factorize(n: int) -> dict[int, int]:
     if n < 1:
         raise ValueError(f"cannot factorize {n}; expected a positive integer")
     out: dict[int, int] = {}
-    f = 2
-    while f * f <= n:
-        while n % f == 0:
-            out[f] = out.get(f, 0) + 1
-            n //= f
-        f += 1 if f == 2 else 2
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
+    for p in _prime_factors(n):
+        out[p] = out.get(p, 0) + 1
     return out
 
 
@@ -88,6 +90,20 @@ def check_degree(n: int, cap: int = DEFAULT_DEGREE_CAP) -> int:
             f"ring degree {degree} exceeds the cap {cap}; raise the cap to proceed"
         )
     return degree
+
+
+def check_unit(exponent: int, n: int) -> None:
+    """Refuse an exponent that is not a unit modulo n in 1..n-1."""
+    if not 1 <= exponent < n:
+        raise ValueError(f"exponent {exponent} is not a unit modulo {n} in 1..{n - 1}")
+    if gcd(exponent, n) != 1:
+        raise ValueError(f"exponent {exponent} is not a unit modulo {n}")
+
+
+def check_trials(trials: int) -> None:
+    """Refuse a trial count below 1."""
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
 
 
 def units(n: int) -> tuple[int, ...]:

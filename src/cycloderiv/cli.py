@@ -11,10 +11,12 @@ degree phi(n) above it before building anything.
 Each command returns its report and exit code; ``main`` alone renders the
 report through ``reporting.render`` and writes it.
 
-Start-up loads only the parser and the degree check (``arith``). A command
-checks its input first and only then imports the modules it runs, so
-``--version``, ``--help`` and a refused ring degree load no other part of the
-library, and ``main`` imports the renderer once the command has returned.
+Start-up loads only the parser and the argument rules (``arith``). A command
+checks its input first, in the order the library would refuse it (the ring
+degree, then the trial count, then the exponents u and v), and only then
+imports the modules it runs. So ``--version``, ``--help`` and a refused
+degree, trial count or exponent load no other part of the library, and
+``main`` imports the renderer once the command has returned.
 
 Exit codes: 0 on success or all-pass, 1 on an assertion-style failure
 (prediction mismatch, failed round-trip, a Leibniz failure where a pass was
@@ -29,7 +31,7 @@ import sys
 from pathlib import Path
 
 from ._version import __version__
-from .arith import DEFAULT_DEGREE_CAP, _factor_limit, check_degree
+from .arith import DEFAULT_DEGREE_CAP, _factor_limit, check_degree, check_trials, check_unit
 
 # Annotations such as ``Report`` and ``RingForm`` name types of the modules a
 # command imports when it runs; they are never evaluated at run time.
@@ -79,8 +81,14 @@ def _prediction_fields(n: int, u: int, v: int, det_abs: int) -> dict:
     }
 
 
+def _check_exponents(args: argparse.Namespace) -> None:
+    check_unit(args.u, args.n)
+    check_unit(args.v, args.n)
+
+
 def _cmd_matrix(args: argparse.Namespace) -> tuple[Report, int]:
     check_degree(args.n, args.cap)
+    _check_exponents(args)
     from .endomorphisms import TwistedPair
     from .innerness import MultiplierMatrix
     from .quotient import CyclotomicRing
@@ -123,6 +131,7 @@ def _parse_coords(text: str, expected: int) -> tuple[int, ...]:
 
 def _cmd_classify(args: argparse.Namespace) -> tuple[Report, int]:
     coords = _parse_coords(args.dzeta, check_degree(args.n, args.cap))
+    _check_exponents(args)
     from .endomorphisms import TwistedDerivation, TwistedPair
     from .innerness import MultiplierMatrix, classify
     from .quotient import CyclotomicRing
@@ -174,6 +183,8 @@ def _cmd_sweep(args: argparse.Namespace) -> tuple[SweepReport, int]:
 
 def _cmd_verify_theorem(args: argparse.Namespace) -> tuple[Report, int]:
     check_degree(args.n, args.cap)
+    check_trials(args.trials)
+    _check_exponents(args)
     from .harness import verify_theorem
     from .reporting import record_cells
 

@@ -29,9 +29,10 @@ once.
 from __future__ import annotations
 
 from itertools import islice
-from math import gcd
 from typing import Iterator, NamedTuple
 
+from .arith import check_unit
+from .polynomials import Polynomial
 from .quotient import CyclotomicRing, QuotientRing, RingElement
 
 
@@ -40,10 +41,7 @@ def _check_unit(exponent: int, ring: QuotientRing) -> None:
     n = getattr(ring, "n", None)
     if n is None:
         raise ValueError("exponents are only meaningful for cyclotomic rings")
-    if not 1 <= exponent < n:
-        raise ValueError(f"exponent {exponent} is not a unit modulo {n} in 1..{n - 1}")
-    if gcd(exponent, n) != 1:
-        raise ValueError(f"exponent {exponent} is not a unit modulo {n}")
+    check_unit(exponent, n)
 
 
 class Endomorphism:
@@ -98,10 +96,8 @@ class Endomorphism:
         """Apply the map: coordinates of x evaluated at the generator image."""
         if x.ring != self.ring:
             raise ValueError("argument belongs to a different ring")
-        result = self.ring.zero()
-        for c in reversed(x.coords):
-            result = result * self.theta_image + c
-        return result
+        # the zero polynomial evaluates to the integer 0
+        return self.ring.zero() + Polynomial(x.coords)(self.theta_image)
 
     def __repr__(self) -> str:
         if self.exponent is not None:

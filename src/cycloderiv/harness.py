@@ -22,7 +22,7 @@ from itertools import combinations
 from typing import Iterator, NamedTuple
 
 from ._version import __version__
-from .arith import DEFAULT_DEGREE_CAP, check_degree, units
+from .arith import DEFAULT_DEGREE_CAP, check_degree, check_trials, units
 from .endomorphisms import Endomorphism, TwistedDerivation, TwistedPair, leibniz_check
 from .innerness import (
     MultiplierMatrix,
@@ -137,8 +137,7 @@ def verify_theorem(n: int, u: int, v: int, trials: int = 100, seed: int = 0) -> 
     Over a cyclotomic ring every draw must pass; the expected verdict is
     trials/trials.
     """
-    if trials < 1:
-        raise ValueError(f"trials must be at least 1, got {trials}")
+    check_trials(trials)
     ring = CyclotomicRing(n)
     pair = TwistedPair.zeta_powers(ring, u, v)
     rng = random.Random(seed)

@@ -40,7 +40,7 @@ from functools import cached_property
 from math import gcd
 from typing import NamedTuple
 
-from .arith import factorize, is_prime, multiplicity
+from .arith import check_unit, factorize, is_prime, multiplicity
 from .endomorphisms import TwistedDerivation, TwistedPair
 from .intlinalg import IntMatrix, RatVector
 from .polynomials import Polynomial
@@ -188,10 +188,8 @@ class Valuation(NamedTuple):
 
 def valuate(form: RingForm, u: int, v: int) -> Valuation:
     """Split |v - u| into the prime multiplicities the predictions key on."""
-    n = form.n
-    for name, x in (("u", u), ("v", v)):
-        if not 1 <= x < n or gcd(x, n) != 1:
-            raise ValueError(f"{name} = {x} is not a unit modulo {n}")
+    check_unit(u, form.n)
+    check_unit(v, form.n)
     if u == v:
         raise ValueError("u and v must differ")
     diff = abs(v - u)

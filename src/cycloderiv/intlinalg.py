@@ -91,27 +91,6 @@ class IntMatrix(_IntMatrixFields):
     def row_list(self) -> list[list[int]]:
         return [list(self.row(i)) for i in range(self.rows)]
 
-    def minor(self, i: int, j: int) -> IntMatrix:
-        es = tuple(
-            self.at(r, c)
-            for r in range(self.rows)
-            if r != i
-            for c in range(self.cols)
-            if c != j
-        )
-        return IntMatrix(self.rows - 1, self.cols - 1, es)
-
-    def __matmul__(self, other: IntMatrix) -> IntMatrix:
-        if self.cols != other.rows:
-            raise ValueError("inner dimensions do not match")
-        out = []
-        for i in range(self.rows):
-            r = self.row(i)
-            for j in range(other.cols):
-                c = other.column(j)
-                out.append(sum(a * b for a, b in zip(r, c)))
-        return IntMatrix(self.rows, other.cols, tuple(out))
-
     def __repr__(self) -> str:
         return f"IntMatrix({self.rows}x{self.cols}, {self.entries!r})"
 

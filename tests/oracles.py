@@ -2,7 +2,8 @@
 
 These are the slow, obviously-correct routines that ``cycloderiv.intlinalg``
 replaced with one fraction-free elimination: Laplace expansion, a plain
-Bareiss determinant, Cramer's rule and the cofactor adjugate. None of them
+Bareiss determinant, Cramer's rule and the cofactor adjugate, with the
+``minor`` and matrix product ``matmul`` they and the tests use. None of them
 calls into ``intlinalg`` beyond the ``IntMatrix`` and ``RatVector`` types.
 ``eager_eliminate`` is that elimination before its rows were scaled lazily:
 it rewrites every row below the pivot at every step.
@@ -41,6 +42,29 @@ def dense_ring_product(x: RingElement, y: RingElement) -> RingElement:
     return RingElement(x.ring, tuple(out))
 
 
+def minor(m: IntMatrix, i: int, j: int) -> IntMatrix:
+    """m without row i and column j."""
+    es = tuple(
+        m.at(r, c) for r in range(m.rows) if r != i for c in range(m.cols) if c != j
+    )
+    return IntMatrix(m.rows - 1, m.cols - 1, es)
+
+
+def matmul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
+    """The product a b by the row-times-column sums."""
+    if a.cols != b.rows:
+        raise ValueError("inner dimensions do not match")
+    return IntMatrix(
+        a.rows,
+        b.cols,
+        tuple(
+            sum(x * y for x, y in zip(a.row(i), b.column(j)))
+            for i in range(a.rows)
+            for j in range(b.cols)
+        ),
+    )
+
+
 def laplace_det(m: IntMatrix) -> int:
     """Cofactor expansion along the first row; exponential, for small matrices."""
     if m.rows == 1:
@@ -49,7 +73,7 @@ def laplace_det(m: IntMatrix) -> int:
     for j in range(m.cols):
         a = m.at(0, j)
         if a:
-            term = a * laplace_det(m.minor(0, j))
+            term = a * laplace_det(minor(m, 0, j))
             total += -term if j % 2 else term
     return total
 
@@ -133,7 +157,7 @@ def cofactor_adjugate(m: IntMatrix) -> IntMatrix:
     if d == 1:
         return IntMatrix.identity(1)
     return IntMatrix.from_rows(
-        [[(-1) ** (i + j) * bareiss_det(m.minor(j, i)) for j in range(d)] for i in range(d)]
+        [[(-1) ** (i + j) * bareiss_det(minor(m, j, i)) for j in range(d)] for i in range(d)]
     )
 
 

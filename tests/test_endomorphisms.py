@@ -32,6 +32,14 @@ def test_apply_fixes_the_identity():
     assert sigma(ring.one()) == ring.one()
 
 
+def test_apply_sends_zero_to_the_ring_zero():
+    # Horner's rule over the zero polynomial yields the integer 0
+    ring = CyclotomicRing(10)
+    image = Endomorphism.zeta_power(ring, 3)(ring.zero())
+    assert image == ring.zero()
+    assert image.ring == ring
+
+
 def test_apply_on_a_power_of_the_generator():
     # zeta^2 under zeta -> zeta^3 lands on zeta^6 = -zeta
     ring = CyclotomicRing(10)

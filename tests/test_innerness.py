@@ -31,7 +31,7 @@ from cycloderiv import (
 )
 from cycloderiv import cli, intlinalg
 from cycloderiv.innerness import multiplier_inverse
-from oracles import laplace_det
+from oracles import laplace_det, minor
 
 
 def _pair(n, u, v):
@@ -101,7 +101,7 @@ def test_outer_case_matches_divisibility_oracle():
     ring = pair.ring
     mm = MultiplierMatrix(pair)
     adj_col = tuple(
-        (-1 if (1 + i) % 2 else 1) * laplace_det(mm.matrix.minor(1, i))
+        (-1 if (1 + i) % 2 else 1) * laplace_det(minor(mm.matrix, 1, i))
         for i in range(6)
     )
     divisible = all(x % mm.det_abs == 0 for x in adj_col)

@@ -17,7 +17,14 @@ from cycloderiv import (
     units,
 )
 from cycloderiv.intlinalg import _eliminate
-from oracles import bareiss_det, cofactor_adjugate, cramer_solve, eager_eliminate, laplace_det
+from oracles import (
+    bareiss_det,
+    cofactor_adjugate,
+    cramer_solve,
+    eager_eliminate,
+    laplace_det,
+    matmul,
+)
 
 
 def _random_matrix(rng, d, bound=9):
@@ -85,7 +92,7 @@ def test_det_is_multiplicative():
         d = rng.randint(1, 6)
         a = _random_matrix(rng, d, 5)
         b = _random_matrix(rng, d, 5)
-        assert det(a @ b) == det(a) * det(b)
+        assert det(matmul(a, b)) == det(a) * det(b)
 
 
 def test_adjugate_identity_and_2x2():
@@ -101,8 +108,8 @@ def test_adjugate_product_identity_random():
         m = _random_matrix(rng, d)
         adj = adjugate(m)
         scaled = IntMatrix(d, d, tuple(det(m) if i == j else 0 for i in range(d) for j in range(d)))
-        assert m @ adj == scaled
-        assert adj @ m == scaled
+        assert matmul(m, adj) == scaled
+        assert matmul(adj, m) == scaled
 
 
 def test_mat_vec():
@@ -255,7 +262,7 @@ def _low_rank(rng, d, rank, bound=4):
         return _zero(d)
     b = IntMatrix(d, rank, tuple(rng.randint(-bound, bound) for _ in range(d * rank)))
     c = IntMatrix(rank, d, tuple(rng.randint(-bound, bound) for _ in range(rank * d)))
-    return b @ c
+    return matmul(b, c)
 
 
 def test_adjugate_is_exact_on_rank_d_minus_1():
@@ -306,7 +313,7 @@ def _assert_multiplier_matches_oracles(m, rng, cofactor_up_to):
         assert adj == cofactor_adjugate(m)
     else:
         # for det != 0 the adjugate is the only X with A X = det(A) I
-        assert m @ adj == IntMatrix(m.rows, m.rows, tuple(
+        assert matmul(m, adj) == IntMatrix(m.rows, m.rows, tuple(
             d0 if i == j else 0 for i in range(m.rows) for j in range(m.rows)))
 
 
@@ -431,7 +438,7 @@ def _sparse_low_rank(rng, d, rank):
     c = [[rng.randint(-4, 4) if rng.random() < 0.35 else 0 for _ in range(d)] for _ in range(rank)]
     for i in range(rank):  # keep the rank: a unit in each factor's diagonal
         b[i][i] = c[i][i] = 1
-    return IntMatrix.from_rows(b) @ IntMatrix.from_rows(c)
+    return matmul(IntMatrix.from_rows(b), IntMatrix.from_rows(c))
 
 
 def test_lazy_kernel_on_sparse_low_rank_matrices():

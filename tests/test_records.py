@@ -40,7 +40,7 @@ from cycloderiv.intlinalg import _Echelon
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 HEAVY_MODULES = {"dataclasses", "inspect", "ast", "dis", "tokenize"}
-# what the parser and the degree check need; `-m` runs cli as __main__
+# what the parser and the argument rules need; `-m` runs cli as __main__
 STARTUP = {"cycloderiv", "cycloderiv._version", "cycloderiv.arith", "cycloderiv.cli"}
 FORMATS = {"json", "csv"}
 
@@ -72,6 +72,9 @@ def test_version_and_a_refused_degree_load_only_the_parser_and_the_check():
     for argv, expected_code in (
         (["--version"], 0),
         (["classify", "1000000000000000003", "1", "2", "--dzeta", "1"], 2),
+        (["matrix", "10", "13", "3"], 2),
+        (["classify", "10", "2", "3", "--dzeta", "0,0,0,1"], 2),
+        (["verify-theorem", "10", "1", "3", "--trials", "0"], 2),
     ):
         code, modules = _imports("-m", "cycloderiv.cli", *argv)
         assert code == expected_code, argv
