@@ -14,7 +14,7 @@ double, a tracer) is what ``cycloderiv.<name>`` returns.
 
 from importlib import import_module
 
-from ._version import __version__
+__version__ = "0.1.0"
 
 _HOMES = {
     "arith": ("is_prime", "totient", "units"),
@@ -44,7 +44,6 @@ _HOMES = {
         "RingForm",
         "Valuation",
         "valuate",
-        "predict_det",
         "Classification",
         "classify",
     ),

@@ -66,17 +66,39 @@ def _factor_limit(cap: int) -> int:
     return (2 * cap * cap + 2) ** 2
 
 
+def _degree_bound(n: int, cap: int) -> int | None:
+    """A lower bound on phi(n) above the cap, found without factoring n, or None.
+
+    Two bounds hold for every n >= 1: ``isqrt(n // 2)``, and
+    ``n // n.bit_length()``, since phi(n) / n is the product of ``1 - 1/q``
+    over the primes q dividing n, the j-th smallest of them is at least
+    j + 1, and there are fewer than ``n.bit_length()`` of them. The first
+    that exceeds the cap is returned, but only for n above
+    ``_factor_limit(min(cap, 64))``: at or below it, trial division takes at
+    most ``2 * 64^2 + 2`` steps, so at a cap up to 64 every n up to
+    ``_factor_limit(cap)`` is refused with its exact degree. Above it, None
+    means ``n // n.bit_length() <= cap``, and trial division takes about
+    ``sqrt(cap * n.bit_length())`` steps.
+    """
+    if n > _factor_limit(min(cap, DEFAULT_DEGREE_CAP)):
+        for bound in (isqrt(n // 2), n // n.bit_length()):
+            if bound > cap:
+                return bound
+    return None
+
+
 def check_degree(n: int, cap: int = DEFAULT_DEGREE_CAP) -> int:
     """The ring degree phi(n), refused above the cap before anything is built.
 
     Rings and multiplier matrices grow with phi(n) and phi(n)^2, so every
-    entry point checks the degree from n alone first. Above ``_factor_limit``
-    the refusal states the lower bound ``isqrt(n // 2)`` of phi(n), so the
-    work is bounded by the cap, not by n. An n too long to write in decimal
-    (``sys.get_int_max_str_digits``) and its bound are given by bit length.
+    entry point checks the degree from n alone first. When ``_degree_bound``
+    finds a lower bound of phi(n) above the cap, the refusal states it, so
+    the work is bounded by the cap, not by n. An n too long to write in
+    decimal (``sys.get_int_max_str_digits``) and its bound are given by bit
+    length.
     """
-    if n > _factor_limit(cap):
-        bound = isqrt(n // 2)
+    bound = _degree_bound(n, cap)
+    if bound is not None:
         try:
             stated = f"phi({n}) >= {bound}"
         except ValueError:

@@ -27,11 +27,13 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
 from pathlib import Path
 
-from ._version import __version__
-from .arith import DEFAULT_DEGREE_CAP, _factor_limit, check_degree, check_trials, check_unit
+from . import __version__
+from .arith import DEFAULT_DEGREE_CAP, check_degree, check_trials, check_unit
+from .arith import _degree_bound, _factor_limit
 
 # Annotations such as ``Report`` and ``RingForm`` name types of the modules a
 # command imports when it runs; they are never evaluated at run time.
@@ -65,20 +67,14 @@ def _cmd_phi_poly(args: argparse.Namespace) -> tuple[Report, int]:
 
 
 def _prediction_fields(n: int, u: int, v: int, det_abs: int) -> dict:
-    from .innerness import RingForm, predict_det, valuate
+    from .innerness import RingForm, Valuation, valuate
+    from .reporting import record_cells
 
     form = RingForm.detect(n)
     if form is None:
-        return {"e1": None, "e2": None, "m": None, "predicted": None, "match": None}
-    val = valuate(form, u, v)
-    predicted = predict_det(form, val)
-    return {
-        "e1": str(val.e1),
-        "e2": None if val.e2 is None else str(val.e2),
-        "m": str(val.m),
-        "predicted": str(predicted),
-        "match": det_abs == predicted,
-    }
+        return {**dict.fromkeys(Valuation._fields), "match": None}
+    valuation = valuate(form, u, v)
+    return {**record_cells(valuation), "match": det_abs == valuation.predicted}
 
 
 def _check_exponents(args: argparse.Namespace) -> None:
@@ -117,16 +113,20 @@ def _cmd_matrix(args: argparse.Namespace) -> tuple[Report, int]:
 
 
 def _parse_coords(text: str, expected: int) -> tuple[int, ...]:
-    parts = [p.strip() for p in text.split(",")]
-    try:
-        coords = tuple(int(p) for p in parts)
-    except ValueError as exc:
-        raise ValueError(f"invalid coordinate list {text!r}: {exc}") from exc
+    coords = []
+    for i, part in enumerate(text.split(",")):
+        try:
+            coords.append(int(part))
+        except ValueError:
+            # named by its position, not echoed: it may be thousands of digits long
+            numeral = re.fullmatch(r"\s*[+-]?\d+\s*", part)
+            reason = "has more digits than Python converts" if numeral else "is not an integer"
+            raise ValueError(f"--dzeta coordinate c{i} {reason}") from None
     if len(coords) != expected:
         raise ValueError(
             f"expected exactly {expected} comma-separated coordinates, got {len(coords)}"
         )
-    return coords
+    return tuple(coords)
 
 
 def _cmd_classify(args: argparse.Namespace) -> tuple[Report, int]:
@@ -159,10 +159,13 @@ def _build_form(args: argparse.Namespace) -> RingForm:
             raise ValueError("form 2rp requires --r and --p")
     elif args.p is None or args.k is None:
         raise ValueError("form pk requires --p and --k")
-    # n >= p and n >= 2^e for the form's exponent e, so a p or e this large
-    # is refused before a primality test or a power is computed
-    e, limit = (args.r if args.form == "2rp" else args.k), _factor_limit(args.cap)
-    if args.p >= 2 and e >= 1 and (args.p > limit or e > limit.bit_length()):
+    # p divides n, so phi(n) >= phi(p), and n >= 2^e for the form's exponent
+    # e: a p or e this large is refused before p is tested or n is computed
+    e = args.r if args.form == "2rp" else args.k
+    if args.p >= 2 and e >= 1 and (
+        _degree_bound(args.p, args.cap) is not None
+        or e > _factor_limit(args.cap).bit_length()
+    ):
         n = f"2^{e}*{args.p}" if args.form == "2rp" else f"{args.p}^{e}"
         raise ValueError(
             f"ring degree of n = {n} exceeds the cap {args.cap}; raise the cap to proceed"

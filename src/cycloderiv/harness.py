@@ -21,7 +21,7 @@ import time
 from itertools import combinations
 from typing import Iterator, NamedTuple
 
-from ._version import __version__
+from . import __version__
 from .arith import DEFAULT_DEGREE_CAP, check_degree, check_trials, units
 from .endomorphisms import Endomorphism, TwistedDerivation, TwistedPair, leibniz_check
 from .innerness import (
@@ -30,7 +30,6 @@ from .innerness import (
     classify,
     multiplication_matrix,
     multiplier_inverse,
-    predict_det,
     valuate,
 )
 from .intlinalg import IntMatrix, RatVector
@@ -91,23 +90,12 @@ def sweep(form: RingForm, seed: int = 0, cap: int = DEFAULT_DEGREE_CAP) -> Sweep
     records = []
     for u, v, pair in _zeta_pairs(form.n, cap):
         det_abs = MultiplierMatrix(pair).det_abs
-        valuation = valuate(form, u, v)
-        predicted = predict_det(form, valuation)
+        e1, e2, m, predicted = valuate(form, u, v)
         beta = pair.ring.random_element(rng)
         verdict = classify(TwistedDerivation(pair, beta * pair.theta_difference()))
-        records.append(
-            PairRecord(
-                u=u,
-                v=v,
-                e1=valuation.e1,
-                e2=valuation.e2,
-                m=valuation.m,
-                det_abs=det_abs,
-                predicted=predicted,
-                match=det_abs == predicted,
-                roundtrip=verdict.is_inner and verdict.witness.numerators == beta.coords,
-            )
-        )
+        roundtrip = verdict.is_inner and verdict.witness.numerators == beta.coords
+        match = det_abs == predicted
+        records.append(PairRecord(u, v, e1, e2, m, det_abs, predicted, match, roundtrip))
     elapsed = time.perf_counter() - started
     return SweepReport(
         form=form,

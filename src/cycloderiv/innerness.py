@@ -20,9 +20,9 @@ over m, so ``classify`` decides innerness without building A. The
 determinant of A is a separate quantity with one routine: one elimination in
 ``MultiplierMatrix.det``, the value the predictions below are scored against.
 
-For the two ring families that carry determinant predictions the absolute
-determinant of A is conjectured to depend only on the multiplicities of 2
-and p (or of p alone) in ``v - u``:
+For the two ring families that carry determinant predictions, ``valuate``
+reads the absolute determinant of A off the multiplicities of 2 and p (or of
+p alone) in ``v - u``:
 
 * n = 2^r p (p an odd prime):  2^(2^e1 (p-1)) when 1 <= e1 <= r-1 and
   e2 >= 1;  p^(2^(r-1)) when e1 >= r and e2 = 0;  1 otherwise.
@@ -30,6 +30,13 @@ and p (or of p alone) in ``v - u``:
 
 Both use ``|v - u| = 2^e1 p^e2 m`` (resp. ``p^e1 m``) with m coprime to the
 relevant primes; absolute values make the split independent of pair order.
+They are the norm ``|N(w - 1)| = q^(phi(n)/phi(c))`` when the order
+``c = n / gcd(n, v - u)`` of ``w`` (the m of the inverse above) is a power
+of a prime q, and 1 otherwise (Washington, Prop. 2.8; Apostol, Proc. AMS 24
+(1970)), specialised to each family. For p^k, c = p^(k-e1). For 2^r p, u
+and v are odd, so e1 >= 1, and c is p (e1 >= r, e2 = 0), 2^(r-e1)
+(e1 <= r-1, e2 >= 1) or not a prime power. ``sweep`` still scores them
+against the determinant measured by ``MultiplierMatrix.det``.
 Determinant signs depend on row-formation order, so every comparison here is
 against ``|det|``.
 """
@@ -179,39 +186,34 @@ class RingForm(_RingFormFields):
 
 
 class Valuation(NamedTuple):
-    """Multiplicities extracted from |v - u|; e2 only exists for form 2rp."""
+    """The multiplicities in |v - u| a family formula reads, and the |det| it predicts.
+
+    e2 only exists for form 2rp.
+    """
 
     e1: int
+    e2: int | None
     m: int
-    e2: int | None = None
+    predicted: int
 
 
 def valuate(form: RingForm, u: int, v: int) -> Valuation:
-    """Split |v - u| into the prime multiplicities the predictions key on."""
+    """Split |v - u| into the prime multiplicities of the form and predict |det A|."""
     check_unit(u, form.n)
     check_unit(v, form.n)
     if u == v:
         raise ValueError("u and v must differ")
     diff = abs(v - u)
-    if form.kind == "2rp":
-        e1, rest = multiplicity(2, diff)
-        e2, m = multiplicity(form.p, rest)
-        return Valuation(e1=e1, m=m, e2=e2)
-    e1, m = multiplicity(form.p, diff)
-    return Valuation(e1=e1, m=m)
-
-
-def predict_det(form: RingForm, valuation: Valuation) -> int:
-    """Conjectured |det| of the multiplier matrix for the given valuation."""
-    if form.kind == "2rp":
-        if valuation.e2 is None:
-            raise ValueError("form 2rp requires a valuation carrying e2")
-        if 1 <= valuation.e1 <= form.r - 1 and valuation.e2 >= 1:
-            return 2 ** (2**valuation.e1 * (form.p - 1))
-        if valuation.e1 >= form.r and valuation.e2 == 0:
-            return form.p ** (2 ** (form.r - 1))
-        return 1
-    return form.p ** (form.p**valuation.e1)
+    if form.kind == "pk":
+        e1, m = multiplicity(form.p, diff)
+        return Valuation(e1, None, m, form.p ** (form.p**e1))
+    e1, rest = multiplicity(2, diff)
+    e2, m = multiplicity(form.p, rest)
+    if 1 <= e1 <= form.r - 1 and e2 >= 1:
+        return Valuation(e1, e2, m, 2 ** (2**e1 * (form.p - 1)))
+    if e1 >= form.r and e2 == 0:
+        return Valuation(e1, e2, m, form.p ** (2 ** (form.r - 1)))
+    return Valuation(e1, e2, m, 1)
 
 
 class Classification(NamedTuple):

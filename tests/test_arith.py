@@ -13,7 +13,7 @@ import time
 import pytest
 
 from cycloderiv import CyclotomicRing, Endomorphism, RingForm, valuate
-from cycloderiv.arith import check_unit, factorize, is_prime
+from cycloderiv.arith import check_unit, factorize, is_prime, multiplicity
 
 LIMIT = 20000
 
@@ -93,3 +93,13 @@ def test_every_exponent_refusal_is_the_one_unit_check(exponent, message):
             call()
         assert str(info.value) == message
 
+
+
+def test_multiplicity_splits_a_value_and_refuses_a_small_base_or_zero():
+    assert multiplicity(2, 24) == (3, 3)
+    assert multiplicity(3, -18) == (2, -2)
+    assert multiplicity(5, 7) == (0, 7)
+    with pytest.raises(ValueError, match="^multiplicity base must be at least 2, got 1$"):
+        multiplicity(1, 5)
+    with pytest.raises(ValueError, match="^multiplicity of zero is undefined$"):
+        multiplicity(2, 0)

@@ -126,6 +126,22 @@ def test_pair_requires_a_common_ring():
         )
 
 
+def test_each_map_refuses_an_element_of_another_ring():
+    ring, other = CyclotomicRing(10), CyclotomicRing(12)
+    pair = TwistedPair.zeta_powers(ring, 1, 3)
+    derivation = TwistedDerivation(pair, ring.one())
+    foreign = other.zeta()
+    for call, message in (
+        (lambda: Endomorphism(ring, foreign), "generator image must live in the target ring"),
+        (lambda: pair.sigma(foreign), "argument belongs to a different ring"),
+        (lambda: TwistedDerivation(pair, foreign), "D(theta) must live in the pair's ring"),
+        (lambda: derivation(foreign), "argument belongs to a different ring"),
+    ):
+        with pytest.raises(ValueError) as info:
+            call()
+        assert str(info.value) == message
+
+
 def test_sum_powers_base_cases():
     pair = _pair(10, 1, 3)
     ring = pair.ring

@@ -1,3 +1,4 @@
+import random
 import sys
 from itertools import combinations
 from math import isqrt
@@ -23,7 +24,7 @@ from cycloderiv import (
     units,
     verify_theorem,
 )
-from cycloderiv import arith, harness
+from cycloderiv import arith, cli, harness
 
 from reference_tables import (
     KNOWN_BAD_SOLUTION_ROWS,
@@ -151,6 +152,56 @@ def test_check_degree_states_an_n_beyond_the_decimal_limit_by_bit_length(monkeyp
     assert str(refused.value) == (
         "ring degree phi(n) of a 15850-bit n >= 2^7924 exceeds the cap 64; raise the cap to proceed"
     )
+
+
+def test_phi_is_at_least_n_over_its_bit_length():
+    # the j-th smallest prime factor of n is at least j + 1, and n has fewer
+    # than n.bit_length() of them
+    assert all(totient(n) >= n // n.bit_length() for n in range(1, 20000))
+
+
+@pytest.mark.parametrize("cap", [-3, 0, 1, 2, 8, 64])
+def test_up_to_the_default_cap_only_n_above_the_limit_goes_unfactored(cap):
+    # so every refusal at these caps names what it named before the second bound
+    limit = arith._factor_limit(cap)
+    for n in (1, 2, 100003, limit - 1, limit, limit + 1, 10**18 + 3, 3**2000):
+        assert arith._degree_bound(n, cap) == (isqrt(n // 2) if n > limit else None)
+
+
+def _no_trial_division(n):
+    raise AssertionError(f"trial division of {n}")
+
+
+def test_check_degree_at_a_large_cap_refuses_without_trial_division(monkeypatch):
+    monkeypatch.setattr(arith, "_prime_factors", _no_trial_division)
+    # isqrt(n // 2) = 707106781 is below this cap; n // n.bit_length() is not
+    with pytest.raises(ValueError) as refused:
+        arith.check_degree(10**18 + 3, 10**9)
+    assert str(refused.value) == (
+        "ring degree phi(1000000000000000003) >= 16666666666666666 exceeds the cap "
+        "1000000000; raise the cap to proceed"
+    )
+
+
+def test_every_stated_bound_is_below_phi_and_above_the_cap():
+    rng = random.Random(7)
+    limit = arith._factor_limit(64)
+    for cap in (100, 10**4, 10**6, 10**8):
+        for n in (rng.randrange(limit, 10**10) for _ in range(60)):
+            bound = arith._degree_bound(n, cap)
+            if bound is None:
+                assert n // n.bit_length() <= cap
+            else:
+                assert totient(n) >= bound > cap
+
+
+@pytest.mark.parametrize("form", [["pk", "--k", "2"], ["2rp", "--r", "1"]])
+def test_sweep_at_a_large_cap_refuses_a_huge_p_before_testing_it(monkeypatch, capsys, form):
+    monkeypatch.setattr(arith, "_prime_factors", _no_trial_division)
+    kind, *exponent = form
+    argv = ["sweep", "--form", kind, "--p", str(10**18 + 3), *exponent, "--cap", str(10**9)]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err.endswith(" exceeds the cap 1000000000; raise the cap to proceed\n")
 
 
 def test_verify_theorem_reference_runs():

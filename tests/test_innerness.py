@@ -22,7 +22,6 @@ from cycloderiv import (
     Valuation,
     classify,
     mat_vec,
-    predict_det,
     reproduce_tables,
     solve_unique,
     sweep,
@@ -30,6 +29,7 @@ from cycloderiv import (
     valuate,
 )
 from cycloderiv import cli, intlinalg
+from cycloderiv.arith import factorize, totient
 from cycloderiv.innerness import multiplier_inverse
 from oracles import laplace_det, minor
 
@@ -153,11 +153,11 @@ def test_divisible_coordinates_classify_inner():
 
 
 def test_valuate_examples():
-    assert valuate(RingForm.form_2rp(1, 5), 1, 3) == Valuation(e1=1, m=1, e2=0)
-    assert valuate(RingForm.form_pk(3, 2), 1, 7) == Valuation(e1=1, m=2)
-    assert valuate(RingForm.form_2rp(2, 3), 1, 7) == Valuation(e1=1, m=1, e2=1)
+    assert valuate(RingForm.form_2rp(1, 5), 1, 3) == Valuation(e1=1, e2=0, m=1, predicted=5)
+    assert valuate(RingForm.form_pk(3, 2), 1, 7) == Valuation(e1=1, e2=None, m=2, predicted=27)
+    assert valuate(RingForm.form_2rp(2, 3), 1, 7) == Valuation(e1=1, e2=1, m=1, predicted=16)
     # absolute value makes the split order-independent
-    assert valuate(RingForm.form_2rp(1, 5), 3, 1) == Valuation(e1=1, m=1, e2=0)
+    assert valuate(RingForm.form_2rp(1, 5), 3, 1) == Valuation(e1=1, e2=0, m=1, predicted=5)
 
 
 def test_valuate_rejects_bad_exponents():
@@ -170,14 +170,25 @@ def test_valuate_rejects_bad_exponents():
         valuate(form, 1, 11)
 
 
-def test_predict_det_examples():
-    assert predict_det(RingForm.form_2rp(1, 5), Valuation(e1=1, m=1, e2=0)) == 5
-    assert predict_det(RingForm.form_pk(3, 2), Valuation(e1=0, m=1)) == 3
-    assert predict_det(RingForm.form_pk(3, 2), Valuation(e1=1, m=2)) == 27
-    # 2rp branches: power-of-two case and the unit case
-    assert predict_det(RingForm.form_2rp(2, 3), Valuation(e1=1, m=1, e2=1)) == 16
-    assert predict_det(RingForm.form_2rp(2, 3), Valuation(e1=1, m=5, e2=0)) == 1
-    assert predict_det(RingForm.form_2rp(2, 3), Valuation(e1=2, m=1, e2=0)) == 9
+@pytest.mark.parametrize("form, u, v, expected", [
+    # pk: p^(p^e1), at e1 = 0 and e1 = 1
+    (RingForm.form_pk(3, 2), 1, 2, (0, None, 1, 3)),
+    (RingForm.form_pk(3, 2), 1, 7, (1, None, 2, 27)),
+    # 2rp: 2^(2^e1 (p-1)) for 1 <= e1 <= r-1 and e2 >= 1
+    (RingForm.form_2rp(2, 3), 1, 7, (1, 1, 1, 16)),
+    (RingForm.form_2rp(3, 3), 1, 13, (2, 1, 1, 256)),
+    # 2rp: p^(2^(r-1)) for e1 >= r and e2 = 0
+    (RingForm.form_2rp(2, 3), 1, 5, (2, 0, 1, 9)),
+    (RingForm.form_2rp(1, 5), 1, 3, (1, 0, 1, 5)),
+    # 2rp: 1 otherwise (e1 < r and e2 = 0)
+    (RingForm.form_2rp(2, 3), 5, 7, (1, 0, 1, 1)),
+    (RingForm.form_2rp(2, 5), 1, 7, (1, 0, 3, 1)),
+], ids=["pk-e1-0", "pk-e1-1", "2rp-two-e1-1", "2rp-two-e1-2", "2rp-p-r-2", "2rp-p-r-1",
+        "2rp-one-m-1", "2rp-one-m-3"])
+def test_valuate_predicts_each_branch_of_both_formulas(form, u, v, expected):
+    valuation = valuate(form, u, v)
+    assert valuation == Valuation(*expected)
+    assert valuation.predicted == MultiplierMatrix(_pair(form.n, u, v)).det_abs
 
 
 def test_ring_form_validation():
@@ -294,6 +305,41 @@ def test_closed_form_witness_equals_solve_unique_up_to_30():
 @pytest.mark.slow
 def test_closed_form_witness_equals_solve_unique_from_31_to_45():
     assert _assert_closed_form_equals_elimination(_pairs(31, 45), seed=45) > 3000
+
+
+def _norm_of_delta(n, u, v):
+    """``q^(phi(n)/phi(m))`` when ``m = n / gcd(n, v - u)`` is a power of a prime q, else 1.
+
+    The norm of ``delta = zeta^u (w - 1)``, w a primitive m-th root of unity:
+    ``N(zeta^u) = 1`` and ``N(w - 1)`` is ``N(zeta_m - 1)`` to the power
+    ``phi(n)/phi(m)`` (Washington, Prop. 2.8; Apostol, Proc. AMS 24 (1970)).
+    """
+    m = n // gcd(n, v - u)
+    primes = factorize(m)
+    if len(primes) != 1:
+        return 1
+    (q,) = primes
+    return q ** (totient(n) // totient(m))
+
+
+def _assert_det_is_the_norm(pairs):
+    """The measured signed det equals the norm of delta on every pair; returns the count."""
+    count = 0
+    for pair in pairs:
+        u, v = pair.sigma.exponent, pair.tau.exponent
+        assert MultiplierMatrix(pair).det == _norm_of_delta(pair.ring.n, u, v), (pair.ring.n, u, v)
+        count += 1
+    return count
+
+
+def test_det_is_the_norm_of_delta_up_to_30():
+    assert _assert_det_is_the_norm(_pairs(3, 30)) == 1806
+
+
+@pytest.mark.slow
+def test_det_is_the_norm_of_delta_up_to_70_at_degree_48():
+    pairs = (pair for n in range(31, 71) if totient(n) <= 48 for pair in _pairs(n, n))
+    assert _assert_det_is_the_norm(pairs) == 14702
 
 
 def test_closed_form_needs_the_exponents():

@@ -465,3 +465,15 @@ def test_lazy_kernel_on_multiplier_matrices():
             m = MultiplierMatrix(TwistedPair.zeta_powers(ring, u, v)).matrix
             c = tuple(rng.randint(-9, 9) for _ in range(m.rows))
             _assert_lazy_matches_eager(m, [c])
+
+
+def test_matrix_builders_and_adjugate_refuse_empty_ragged_or_non_square_input():
+    for build, arg, message in (
+        (IntMatrix.from_rows, [], "need at least one row"),
+        (IntMatrix.from_columns, [], "need at least one column"),
+        (IntMatrix.from_columns, [(1, 2), (3,)], "columns must all have the same length"),
+        (adjugate, IntMatrix(2, 3, range(6)), "adjugate needs a square matrix, got 2x3"),
+    ):
+        with pytest.raises(ValueError) as info:
+            build(arg)
+        assert str(info.value) == message

@@ -164,3 +164,8 @@ def test_cyclotomic_poly_raises_on_a_nonzero_remainder(monkeypatch):
             cyclotomic_poly(6)
     finally:
         cyclotomic_poly.cache_clear()
+
+
+def test_monomial_refuses_a_negative_degree():
+    with pytest.raises(ValueError, match="^monomial degree must be non-negative, got -1$"):
+        Polynomial.monomial(-1)

@@ -127,3 +127,8 @@ def test_equal_rings_built_apart_still_combine():
             x * z
         with pytest.raises(ValueError):
             z - x
+
+
+def test_reduce_power_refuses_a_negative_power():
+    with pytest.raises(ValueError, match="^power must be non-negative, got -1$"):
+        CyclotomicRing(10).reduce_power(-1)

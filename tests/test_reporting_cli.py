@@ -206,6 +206,18 @@ def test_cli_classify_wrong_coordinate_count(capsys):
     assert "exactly 4" in err
 
 
+@pytest.mark.parametrize("dzeta, line", [
+    ("1,x,3,4", "error: --dzeta coordinate c1 is not an integer"),
+    ("1,2,,4", "error: --dzeta coordinate c2 is not an integer"),
+    ("1,+-5,3,4", "error: --dzeta coordinate c1 is not an integer"),
+    ("9" * 5000 + "x,2,3,4", "error: --dzeta coordinate c0 is not an integer"),
+    ("1,2,3," + "7" * 5000, "error: --dzeta coordinate c3 has more digits than Python converts"),
+], ids=["letter", "empty", "two-signs", "long-non-numeral", "5000-digits"])
+def test_cli_names_an_invalid_coordinate_by_position_without_echoing_it(capsys, dzeta, line):
+    code, out, err = _run(capsys, ["classify", "10", "1", "3", "--dzeta", dzeta])
+    assert (code, out, err.splitlines()) == (2, "", [line])
+
+
 @pytest.mark.parametrize("u, line", [
     ("13", "error: exponent 13 is not a unit modulo 10 in 1..9"),
     ("2", "error: exponent 2 is not a unit modulo 10"),
@@ -412,6 +424,20 @@ HUGE = "1000000000000000003"
     ["sweep", "--form", "2rp", "--r", "100000", "--p", "3"],
     ["sweep", "--form", "pk", "--p", "3", "--k", "100000"],
     ["sweep", "--form", "2rp", "--r", str(10**12), "--p", "3"],
+    # a large cap still bounds the work: phi(n) >= n // n.bit_length(), and
+    # phi(n) >= phi(p) for the p of a sweep form, which divides n
+    *(
+        [command, "--cap", "1000000000", *rest]
+        for command, *rest in (
+            ["phi-poly", HUGE],
+            ["matrix", HUGE, "1", "2"],
+            ["classify", HUGE, "1", "2", "--dzeta", "1"],
+            ["verify-theorem", HUGE, "1", "2"],
+            ["tables", HUGE],
+            ["sweep", "--form", "pk", "--p", HUGE, "--k", "2"],
+            ["sweep", "--form", "2rp", "--r", "1", "--p", HUGE],
+        )
+    ),
 ], ids=lambda argv: " ".join(argv)[:40])
 def test_cli_refuses_an_oversized_input_in_bounded_time(argv):
     src = str(Path(__file__).resolve().parents[1] / "src")
@@ -422,8 +448,10 @@ def test_cli_refuses_an_oversized_input_in_bounded_time(argv):
     )
     assert proc.returncode == 2
     assert proc.stdout == ""
+    cap = argv[argv.index("--cap") + 1] if "--cap" in argv else "64"
     (line,) = proc.stderr.splitlines()
-    assert line.startswith("error: ring degree ") and "exceeds the cap 64" in line
+    assert line.startswith("error: ring degree ")
+    assert line.endswith(f" exceeds the cap {cap}; raise the cap to proceed")
 
 
 @pytest.mark.parametrize("argv, message", [
