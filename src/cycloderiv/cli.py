@@ -112,16 +112,28 @@ def _cmd_matrix(args: argparse.Namespace) -> tuple[Report, int]:
     return report, 1 if pred["match"] is False else 0
 
 
+def _not_an_int(text: str) -> str:
+    """Why ``int(text)`` failed, without echoing text: it may be thousands of digits long."""
+    if re.fullmatch(r"\s*[+-]?\d(?:_?\d)*\s*", text):
+        return "has more digits than Python converts"
+    return "is not an integer"
+
+
+def _integer(text: str) -> int:
+    """The ``type=`` of every integer argument; a refusal names the fault, not the text."""
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"the value {_not_an_int(text)}") from None
+
+
 def _parse_coords(text: str, expected: int) -> tuple[int, ...]:
     coords = []
     for i, part in enumerate(text.split(",")):
         try:
             coords.append(int(part))
         except ValueError:
-            # named by its position, not echoed: it may be thousands of digits long
-            numeral = re.fullmatch(r"\s*[+-]?\d+\s*", part)
-            reason = "has more digits than Python converts" if numeral else "is not an integer"
-            raise ValueError(f"--dzeta coordinate c{i} {reason}") from None
+            raise ValueError(f"--dzeta coordinate c{i} {_not_an_int(part)}") from None
     if len(coords) != expected:
         raise ValueError(
             f"expected exactly {expected} comma-separated coordinates, got {len(coords)}"
@@ -218,7 +230,7 @@ def _cmd_counterexamples(args: argparse.Namespace) -> tuple[Report, int]:
 
 def _add_cap_flag(sp: argparse.ArgumentParser) -> None:
     sp.add_argument(
-        "--cap", type=int, default=DEFAULT_DEGREE_CAP,
+        "--cap", type=_integer, default=DEFAULT_DEGREE_CAP,
         help=f"maximum ring degree phi(n), checked before any work (default {DEFAULT_DEGREE_CAP})",
     )
 
@@ -243,23 +255,23 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("phi-poly", help="coefficients of the n-th cyclotomic polynomial")
-    p.add_argument("n", type=int)
+    p.add_argument("n", type=_integer)
     _add_cap_flag(p)
     _add_output_flags(p)
     p.set_defaults(func=_cmd_phi_poly)
 
     p = sub.add_parser("matrix", help="multiplier matrix and determinant for a pair")
-    p.add_argument("n", type=int)
-    p.add_argument("u", type=int)
-    p.add_argument("v", type=int)
+    p.add_argument("n", type=_integer)
+    p.add_argument("u", type=_integer)
+    p.add_argument("v", type=_integer)
     _add_cap_flag(p)
     _add_output_flags(p)
     p.set_defaults(func=_cmd_matrix)
 
     p = sub.add_parser("classify", help="inner/outer classification of D(zeta)")
-    p.add_argument("n", type=int)
-    p.add_argument("u", type=int)
-    p.add_argument("v", type=int)
+    p.add_argument("n", type=_integer)
+    p.add_argument("u", type=_integer)
+    p.add_argument("v", type=_integer)
     p.add_argument(
         "--dzeta", required=True, metavar="c0,c1,...",
         help="coordinates of D(zeta), ascending powers, exactly phi(n) entries",
@@ -270,26 +282,26 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="score the determinant prediction over all pairs")
     p.add_argument("--form", choices=("2rp", "pk"), required=True)
-    p.add_argument("--r", type=int, default=None)
-    p.add_argument("--p", type=int, default=None)
-    p.add_argument("--k", type=int, default=None)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--r", type=_integer, default=None)
+    p.add_argument("--p", type=_integer, default=None)
+    p.add_argument("--k", type=_integer, default=None)
+    p.add_argument("--seed", type=_integer, default=0)
     _add_cap_flag(p)
     _add_output_flags(p)
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("verify-theorem", help="randomized derivation-construction check")
-    p.add_argument("n", type=int)
-    p.add_argument("u", type=int)
-    p.add_argument("v", type=int)
-    p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("n", type=_integer)
+    p.add_argument("u", type=_integer)
+    p.add_argument("v", type=_integer)
+    p.add_argument("--trials", type=_integer, default=100)
+    p.add_argument("--seed", type=_integer, default=0)
     _add_cap_flag(p)
     _add_output_flags(p)
     p.set_defaults(func=_cmd_verify_theorem)
 
     p = sub.add_parser("tables", help="per-pair matrices, determinants, solution templates")
-    p.add_argument("n", type=int)
+    p.add_argument("n", type=_integer)
     _add_cap_flag(p)
     _add_output_flags(p)
     p.set_defaults(func=_cmd_tables)

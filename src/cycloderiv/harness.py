@@ -3,11 +3,12 @@
 Sweeps and tables share one pair walk, ``_zeta_pairs``: it checks the ring
 degree against the cap, builds ``Z[zeta_n]`` and one endomorphism
 ``zeta -> zeta^u`` per unit u, and yields every unordered pair of unit
-exponents in the order of ``combinations(units(n), 2)``. A sweep builds each
-pair's multiplier matrix, compares ``|det|`` against the prediction for the
-ring's form, and runs one seeded inner round-trip per pair (draw an integral
-beta, rebuild the derivation it defines, confirm classification recovers
-beta exactly). The regression suite is a table of power-formula extensions
+exponents in the order of ``combinations(units(n), 2)``. A sweep measures
+each pair's ``|det|`` as a resultant, without building the multiplier
+matrix, compares it against the prediction for the ring's form, and runs one
+seeded inner round-trip per pair (draw an integral beta, rebuild the
+derivation it defines, confirm classification recovers beta exactly). The
+regression suite is a table of power-formula extensions
 over rings with zero divisors. Reports are immutable named tuples; rendering
 lives in ``reporting``. Identical (form, seed, version) inputs produce
 identical reports; the measured elapsed time is kept on the object but never
@@ -239,8 +240,8 @@ def reproduce_tables(n: int, cap: int = DEFAULT_DEGREE_CAP) -> TableArtifact:
     unique solution of ``A X = C``; each row is the corresponding row of
     ``A^-1``, reduced. ``A^-1`` is the matrix of ``num`` over m for the
     closed-form inverse ``(num, m)`` of ``multiplier_inverse``, checked per
-    pair as ``delta * num == m``; the determinant is measured by the one
-    elimination of ``MultiplierMatrix.det``.
+    pair as ``delta * num == m``; the determinant is the resultant of
+    ``MultiplierMatrix.det``, not an elimination of the printed matrix.
     Deterministic: no randomness is involved.
     """
     blocks = []

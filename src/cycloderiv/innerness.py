@@ -17,8 +17,12 @@ Since ``1 + w + ... + w^(m-1) = 0``, ``(w - 1) sum_(j=1)^(m-1) j w^j = m``, so
 *Introduction to Cyclotomic Fields*, ch. 2); ``multiplier_inverse`` builds it.
 The solution is ``D(zeta) num / m``, and ``A^-1`` is the matrix of ``num``
 over m, so ``classify`` decides innerness without building A. The
-determinant of A is a separate quantity with one routine: one elimination in
+determinant of A is a separate quantity with one routine,
 ``MultiplierMatrix.det``, the value the predictions below are scored against.
+It needs no matrix either: A is multiplication by delta on ``Z[x]/(f)`` for
+the monic modulus f, so its determinant is the product of ``delta(x)`` over
+the roots of f, the resultant ``Res(f, delta(x))``, which
+``polynomials.resultant`` computes by a remainder sequence.
 
 For the two ring families that carry determinant predictions, ``valuate``
 reads the absolute determinant of A off the multiplicities of 2 and p (or of
@@ -50,7 +54,7 @@ from typing import NamedTuple
 from .arith import check_unit, factorize, is_prime, multiplicity
 from .endomorphisms import TwistedDerivation, TwistedPair
 from .intlinalg import IntMatrix, RatVector
-from .polynomials import Polynomial
+from .polynomials import Polynomial, resultant
 from .quotient import RingElement
 
 
@@ -89,18 +93,23 @@ class MultiplierMatrix:
     """The matrix of ``beta -> beta * (tau(theta) - sigma(theta))``.
 
     Column j holds the coordinates of ``theta^j * (tau(theta) - sigma(theta))``
-    in the power basis; the determinant is computed once and cached.
+    in the power basis. The matrix is built on first use, for callers that
+    print it. The determinant needs no matrix: for the monic modulus f it is
+    the resultant ``Res(f, delta)`` of f and the polynomial of ``delta``'s
+    coordinates, computed once and cached.
     """
 
     def __init__(self, pair: TwistedPair) -> None:
         self.pair = pair
-        self.matrix = multiplication_matrix(pair.theta_difference())
+
+    @cached_property
+    def matrix(self) -> IntMatrix:
+        return multiplication_matrix(self.pair.theta_difference())
 
     @cached_property
     def det(self) -> int:
-        from .intlinalg import det as _det
-
-        return _det(self.matrix)
+        delta = self.pair.theta_difference()
+        return resultant(self.pair.ring.modulus, Polynomial(delta.coords))
 
     @property
     def det_abs(self) -> int:

@@ -17,9 +17,12 @@ public routines are thin callers:
   for ``det(PA) A^-1 C``;
 * ``adjugate`` eliminates ``[A | I]`` the same way and applies the sign of P.
 
-The package itself only calls ``det``: ``innerness`` inverts a multiplier
-matrix in closed form. ``solve_unique`` and ``adjugate`` stay public for
-callers with other matrices and as references for that closed form.
+The package itself calls none of them. ``IntMatrix`` holds the matrices the
+``matrix`` and ``tables`` commands print and ``RatVector`` the witnesses;
+``innerness`` inverts a multiplier in closed form and takes its determinant
+as a resultant. ``det``, ``solve_unique`` and ``adjugate`` stay public for
+callers with other matrices and as the references the tests check those
+closed forms against.
 
 The unique solution of a nonsingular square system is returned as an integer
 vector over a single positive denominator, fully reduced, so integrality is

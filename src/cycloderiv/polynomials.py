@@ -225,3 +225,68 @@ def cyclotomic_poly(n: int) -> Polynomial:
                     f"x^{n} - 1 left the remainder {rem} on division by Phi_{d}"
                 )
     return poly
+
+
+def _pseudo_remainder(a: list[int], b: list[int]) -> list[int]:
+    """Coefficients of ``lc(b)^(deg a - deg b + 1) a mod b``; ``deg a >= deg b >= 1``.
+
+    One step per degree of the quotient, each scaling the running remainder
+    by ``lc(b)`` (also when its leading term is already zero, so the power of
+    ``lc(b)`` is exact) and cancelling that leading term. Trailing zeros are
+    stripped from the result.
+    """
+    r = list(a)
+    lead = b[-1]
+    top = len(b) - 1
+    for k in range(len(a) - len(b), -1, -1):
+        c = r.pop()
+        if lead != 1:
+            r = [x * lead for x in r]
+        if c:
+            for j in range(top):
+                r[k + j] -= c * b[j]
+    while r and r[-1] == 0:
+        r.pop()
+    return r
+
+
+def resultant(f: Polynomial, g: Polynomial) -> int:
+    """The resultant of f and g: the determinant of their Sylvester matrix.
+
+    With f's rows first, that is ``lc(f)^deg g`` times the product of g over
+    the roots of f, so for a monic f it is the determinant of multiplication
+    by g on ``Z[x]/(f)``. Computed by the subresultant remainder sequence
+    (Brown and Collins; Cohen, *A Course in Computational Algebraic Number
+    Theory*, Alg. 3.3.7) in integers only: each pseudo-remainder is divided
+    exactly by ``scale * h^delta`` (Cohen's ``g h^delta``), the factor the
+    subresultant theorem says it carries, which keeps coefficients the size
+    of minors of the Sylvester matrix. 0 when either polynomial is zero,
+    ``c^deg f`` for a constant ``g = c`` (``c^0 = 1`` when both are
+    constants).
+    """
+    a, b = list(f.coeffs), list(g.coeffs)
+    if not a or not b:
+        return 0
+    sign = 1
+    if len(a) < len(b):
+        a, b = b, a
+        if (len(a) - 1) * (len(b) - 1) % 2:
+            sign = -1
+    if len(b) == 1:
+        # a swap with a constant changes no sign
+        return b[0] ** (len(a) - 1)
+    scale, h = 1, 1
+    while True:
+        delta = len(a) - len(b)
+        if (len(a) - 1) * (len(b) - 1) % 2:
+            sign = -sign
+        r = _pseudo_remainder(a, b)
+        if not r:
+            return 0
+        divisor = scale * h**delta
+        a, b = b, [x // divisor for x in r]
+        scale = a[-1]
+        if delta:
+            h = scale**delta // h ** (delta - 1)
+        if len(b) == 1:
+            return sign * b[0] ** (len(a) - 1) // h ** (len(a) - 2)

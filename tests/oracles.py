@@ -16,11 +16,14 @@ arithmetic and the pair's generator images.
 ``dense_ring_product`` is the ring product before it skipped the zeros of
 the power table: a schoolbook convolution, then every coefficient folded
 through its full row of ``power_table``.
+
+``sylvester_det`` is the resultant by its definition: ``bareiss_det`` of the
+Sylvester matrix, against which ``polynomials.resultant`` is checked.
 """
 
 from __future__ import annotations
 
-from cycloderiv import IntMatrix, LeibnizReport, RatVector, RingElement
+from cycloderiv import IntMatrix, LeibnizReport, Polynomial, RatVector, RingElement
 
 
 def dense_ring_product(x: RingElement, y: RingElement) -> RingElement:
@@ -100,6 +103,24 @@ def bareiss_det(m: IntMatrix) -> int:
             a[i][k] = 0
         prev = pivot
     return sign * a[n - 1][n - 1]
+
+
+def sylvester_det(f: Polynomial, g: Polynomial) -> int:
+    """det of the Sylvester matrix of f and g, f's rows first; 0 if either is zero.
+
+    Row i of the first ``deg g`` rows holds f's coefficients, leading first,
+    shifted i places right; the last ``deg f`` rows do the same with g. Two
+    constants give the empty matrix, whose determinant is 1.
+    """
+    a, b = f.coeffs[::-1], g.coeffs[::-1]
+    if not a or not b:
+        return 0
+    m, n = len(a) - 1, len(b) - 1
+    if m + n == 0:
+        return 1
+    rows = [[0] * i + [*a] + [0] * (n - 1 - i) for i in range(n)]
+    rows += [[0] * i + [*b] + [0] * (m - 1 - i) for i in range(m)]
+    return bareiss_det(IntMatrix.from_rows(rows))
 
 
 def eager_eliminate(matrix: IntMatrix, rhs=()):

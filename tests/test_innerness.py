@@ -15,6 +15,8 @@ from cycloderiv import (
     CyclotomicRing,
     Endomorphism,
     MultiplierMatrix,
+    Polynomial,
+    QuotientRing,
     RatVector,
     RingForm,
     TwistedDerivation,
@@ -30,7 +32,7 @@ from cycloderiv import (
 )
 from cycloderiv import cli, intlinalg
 from cycloderiv.arith import factorize, totient
-from cycloderiv.innerness import multiplier_inverse
+from cycloderiv.innerness import multiplication_matrix, multiplier_inverse
 from oracles import laplace_det, minor
 
 
@@ -342,6 +344,62 @@ def test_det_is_the_norm_of_delta_up_to_70_at_degree_48():
     assert _assert_det_is_the_norm(pairs) == 14702
 
 
+def _assert_det_equals_the_elimination(pairs):
+    """det is ``intlinalg.det`` of the multiplication matrix of delta; returns the count."""
+    count = 0
+    for pair in pairs:
+        delta = pair.theta_difference()
+        assert MultiplierMatrix(pair).det == intlinalg.det(multiplication_matrix(delta)), pair
+        count += 1
+    return count
+
+
+def test_det_equals_the_elimination_up_to_30():
+    assert _assert_det_equals_the_elimination(_pairs(3, 30)) == 1806
+
+
+@pytest.mark.slow
+def test_det_equals_the_elimination_up_to_70_at_degree_48():
+    pairs = (pair for n in range(3, 71) if totient(n) <= 48 for pair in _pairs(n, n))
+    assert _assert_det_equals_the_elimination(pairs) == 1806 + 14702
+
+
+def _maps(ring, images):
+    return [Endomorphism(ring, ring.element(c)) for c in images]
+
+
+def test_det_equals_the_elimination_on_rings_with_zero_divisors():
+    # Z[x]/(x^6 - 1): the roots +-theta^a of the modulus; delta is a zero divisor
+    # exactly when it vanishes at a sixth root of unity
+    ring = QuotientRing(Polynomial((-1, 0, 0, 0, 0, 0, 1)))
+    maps = _maps(ring, [(0,) * a + (s,) for a in range(6) for s in (1, -1)])
+    pairs = [TwistedPair(f, g) for f, g in combinations(maps, 2)]
+    assert _assert_det_equals_the_elimination(pairs) == 66
+    dets = {MultiplierMatrix(pair).det for pair in pairs}
+    assert 0 in dets and -64 in dets  # theta -> theta^2 against theta; theta against -theta
+    squaring = TwistedPair(*_maps(ring, [(0, 1), (0, 0, 1)]))
+    assert MultiplierMatrix(squaring).det == 0
+    # Z[x]/(x^r): the images a theta have no constant term, so neither has
+    # delta, which is nilpotent: det 0
+    for r in (2, 3, 4):
+        ring = QuotientRing(Polynomial.monomial(r))
+        maps = _maps(ring, [(0, a) for a in range(-3, 4)])
+        pairs = [TwistedPair(f, g) for f, g in combinations(maps, 2)]
+        assert _assert_det_equals_the_elimination(pairs) == 21
+        assert {MultiplierMatrix(pair).det for pair in pairs} == {0}
+
+
+def test_det_keeps_the_sign_of_the_elimination_on_an_odd_degree_field():
+    # Z[theta], theta = 2 cos(2 pi / 11), degree 5; its conjugates include the
+    # Chebyshev values T_k(theta), k = 1..4. With delta of degree 3 as well,
+    # Res(delta, f) = -Res(f, delta), so the order of the arguments shows.
+    ring = QuotientRing(Polynomial((1, 3, -3, -4, 1, 1)))
+    maps = _maps(ring, [(0, 1), (-2, 0, 1), (0, -3, 0, 1), (2, 0, -4, 0, 1)])
+    pairs = [TwistedPair(f, g) for f, g in combinations(maps, 2)]
+    assert _assert_det_equals_the_elimination(pairs) == 6
+    assert MultiplierMatrix(pairs[1]).det == 11  # theta -> T_3(theta), delta = theta^3 - 4 theta
+
+
 def test_closed_form_needs_the_exponents():
     ring = CyclotomicRing(10)
     pair = TwistedPair(
@@ -365,38 +423,45 @@ def _bindings(*functions):
                     yield module, name
 
 
-def test_one_elimination_per_pair_and_no_solve_or_adjugate(monkeypatch, capsys):
+def test_no_elimination_on_sweep_tables_or_classify_and_no_solve_or_adjugate(monkeypatch, capsys):
     def refuse(*args):
         raise AssertionError("solve_unique and adjugate are not on the program's path")
 
     for module, name in list(_bindings(intlinalg.solve_unique, intlinalg.adjugate)):
         monkeypatch.setattr(module, name, refuse)
-    calls = []
-    real_det = intlinalg.det
+    assert cycloderiv.solve_unique is cycloderiv.adjugate is refuse
+    dets, builds = [], []
+    real_det, real_build = intlinalg.det, multiplication_matrix
 
     def counting_det(matrix):
-        calls.append(matrix.rows)
+        dets.append(matrix.rows)
         return real_det(matrix)
+
+    def counting_build(x):
+        builds.append(x.coords)
+        return real_build(x)
 
     for module, name in list(_bindings(real_det)):
         monkeypatch.setattr(module, name, counting_det)
-    assert cycloderiv.solve_unique is cycloderiv.adjugate is refuse
+    for module, name in list(_bindings(real_build)):
+        monkeypatch.setattr(module, name, counting_build)
 
     report = sweep(RingForm.form_pk(3, 2))
     assert len(report.records) == 15 and report.all_ok
-    assert calls == [6] * 15
-    calls.clear()
-    assert len(reproduce_tables(10).blocks) == 6
-    assert calls == [4] * 6
-    calls.clear()
+    assert (dets, builds) == ([], [])
+    # tables prints each pair's multiplier matrix and the matrix of its inverse
+    tables = reproduce_tables(10)
+    deltas = sorted(_pair(10, b.u, b.v).theta_difference().coords for b in tables.blocks)
+    assert len(deltas) == 6 and dets == []
+    assert sorted(c for c in builds if c in deltas) == deltas and len(builds) == 12
+    builds.clear()
     pair = _pair(49, 13, 3)
     d_zeta = pair.ring.random_element(random.Random(4))
     verdict = classify(TwistedDerivation(pair, d_zeta))
     assert verdict.kind == "outer" and verdict.witness.denominator == 7
-    assert calls == []
-    # the classify command measures det_abs by the one elimination
+    # the classify command measures det_abs as a resultant, with no matrix
     dzeta = ",".join(map(str, d_zeta.coords))
     assert cli.main(["classify", "49", "13", "3", f"--dzeta={dzeta}"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert (payload["kind"], payload["witness_denominator"], payload["det_abs"]) == ("outer", "7", "7")
-    assert calls == [42]
+    assert (dets, builds) == ([], [])

@@ -4,7 +4,8 @@ from math import gcd
 import pytest
 
 from cycloderiv import Polynomial, cyclotomic_poly
-from cycloderiv.polynomials import ZERO_POLY_DEGREE
+from cycloderiv.polynomials import ZERO_POLY_DEGREE, resultant
+from oracles import sylvester_det
 
 
 def brute_totient(n):
@@ -169,3 +170,56 @@ def test_cyclotomic_poly_raises_on_a_nonzero_remainder(monkeypatch):
 def test_monomial_refuses_a_negative_degree():
     with pytest.raises(ValueError, match="^monomial degree must be non-negative, got -1$"):
         Polynomial.monomial(-1)
+
+
+P = Polynomial
+
+
+# (f, g, Res(f, g)), each value worked by hand from lc(f)^deg g * prod g(roots of f)
+RESULTANT_CASES = [
+    (P((3, -3)), P((1,) + (0,) * 8 + (1,)), -39366),  # (-3)^9 * g(1): odd x odd degrees
+    (P((-1, 0, 1)), P((0, 1)), -1),  # g(1) g(-1)
+    (P((0, 1)), P((-1, 0, 1)), -1),
+    (P((1, 0, 1)), P((0, 0, 1)), 1),  # i^2 (-i)^2
+    (P((-2, 1)), P((0, 0, 3)), 12),
+    (P((2, 3)), P((0, 0, 0, 1)), -8),  # 3^3 (-2/3)^3: non-monic f
+    (P((1, 1)) * P((2, 0, 1)), P((1, 1)) * P((5, 3)), 0),  # shared factor x + 1
+    (cyclotomic_poly(6), P((0, 1)), 1),
+    (P((1, 2, 3)), P((7,)), 49),  # c^deg f
+    (P((7,)), P((1, 2, 3)), 49),
+    (P((4,)), P((-5,)), 1),  # two constants: the empty Sylvester matrix
+    (P(), P((1, 2)), 0),
+    (P((1, 2)), P(), 0),
+    (P(), P((3,)), 0),
+]
+
+
+@pytest.mark.parametrize("f, g, expected", RESULTANT_CASES)
+def test_resultant_worked_examples(f, g, expected):
+    assert resultant(f, g) == sylvester_det(f, g) == expected
+
+
+def _random_poly(rng, degree):
+    if degree < 0:
+        return Polynomial()
+    lead = rng.choice((-3, -2, -1, 1, 2, 3))
+    return Polynomial([rng.randint(-4, 4) for _ in range(degree)] + [lead])
+
+
+def test_resultant_equals_the_sylvester_determinant_on_random_polynomials():
+    rng = random.Random(15)
+    for _ in range(600):
+        f = _random_poly(rng, rng.randint(-1, 7))
+        g = _random_poly(rng, rng.randint(-1, 7))
+        if rng.random() < 0.25:
+            common = _random_poly(rng, rng.randint(1, 3))
+            f, g = f * common, g * common
+        assert resultant(f, g) == sylvester_det(f, g), (f, g)
+
+
+def test_resultant_of_phi_n_and_x_minus_1_is_the_cyclotomic_value_at_1():
+    # the product of alpha - 1 over the roots of Phi_n is (-1)^phi(n) Phi_n(1),
+    # and phi(n) is even for n >= 3
+    for n in range(3, 60):
+        phi = cyclotomic_poly(n)
+        assert resultant(phi, Polynomial((-1, 1))) == phi(1), n

@@ -1,5 +1,5 @@
 """Property tests: the ring product, the product-rule check, the endomorphisms, the
-elimination and the inner/outer classification.
+elimination, the resultant and the inner/outer classification.
 
 Runs only where ``hypothesis`` is installed. Examples are derandomized, so a
 run is as deterministic as the rest of the suite.
@@ -20,6 +20,7 @@ from oracles import (  # noqa: E402
     dense_ring_product,
     eager_eliminate,
     leibniz_scan,
+    sylvester_det,
 )
 
 from cycloderiv import (  # noqa: E402
@@ -38,6 +39,7 @@ from cycloderiv import (  # noqa: E402
 )
 from cycloderiv.arith import factorize, units  # noqa: E402
 from cycloderiv.intlinalg import _eliminate  # noqa: E402
+from cycloderiv.polynomials import resultant  # noqa: E402
 
 PROPERTY_SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=40)
 
@@ -183,3 +185,26 @@ def test_classify_round_trip_and_the_witness_denominator(drawn):
     if len(factorize(m)) > 1:
         # delta is a unit when m is not a prime power: every derivation is inner
         assert verdict.is_inner
+
+
+polynomials = st.lists(coords, max_size=7).map(Polynomial)
+
+
+@st.composite
+def polynomial_pair(draw):
+    """Two integer polynomials of degree <= 6, zero and constants included.
+
+    In half the draws both are multiplied by a common factor of degree 1 to 3.
+    """
+    f, g = draw(polynomials), draw(polynomials)
+    if draw(st.booleans()):
+        common = draw(st.lists(coords, min_size=2, max_size=4).filter(lambda c: c[-1]))
+        f, g = f * Polynomial(common), g * Polynomial(common)
+    return f, g
+
+
+@PROPERTY_SETTINGS
+@given(polynomial_pair())
+def test_resultant_equals_the_sylvester_determinant(fg):
+    f, g = fg
+    assert resultant(f, g) == sylvester_det(f, g)

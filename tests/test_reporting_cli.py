@@ -9,7 +9,8 @@ from pathlib import Path
 import pytest
 
 from cycloderiv import RingForm, SweepReport, render, reproduce_tables, sweep
-from cycloderiv.cli import main
+from cycloderiv import cli
+from cycloderiv.cli import build_parser, main
 from cycloderiv.reporting import write_text
 
 
@@ -216,6 +217,48 @@ def test_cli_classify_wrong_coordinate_count(capsys):
 def test_cli_names_an_invalid_coordinate_by_position_without_echoing_it(capsys, dzeta, line):
     code, out, err = _run(capsys, ["classify", "10", "1", "3", "--dzeta", dzeta])
     assert (code, out, err.splitlines()) == (2, "", [line])
+
+
+# one command line per integer argument, with X where the value goes
+INTEGER_ARGUMENTS = {
+    "n": ["matrix", "X", "1", "3"],
+    "u": ["classify", "10", "X", "3", "--dzeta", "0,0,0,1"],
+    "v": ["verify-theorem", "10", "1", "X"],
+    "--p": ["sweep", "--form", "pk", "--p", "X", "--k", "2"],
+    "--r": ["sweep", "--form", "2rp", "--r", "X", "--p", "3"],
+    "--k": ["sweep", "--form", "pk", "--p", "3", "--k", "X"],
+    "--seed": ["sweep", "--form", "pk", "--p", "3", "--k", "2", "--seed", "X"],
+    "--trials": ["verify-theorem", "10", "1", "3", "--trials", "X"],
+    "--cap": ["tables", "10", "--cap", "X"],
+}
+
+
+def test_every_integer_argument_has_the_one_converter():
+    sub = next(a for a in build_parser()._actions if a.dest == "command")
+    typed = {
+        (action.option_strings or [action.dest])[0]: action.type
+        for parser in sub.choices.values()
+        for action in parser._actions
+        if action.type is not None
+    }
+    assert set(typed) == set(INTEGER_ARGUMENTS)
+    assert set(typed.values()) == {cli._integer}
+
+
+@pytest.mark.parametrize("value, reason", [
+    ("1.5", "is not an integer"),
+    ("9" * 5000 + "x", "is not an integer"),
+    ("7" * 5000, "has more digits than Python converts"),
+    ("+" + "7_7" * 2500, "has more digits than Python converts"),
+], ids=["decimal", "long-non-numeral", "5000-digits", "signed-5000-digits-with-underscores"])
+@pytest.mark.parametrize("name", INTEGER_ARGUMENTS)
+def test_cli_refuses_a_non_integer_argument_without_echoing_it(capsys, name, value, reason):
+    with pytest.raises(SystemExit) as exc:
+        main([value if a == "X" else a for a in INTEGER_ARGUMENTS[name]])
+    captured = capsys.readouterr()
+    assert (exc.value.code, captured.out) == (2, "")
+    assert captured.err.splitlines()[-1].endswith(f"error: argument {name}: the value {reason}")
+    assert len(captured.err) < 500
 
 
 @pytest.mark.parametrize("u, line", [
