@@ -1,10 +1,12 @@
 """Small integer helpers: primality, totients, the argument rules, unit groups, multiplicities.
 
-Everything here runs on desk-sized inputs (a few thousand at most), so plain
-trial division is the right tool. ``check_degree`` keeps it that way: it
-refuses an n whose ring degree phi(n) exceeds the cap before any other work.
-The argument rules (``check_degree``, ``check_unit``, ``check_trials``) live
-here so that the CLI can apply them before it loads any ring module.
+Most inputs are desk-sized (a few thousand at most), so plain trial division
+is the right tool, and ``check_degree`` keeps it that way: it refuses an n
+whose ring degree phi(n) exceeds the cap before any other work. A
+deterministic Miller-Rabin test lets trial division stop as soon as what is
+left of n is prime, so a large prime n costs no more than a small one. The
+argument rules (``check_degree``, ``check_unit``, ``check_trials``) live here
+so that the CLI can apply them before it loads any ring module.
 """
 
 from __future__ import annotations
@@ -13,18 +15,58 @@ from math import gcd, isqrt
 from typing import Iterator
 
 
+# the first 13 primes: as Miller-Rabin bases they decide primality exactly for
+# every n below _MILLER_RABIN_LIMIT, about 3.3 * 10^24 (Sorenson and Webster,
+# "Strong pseudoprimes to twelve prime bases", 2015)
+_MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MILLER_RABIN_LIMIT = 3317044064679887385961981
+
+
+def _proven_prime(n: int) -> bool:
+    """Whether n is proven prime: n passes Miller-Rabin to every base and lies below the limit.
+
+    False says nothing about an n at or above the limit.
+    """
+    if n < 2 or n >= _MILLER_RABIN_LIMIT:
+        return False
+    if n in _MILLER_RABIN_BASES:
+        return True
+    if n % 2 == 0:
+        return False
+    s, q = 0, n - 1
+    while q % 2 == 0:
+        s, q = s + 1, q // 2
+    for a in _MILLER_RABIN_BASES:
+        x = pow(a, q, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
 def _prime_factors(n: int) -> Iterator[int]:
     """The prime factors of ``n >= 1`` with multiplicity, ascending, by trial division.
 
-    The one trial-division loop of the package. It is lazy, so a caller that
-    needs only the smallest factor stops at the first one found.
+    The one trial-division loop of the package. It stops as soon as the
+    cofactor left is proven prime, which it then yields; above the
+    Miller-Rabin limit it divides on to the square root, so the result is
+    exact for every n. It is lazy, so a caller that needs only the smallest
+    factor stops at the first one found.
     """
     f = 2
-    while f * f <= n:
-        while n % f == 0:
+    prime = _proven_prime(n)
+    while not prime and f * f <= n:
+        if n % f:
+            f += 1 if f == 2 else 2
+        else:
             yield f
             n //= f
-        f += 1 if f == 2 else 2
+            prime = _proven_prime(n)
     if n > 1:
         yield n
 
@@ -77,8 +119,9 @@ def _degree_bound(n: int, cap: int) -> int | None:
     ``_factor_limit(min(cap, 64))``: at or below it, trial division takes at
     most ``2 * 64^2 + 2`` steps, so at a cap up to 64 every n up to
     ``_factor_limit(cap)`` is refused with its exact degree. Above it, None
-    means ``n // n.bit_length() <= cap``, and trial division takes about
-    ``sqrt(cap * n.bit_length())`` steps.
+    means ``n // n.bit_length() <= cap``, and trial division takes at most
+    about ``sqrt(cap * n.bit_length())`` steps; it stops sooner once the
+    cofactor is proven prime, so a prime n takes none.
     """
     if n > _factor_limit(min(cap, DEFAULT_DEGREE_CAP)):
         for bound in (isqrt(n // 2), n // n.bit_length()):

@@ -14,11 +14,16 @@ images induces, for every choice of ``D(theta)``, a Z-linear map ``D`` with
 on the rest of the power basis. Over an integral domain that linear extension
 is always a twisted derivation, i.e. it satisfies
 
-    D(a b) = D(a) tau(b) + sigma(a) D(b);
+    D(a b) = D(a) tau(b) + sigma(a) D(b).
 
-``leibniz_check`` verifies that identity on the basis pair ``(1, 1)`` and
-the pairs ``(theta, theta^j)``, d + 1 pairs that by induction on powers of
-theta certify it on the whole ring; in rings with zero divisors it is
+For any Z-linear D, the product rule on the basis pair (1, 1) and on the
+pairs (theta, theta^j) certifies it on the whole ring, by induction on powers
+of theta (the two-row lemma). For a power-formula extension all but one of
+those pairs hold in any commutative ring: (1, 1) because D(1) = 0, and
+(theta, theta^j) for j <= d - 2 because it is the power-sum recurrence
+``S_(j+1) = sigma(theta) S_j + tau(theta)^j`` times D(theta). Only the wrap
+pair (theta, theta^(d-1)), where ``theta^d`` is reduced by the modulus, can
+fail, and ``leibniz_check`` checks it alone; in rings with zero divisors it is
 exactly where the extension fails. The power sums come from one recurrence,
 ``_power_sums``, shared by the construction, ``sum_powers`` and
 ``telescope_check``. A ``TwistedPair`` keeps the powers of ``tau(theta)``
@@ -242,15 +247,17 @@ class LeibnizReport(NamedTuple):
 
 
 def leibniz_check(derivation: TwistedDerivation) -> LeibnizReport:
-    """Check ``D(t^i t^j) = D(t^i) tau(t^j) + sigma(t^i) D(t^j)`` at (0, 0) and on row 1.
+    """Check a power-formula extension's product rule at (1, d - 1), the one pair that can fail.
 
-    The pair (0, 0) and then the d pairs (1, j) in order certify the product
-    rule on the whole ring. D is Z-linear, so the defect
-    ``D(ab) - D(a) tau(b) - sigma(a) D(b)`` is Z-bilinear and it suffices to
-    check basis pairs. The pair (0, 0) reads ``D(1) = 2 D(1)``, so D(1) = 0.
-    At (0, j) the two sides are ``D(theta^j)`` and
-    ``D(1) tau(theta^j) + D(theta^j)``, so then all of row 0 holds, for any
-    Z-linear D, and need not be scanned. Row 1 gives
+    The report is the one a scan of all d^2 basis pairs would give: the
+    verdict, and on failure the first failing pair with both sides. The
+    certificate has three steps.
+
+    *Rows 0 and 1 certify every pair* (the two-row lemma, for any Z-linear
+    D). The defect ``D(ab) - D(a) tau(b) - sigma(a) D(b)`` is Z-bilinear, so
+    basis pairs suffice. The pair (0, 0) reads ``D(1) = 2 D(1)``, so D(1) = 0,
+    and then row 0 holds: at (0, j) the two sides are ``D(theta^j)`` and
+    ``D(1) tau(theta^j) + D(theta^j)``. Row 1 gives
     ``D(theta y) = D(theta) tau(y) + sigma(theta) D(y)`` for every y, by
     linearity in y. If the rule holds for a = theta^i and every y, then
 
@@ -259,25 +266,42 @@ def leibniz_check(derivation: TwistedDerivation) -> LeibnizReport:
                            + sigma(theta^(i+1)) D(y)
                          = D(theta^(i+1)) tau(y) + sigma(theta^(i+1)) D(y),
 
-    the last step being row 1 at y = theta^i. So if rows 0 and 1 pass, every
-    pair passes. Conversely, if any pair fails, some pair in rows 0 and 1
-    fails, so the first failing pair of the full d^2 scan lies in those rows,
-    and it is (0, 0) or in row 1: the report, with both sides, is the one the
-    full scan would give. A degree-1 ring has no row 1 and checks (0, 0)
-    alone. The powers of ``tau(theta)`` come from the pair, which keeps them.
+    the last step being row 1 at y = theta^i. So if any pair fails, some pair
+    in rows 0 and 1 fails, and the first failing pair of the full scan lies
+    there.
+
+    *(0, 0) holds* because the power formula sets D(1) = 0.
+
+    *Row 1 holds at j <= d - 2.* There ``theta^(j+1)`` is a basis element,
+    so the pair reads ``S_(j+1) D(theta) = D(theta) tau(theta)^j +
+    sigma(theta) S_j D(theta)``: the recurrence
+    ``S_(j+1) = sigma(theta) S_j + tau(theta)^j`` times D(theta), which holds
+    in any commutative ring.
+
+    So (1, d - 1) is the only pair that can fail, and when it fails it is the
+    first failing pair of the scan. Its two sides are
+
+        lhs = D(theta^d) = sum over i >= 1 of r_i S_i D(theta),
+        rhs = D(theta) tau(theta)^(d-1) + sigma(theta) S_(d-1) D(theta),
+
+    with r_i the coordinates of ``theta^d``; the i = 0 term drops out since
+    D(1) = 0. The power sums and the powers of ``tau(theta)`` come from the
+    pair, which keeps them, so a check makes one ring product per nonzero
+    r_i, i >= 1, and three more. A degree-1 ring has no row 1 and passes at
+    once.
     """
     pair = derivation.pair
     ring = pair.ring
     d = ring.degree
-    sig_pows = (ring.one(), pair.sigma.theta_image)
-    tau_pows = pair.tau_powers
-    images = derivation.basis_images
-    checked = [(0, 0)] + ([(1, j) for j in range(d)] if d > 1 else [])
-    for i, j in checked:
-        lhs = derivation(ring.reduce_power(i + j))
-        rhs = images[i] * tau_pows[j] + sig_pows[i] * images[j]
-        if lhs != rhs:
-            return LeibnizReport(False, (i, j), lhs, rhs)
+    if d == 1:
+        return LeibnizReport(True)
+    d_theta = derivation.d_theta
+    sums = pair.power_sums  # S_1 .. S_(d-1)
+    wrap = ring.reduce_power(d).coords[1:]  # r_1 .. r_(d-1)
+    lhs = sum((s * d_theta * r for s, r in zip(sums, wrap) if r), ring.zero())
+    rhs = d_theta * pair.tau_powers[d - 1] + pair.sigma.theta_image * (sums[d - 2] * d_theta)
+    if lhs != rhs:
+        return LeibnizReport(False, (1, d - 1), lhs, rhs)
     return LeibnizReport(True)
 
 

@@ -9,9 +9,11 @@ calls into ``intlinalg`` beyond the ``IntMatrix`` and ``RatVector`` types.
 it rewrites every row below the pivot at every step.
 
 The same holds for ``cycloderiv.endomorphisms``: the power sums accumulated
-from two running power lists, and the product-rule scan over all d^2 basis
-pairs that ``leibniz_check`` cut to two rows. They use only the ring
-arithmetic and the pair's generator images.
+from two running power lists, the product-rule scan over all d^2 basis pairs,
+and the scan of rows 0 and 1 alone (d + 1 pairs) that certifies it for any
+Z-linear map, where ``leibniz_check`` now checks a power-formula extension at
+its one wrap pair. They use only the ring arithmetic and the pair's generator
+images.
 
 ``dense_ring_product`` is the ring product before it skipped the zeros of
 the power table: a schoolbook convolution, then every coefficient folded
@@ -196,13 +198,12 @@ def two_list_sum_powers(pair, k: int):
     return total
 
 
-def basis_pair_scan(pair, images) -> LeibnizReport:
-    """The product rule on all d^2 basis pairs in row-major order; first failure wins.
+def _first_failure(pair, images, pairs) -> LeibnizReport:
+    """The product rule on ``pairs`` in order; first failure wins.
 
     The map is the Z-linear one sending theta^k to ``images[k]``.
     """
     ring = pair.ring
-    d = ring.degree
 
     def apply(x):
         total = ring.zero()
@@ -212,16 +213,33 @@ def basis_pair_scan(pair, images) -> LeibnizReport:
 
     sig_pows = [ring.one()]
     tau_pows = [ring.one()]
-    for _ in range(d - 1):
+    for _ in range(ring.degree - 1):
         sig_pows.append(sig_pows[-1] * pair.sigma.theta_image)
         tau_pows.append(tau_pows[-1] * pair.tau.theta_image)
-    for i in range(d):
-        for j in range(d):
-            lhs = apply(ring.reduce_power(i + j))
-            rhs = images[i] * tau_pows[j] + sig_pows[i] * images[j]
-            if lhs != rhs:
-                return LeibnizReport(False, (i, j), lhs, rhs)
+    for i, j in pairs:
+        lhs = apply(ring.reduce_power(i + j))
+        rhs = images[i] * tau_pows[j] + sig_pows[i] * images[j]
+        if lhs != rhs:
+            return LeibnizReport(False, (i, j), lhs, rhs)
     return LeibnizReport(True)
+
+
+def basis_pair_scan(pair, images) -> LeibnizReport:
+    """``_first_failure`` on all d^2 basis pairs in row-major order."""
+    d = pair.ring.degree
+    return _first_failure(pair, images, [(i, j) for i in range(d) for j in range(d)])
+
+
+def two_row_scan(pair, images) -> LeibnizReport:
+    """``_first_failure`` at (0, 0), then at (1, j) for j < d: d + 1 pairs.
+
+    The two-row lemma: for any Z-linear map, this is the report of
+    ``basis_pair_scan``. (0, 0) forces D(1) = 0, which settles row 0, and row
+    1 carries the rest by induction on powers of theta. A degree-1 ring has
+    no row 1 and checks (0, 0) alone.
+    """
+    d = pair.ring.degree
+    return _first_failure(pair, images, [(0, 0)] + ([(1, j) for j in range(d)] if d > 1 else []))
 
 
 def leibniz_scan(derivation) -> LeibnizReport:

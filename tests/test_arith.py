@@ -1,8 +1,10 @@
 """Primality, factorization and the unit check of ``arith``.
 
-``is_prime`` and ``factorize`` share one trial-division loop; they are
+``is_prime`` and ``factorize`` share one trial-division loop, which stops
+once the deterministic Miller-Rabin test proves the cofactor prime; they are
 checked against a smallest-prime-factor sieve, against sympy where it is
-installed, and ``is_prime`` for stopping at the first factor it finds. The
+installed, on Carmichael numbers and strong pseudoprimes, and ``is_prime``
+for stopping at the first factor it finds. The
 unit check is the one rule behind every refused exponent, so every caller
 raises the same message.
 """
@@ -13,9 +15,24 @@ import time
 import pytest
 
 from cycloderiv import CyclotomicRing, Endomorphism, RingForm, valuate
+from cycloderiv import arith
 from cycloderiv.arith import check_unit, factorize, is_prime, multiplicity
 
 LIMIT = 20000
+
+# Carmichael numbers: a^(n-1) = 1 mod n for every a coprime to n, so a
+# Fermat test calls them prime; the larger ones are Chernick's
+# (6k + 1)(12k + 1)(18k + 1) with three prime factors, at k = 1, 6, 35, 45,
+# 51 and 10110
+CARMICHAEL = (
+    561, 1105, 1729, 2465, 2821, 6601, 8911, 10585, 15841, 29341, 41041, 46657,
+    52633, 62745, 63973, 75361, 101101, 115921, 126217, 162401, 172081, 188461,
+    294409, 56052361, 118901521, 172947529,
+    (6 * 10110 + 1) * (12 * 10110 + 1) * (18 * 10110 + 1),
+)
+# strong pseudoprimes to the first 4, 9 and 12 prime bases, each caught by a
+# later base of the thirteen
+STRONG_PSEUDOPRIMES = (3215031751, 3825123056546413051, 318665857834031151167461)
 
 
 def _smallest_prime_factors(limit):
@@ -46,6 +63,21 @@ def test_is_prime_and_factorize_agree_with_a_sieve():
         fac = factorize(n)
         assert fac == expected, n
         assert list(fac) == sorted(fac), n
+    carmichael = [n for n in CARMICHAEL if n <= LIMIT]
+    assert carmichael == [n for n in range(3, LIMIT + 1, 2) if _is_carmichael(n, spf)]
+
+
+def _is_carmichael(n, spf):
+    """Korselt: n composite, squarefree, and p - 1 divides n - 1 for each prime p | n."""
+    if spf[n] == n:
+        return False
+    rest = n
+    while rest > 1:
+        p = spf[rest]
+        rest //= p
+        if rest % p == 0 or (n - 1) % (p - 1):
+            return False
+    return True
 
 
 def test_is_prime_and_factorize_agree_with_sympy_on_40_bit_n():
@@ -59,9 +91,39 @@ def test_is_prime_and_factorize_agree_with_sympy_on_40_bit_n():
         sympy.prevprime(rng.getrandbits(19) | 1 << 19) * sympy.prevprime(rng.getrandbits(19) | 1 << 19)
         for _ in range(4)
     ]
+    # primes up to 80 bits, alone and times a small cofactor, and Carmichael
+    # numbers and strong pseudoprimes, which pass weaker primality tests
+    large = [sympy.prevprime(rng.getrandbits(bits) | 1 << (bits - 1)) for bits in (50, 64, 80)]
+    ns += [*large, *(p * c for p in large for c in (2, 9, 1155)), 10**18 + 3]
+    ns += [*CARMICHAEL, *STRONG_PSEUDOPRIMES[:2]]
     for n in ns:
         assert is_prime(n) == sympy.isprime(n), n
         assert factorize(n) == sympy.factorint(n), n
+
+
+def test_miller_rabin_is_exact_below_its_limit_and_silent_at_it():
+    sympy = pytest.importorskip("sympy")
+    limit = arith._MILLER_RABIN_LIMIT
+    # the largest primes below the limit are proven; the limit itself is
+    # composite yet passes all thirteen bases, which is why it is the limit,
+    # so it and everything above it are never called proven
+    below = [sympy.prevprime(limit)]
+    below.append(sympy.prevprime(below[-1]))
+    assert [arith._proven_prime(p) for p in below] == [True, True]
+    assert limit == 1287836182261 * 2575672364521
+    assert arith._proven_prime(limit) is False
+    assert arith._proven_prime(sympy.nextprime(limit)) is False
+    for n in (*CARMICHAEL, *STRONG_PSEUDOPRIMES):
+        assert arith._proven_prime(n) is False, n
+
+
+def test_a_prime_cofactor_ends_trial_division():
+    # 10**18 + 3 is prime: trial division of it would run to 10**9
+    started = time.perf_counter()
+    assert is_prime(10**18 + 3)
+    assert factorize(2**5 * 3 * (10**18 + 3)) == {2: 5, 3: 1, 10**18 + 3: 1}
+    assert arith.totient(10**18 + 3) == 10**18 + 2
+    assert time.perf_counter() - started < 0.1
 
 
 def test_is_prime_stops_at_the_first_factor():

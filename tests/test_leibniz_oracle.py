@@ -1,17 +1,18 @@
-"""The d + 1 pair product-rule check and the power-sum recurrence against their oracles.
+"""The one-pair product-rule check and the power-sum recurrence against their oracles.
 
 ``leibniz_check`` must give exactly the report of the full d^2 scan (verdict,
 first failing pair and both sides), and ``basis_images``, ``sum_powers`` and
 ``telescope_check`` must agree with power sums accumulated from two power
 lists. The rings include zero divisors, where the power-formula extension
-really fails the product rule. The values a ``TwistedPair`` keeps for its
-derivations must equal the oracles, and reports over a shared pair must equal
-those over fresh pairs.
+really fails the product rule. The two-row lemma behind the check is tested
+for any Z-linear map through the ``two_row_scan`` oracle. The values a
+``TwistedPair`` keeps for its derivations must equal the oracles, and reports
+over a shared pair must equal those over fresh pairs.
 """
 
 import random
 
-from oracles import basis_pair_scan, leibniz_scan, two_list_sum_powers
+from oracles import basis_pair_scan, leibniz_scan, two_list_sum_powers, two_row_scan
 
 from cycloderiv import (
     CyclotomicRing,
@@ -25,6 +26,7 @@ from cycloderiv import (
     telescope_check,
 )
 from cycloderiv.arith import units
+from cycloderiv.quotient import RingElement
 
 
 def roots_of_unity_pairs():
@@ -91,30 +93,19 @@ def test_leibniz_check_equals_full_scan_on_non_domains():
 
 def test_leibniz_check_equals_full_scan_on_cyclotomic_rings():
     rng = random.Random(16)
-    pairs = list(cyclotomic_pairs())
-    for pair in rng.sample(pairs, 40):
+    pairs = rng.sample(list(cyclotomic_pairs()), 40)
+    # n = 27 (degree 18), one of the rings the benchmark's verify workload checks
+    ring = CyclotomicRing(27)
+    pairs += [TwistedPair.zeta_powers(ring, u, v) for u, v in ((1, 2), (2, 1), (5, 13), (26, 7))]
+    for pair in pairs:
         report = _same_report(pair, pair.ring.random_element(rng))
         assert report.ok
 
 
-class LinearMap:
-    """Any Z-linear map, given by its basis images, in the shape leibniz_check reads."""
-
-    def __init__(self, pair, images):
-        self.pair = pair
-        self.basis_images = tuple(images)
-
-    def __call__(self, x):
-        total = self.pair.ring.zero()
-        for c, image in zip(x.coords, self.basis_images):
-            total = total + c * image
-        return total
-
-
 def test_two_rows_certify_any_linear_map():
-    # the certificate holds for every Z-linear D, not only power-formula
-    # extensions: D(1) != 0 fails at (0, 0), and inner derivations
-    # beta (tau - sigma) pass
+    # the two-row lemma holds for every Z-linear D, not only power-formula
+    # extensions: D(1) != 0 fails at (0, 0), inner derivations
+    # beta (tau - sigma) pass, and arbitrary images fail in row 1
     rng = random.Random(5)
     pairs = [*roots_of_unity_pairs(), *truncated_pairs(), *cyclotomic_pairs()]
     seen = set()
@@ -125,13 +116,14 @@ def test_two_rows_certify_any_linear_map():
         inner = [beta * (pair.tau(b) - pair.sigma(b)) for b in basis]
         arbitrary = [ring.random_element(rng) for _ in basis]
         for images in (inner, arbitrary, [ring.zero(), *arbitrary[1:]]):
-            fast = leibniz_check(LinearMap(pair, images))
+            fast = two_row_scan(pair, images)
             slow = basis_pair_scan(pair, images)
             assert (fast.ok, fast.indices, fast.lhs, fast.rhs) == (
                 slow.ok, slow.indices, slow.lhs, slow.rhs
             )
             seen.add(fast.indices)
     assert {None, (0, 0)} < seen
+    assert any(indices and indices[0] == 1 for indices in seen)
 
 
 def test_basis_images_follow_two_list_power_sums():
@@ -171,33 +163,57 @@ def _fields(report):
     return (report.ok, report.indices, report.lhs, report.rhs)
 
 
-class CountingMap(LinearMap):
-    """A ``LinearMap`` that counts its evaluations."""
-
-    def __init__(self, pair, images):
-        super().__init__(pair, images)
-        self.calls = 0
-
-    def __call__(self, x):
-        self.calls += 1
-        return super().__call__(x)
+def _wrap_terms(ring):
+    """The number of nonzero coordinates r_i, i >= 1, of theta^d."""
+    return sum(1 for r in ring.reduce_power(ring.degree).coords[1:] if r)
 
 
-def test_leibniz_check_evaluates_the_map_on_d_plus_one_pairs():
-    # a passing map is evaluated at (0, 0) and on row 1 only, d + 1 times
-    # where a scan of rows 0 and 1 takes 2d; D(1) != 0 stops at (0, 0)
+def test_leibniz_check_makes_one_product_per_wrap_term_and_three_more(monkeypatch):
+    # with the pair's powers of tau(theta) and power sums kept, a check is
+    # one product S_i D(theta) per nonzero r_i of theta^d, i >= 1, then
+    # D(theta) tau(theta)^(d-1), S_(d-1) D(theta) and sigma(theta) times it;
+    # no basis image is built
+    products = []
+    multiply = RingElement.__mul__
+
+    def counted(self, other):
+        if isinstance(other, RingElement):
+            products.append(other)
+        return multiply(self, other)
+
     rng = random.Random(3)
-    pairs = [*roots_of_unity_pairs(), *truncated_pairs(), *cyclotomic_pairs()]
-    for pair in rng.sample(pairs, 40):
+    pairs = [*roots_of_unity_pairs(), *truncated_pairs(), *cyclotomic_pairs(30)]
+    pairs = rng.sample(pairs, 60) + [TwistedPair.zeta_powers(CyclotomicRing(49), 1, 2)]
+    counts = set()
+    for pair in pairs:
         ring = pair.ring
-        basis = [ring.reduce_power(k) for k in range(ring.degree)]
-        beta = ring.random_element(rng)
-        inner = CountingMap(pair, [beta * (pair.tau(b) - pair.sigma(b)) for b in basis])
-        assert leibniz_check(inner).ok
-        assert inner.calls == ring.degree + 1
-        lifted = CountingMap(pair, [ring.one(), *inner.basis_images[1:]])
-        assert leibniz_check(lifted).indices == (0, 0)
-        assert lifted.calls == 1
+        assert len(pair.power_sums) == len(pair.tau_powers) - 1 == ring.degree - 1
+        derivation = TwistedDerivation(pair, ring.random_element(rng))
+        products.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(RingElement, "__mul__", counted)
+            patch.setattr(RingElement, "__rmul__", counted)
+            leibniz_check(derivation)
+        assert derivation._basis_images is None
+        assert len(products) == _wrap_terms(ring) + 3, pair
+        counts.add(len(products))
+    # 55 -> 4 products at n = 27 and 127 -> 8 at n = 49, against 3d + 1
+    # for the d + 1 pair scan
+    assert (_wrap_terms(CyclotomicRing(27)), _wrap_terms(CyclotomicRing(49))) == (1, 5)
+    assert {3, 8} <= counts
+
+
+def test_leibniz_check_passes_a_degree_1_ring_at_once():
+    # Z[x]/(x - 2) has one endomorphism, so the pair is assembled by hand:
+    # its only basis pair is (0, 0), which D(1) = 0 satisfies
+    ring = QuotientRing(Polynomial((-2, 1)))
+    pair = TwistedPair.__new__(TwistedPair)
+    pair.sigma = pair.tau = Endomorphism(ring, ring.element((2,)))
+    pair._tau_powers = pair._sums = None
+    for d_theta in (ring.zero(), ring.one(), ring.element((-7,))):
+        report = leibniz_check(TwistedDerivation(pair, d_theta))
+        expected = _fields(two_row_scan(pair, [ring.zero()]))
+        assert _fields(report) == expected == (True, None, None, None)
 
 
 def test_kept_pair_values_equal_oracles():

@@ -92,6 +92,28 @@ def test_leibniz_check_equals_full_scan(twist):
     )
 
 
+@st.composite
+def cyclotomic_twist(draw):
+    """zeta -> zeta^u, zeta -> zeta^v (u != v) of Z[zeta_n], 3 <= n <= 24, and a 200-bit D(zeta)."""
+    n = draw(st.integers(min_value=3, max_value=24))
+    u, v = draw(st.lists(st.sampled_from(units(n)), min_size=2, max_size=2, unique=True))
+    ring = CyclotomicRing(n)
+    wide = st.integers(-(2**200), 2**200)
+    d_theta = ring.element(draw(st.lists(wide, min_size=ring.degree, max_size=ring.degree)))
+    return TwistedPair.zeta_powers(ring, u, v), d_theta
+
+
+@PROPERTY_SETTINGS
+@given(cyclotomic_twist())
+def test_leibniz_check_equals_full_scan_on_cyclotomic_rings(twist):
+    pair, d_theta = twist
+    derivation = TwistedDerivation(pair, d_theta)
+    fast, slow = leibniz_check(derivation), leibniz_scan(derivation)
+    assert (fast.ok, fast.indices, fast.lhs, fast.rhs) == (
+        slow.ok, slow.indices, slow.lhs, slow.rhs
+    ) == (True, None, None, None)
+
+
 @PROPERTY_SETTINGS
 @given(non_domain_twist(), st.data())
 def test_derivations_sharing_a_pair_equal_the_full_scan(twist, data):

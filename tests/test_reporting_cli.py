@@ -346,7 +346,7 @@ def test_cli_counterexamples(capsys):
 
 def test_cli_counterexamples_name_the_failing_pair(capsys):
     # first failures of the full d^2 basis-pair scan, computed before the
-    # check was cut to two rows
+    # check was cut to two rows and then to the wrap pair (1, d - 1)
     golden = [
         ("(1, 1)", "(0, 0)", "(0, 3)"),
         ("(1, 1)", "(0, 0)", "(0, 4)"),
@@ -440,13 +440,18 @@ def test_cli_cap_applies_to_every_ring_command(capsys, argv):
         assert _run(capsys, [*argv, "--cap", "18"])[0] == 0
 
 
-def test_cli_refuses_a_huge_ring_before_building_it():
+def _run_process(argv):
+    """The CLI in a child process with this checkout's ``src`` first on the path; 10 s at most."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run(
-        [sys.executable, "-m", "cycloderiv.cli", "matrix", "100003", "1", "2"],
+    return subprocess.run(
+        [sys.executable, "-m", "cycloderiv.cli", *argv],
         env=env, capture_output=True, text=True, timeout=10,
     )
+
+
+def test_cli_refuses_a_huge_ring_before_building_it():
+    proc = _run_process(["matrix", "100003", "1", "2"])
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert proc.stderr.splitlines() == [
@@ -483,18 +488,26 @@ HUGE = "1000000000000000003"
     ),
 ], ids=lambda argv: " ".join(argv)[:40])
 def test_cli_refuses_an_oversized_input_in_bounded_time(argv):
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run(
-        [sys.executable, "-m", "cycloderiv.cli", *argv],
-        env=env, capture_output=True, text=True, timeout=10,
-    )
+    proc = _run_process(argv)
     assert proc.returncode == 2
     assert proc.stdout == ""
     cap = argv[argv.index("--cap") + 1] if "--cap" in argv else "64"
     (line,) = proc.stderr.splitlines()
     assert line.startswith("error: ring degree ")
     assert line.endswith(f" exceeds the cap {cap}; raise the cap to proceed")
+
+
+@pytest.mark.parametrize("command", [["phi-poly", HUGE], ["matrix", HUGE, "1", "2"]])
+def test_cli_refuses_a_huge_prime_n_at_a_huge_cap_with_its_exact_degree(command):
+    # neither bound of check_degree exceeds this cap, so n is factored:
+    # Miller-Rabin proves it prime at once, where trial division would run
+    # to 10^9
+    proc = _run_process([command[0], "--cap", "100000000000000000", *command[1:]])
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.splitlines() == [
+        "error: ring degree 1000000000000000002 exceeds the cap 100000000000000000; "
+        "raise the cap to proceed"
+    ]
 
 
 @pytest.mark.parametrize("argv, message", [
