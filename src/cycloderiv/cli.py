@@ -20,7 +20,9 @@ degree, trial count or exponent load no other part of the library, and
 
 Exit codes: 0 on success or all-pass, 1 on an assertion-style failure
 (prediction mismatch, failed round-trip, a Leibniz failure where a pass was
-expected), 2 on usage errors.
+expected), 2 on usage errors, including an input that runs out of memory
+(``Phi_n`` starts from the n + 1 coefficients of ``x^n - 1``, so a cap far
+above the default can admit an n whose list cannot be allocated).
 """
 
 from __future__ import annotations
@@ -339,6 +341,9 @@ def main(argv: list[str] | None = None) -> int:
         write_text(render(report, args.format), _destination(args))
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("error: out of memory; a lower --cap refuses a ring this large", file=sys.stderr)
         return 2
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)

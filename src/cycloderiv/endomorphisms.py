@@ -24,11 +24,15 @@ those pairs hold in any commutative ring: (1, 1) because D(1) = 0, and
 ``S_(j+1) = sigma(theta) S_j + tau(theta)^j`` times D(theta). Only the wrap
 pair (theta, theta^(d-1)), where ``theta^d`` is reduced by the modulus, can
 fail, and ``leibniz_check`` checks it alone; in rings with zero divisors it is
-exactly where the extension fails. The power sums come from one recurrence,
-``_power_sums``, shared by the construction, ``sum_powers`` and
-``telescope_check``. A ``TwistedPair`` keeps the powers of ``tau(theta)``
-and the sums below degree d, so the derivations over one pair compute them
-once.
+exactly where the extension fails. There the product rule reads
+``D(theta^d) = S_d D(theta)``: D applied to ``theta^d``, reduced by the
+modulus, must equal the next power sum times D(theta).
+
+The power sums come from one recurrence, ``_power_sums``, shared by the
+construction, ``sum_powers`` and ``telescope_check``. A ``TwistedPair`` keeps
+``S_1 .. S_d``, so the derivations over one pair compute them once, and
+``D(x)`` for ``x = sum c_k theta^k`` is ``(sum over k >= 1 of c_k S_k)
+D(theta)``: integer work and one ring product.
 """
 
 from __future__ import annotations
@@ -113,13 +117,13 @@ class Endomorphism:
 class TwistedPair:
     """Two endomorphisms of the same ring with different generator images.
 
-    What depends on the pair alone, the powers of ``tau(theta)`` and the
-    power sums below degree d, is computed on first use and kept, so every
-    derivation over one pair shares it. Two threads racing on first use
-    compute equal tuples, so a pair stays safe to share.
+    What depends on the pair alone, the power sums ``S_1 .. S_d``, is
+    computed on first use and kept, so every derivation over one pair shares
+    it. Two threads racing on first use compute equal tuples, so a pair stays
+    safe to share.
     """
 
-    __slots__ = ("sigma", "tau", "_tau_powers", "_sums")
+    __slots__ = ("sigma", "tau", "_sums")
 
     def __init__(self, sigma: Endomorphism, tau: Endomorphism) -> None:
         if sigma.ring != tau.ring:
@@ -128,7 +132,6 @@ class TwistedPair:
             raise ValueError("the two endomorphisms must differ on the generator")
         self.sigma = sigma
         self.tau = tau
-        self._tau_powers: tuple[RingElement, ...] | None = None
         self._sums: tuple[RingElement, ...] | None = None
 
     @classmethod
@@ -140,20 +143,14 @@ class TwistedPair:
         return self.sigma.ring
 
     @property
-    def tau_powers(self) -> tuple[RingElement, ...]:
-        """``tau(theta)^j`` for 0 <= j < d."""
-        if self._tau_powers is None:
-            powers = [self.ring.one()]
-            for _ in range(self.ring.degree - 1):
-                powers.append(powers[-1] * self.tau.theta_image)
-            self._tau_powers = tuple(powers)
-        return self._tau_powers
-
-    @property
     def power_sums(self) -> tuple[RingElement, ...]:
-        """``S_1, ..., S_(d-1)`` of ``_power_sums``: index k - 1 holds ``sum_powers(self, k)``."""
+        """``S_1, ..., S_d`` of ``_power_sums``: index k - 1 holds ``sum_powers(self, k)``.
+
+        ``S_1 .. S_(d-1)`` give D on the power basis and ``S_d`` the value
+        ``D(theta^d)`` must take, the rhs of ``leibniz_check``.
+        """
         if self._sums is None:
-            self._sums = tuple(islice(_power_sums(self), self.ring.degree - 1))
+            self._sums = tuple(islice(_power_sums(self), self.ring.degree))
         return self._sums
 
     def theta_difference(self) -> RingElement:
@@ -198,37 +195,29 @@ class TwistedDerivation:
     Images on the power basis follow the power formula above; no validation
     happens at construction, so the object can also represent the failed
     extensions that exist over rings with zero divisors (use
-    ``leibniz_check`` to tell the two cases apart).
+    ``leibniz_check`` to tell the two cases apart). It keeps nothing but the
+    pair and D(theta).
     """
 
-    __slots__ = ("pair", "d_theta", "_basis_images")
+    __slots__ = ("pair", "d_theta")
 
     def __init__(self, pair: TwistedPair, d_theta: RingElement) -> None:
         if d_theta.ring != pair.ring:
             raise ValueError("D(theta) must live in the pair's ring")
         self.pair = pair
         self.d_theta = d_theta
-        self._basis_images: tuple[RingElement, ...] | None = None
-
-    @property
-    def basis_images(self) -> tuple[RingElement, ...]:
-        """D on the power basis: index k holds D(theta^k), with D(1) = 0."""
-        if self._basis_images is None:
-            sums = self.pair.power_sums
-            self._basis_images = (self.pair.ring.zero(), *(s * self.d_theta for s in sums))
-        return self._basis_images
 
     def __call__(self, x: RingElement) -> RingElement:
-        if x.ring != self.pair.ring:
+        """``D(x) = (sum over k >= 1 of c_k S_k) D(theta)`` for ``x = sum c_k theta^k``."""
+        ring = self.pair.ring
+        if x.ring != ring:
             raise ValueError("argument belongs to a different ring")
-        images = self.basis_images
-        total = [0] * len(images)
-        for k in range(1, len(images)):
-            c = x.coords[k]
+        total = [0] * ring.degree
+        for c, s in zip(x.coords[1:], self.pair.power_sums):
             if c:
-                for i, a in enumerate(images[k].coords):
+                for i, a in enumerate(s.coords):
                     total[i] += c * a
-        return RingElement(self.pair.ring, tuple(total))
+        return RingElement(ring, tuple(total)) * self.d_theta
 
     def __repr__(self) -> str:
         return f"TwistedDerivation({self.pair!r}, D(theta)={self.d_theta.coords!r})"
@@ -281,25 +270,23 @@ def leibniz_check(derivation: TwistedDerivation) -> LeibnizReport:
     So (1, d - 1) is the only pair that can fail, and when it fails it is the
     first failing pair of the scan. Its two sides are
 
-        lhs = D(theta^d) = sum over i >= 1 of r_i S_i D(theta),
-        rhs = D(theta) tau(theta)^(d-1) + sigma(theta) S_(d-1) D(theta),
+        lhs = D(theta^d) = (sum over i >= 1 of r_i S_i) D(theta),
+        rhs = D(theta) tau(theta)^(d-1) + sigma(theta) S_(d-1) D(theta)
+            = S_d D(theta),
 
     with r_i the coordinates of ``theta^d``; the i = 0 term drops out since
-    D(1) = 0. The power sums and the powers of ``tau(theta)`` come from the
-    pair, which keeps them, so a check makes one ring product per nonzero
-    r_i, i >= 1, and three more. A degree-1 ring has no row 1 and passes at
-    once.
+    D(1) = 0, and the last step is the recurrence at j = d - 1. So
+    ``rhs - lhs`` is the sum of ``telescope_check`` at k = 0 times D(theta).
+    The pair keeps ``S_1 .. S_d``, so a check makes two ring products, one
+    per side. A degree-1 ring has no row 1 and passes at once.
     """
     pair = derivation.pair
     ring = pair.ring
     d = ring.degree
     if d == 1:
         return LeibnizReport(True)
-    d_theta = derivation.d_theta
-    sums = pair.power_sums  # S_1 .. S_(d-1)
-    wrap = ring.reduce_power(d).coords[1:]  # r_1 .. r_(d-1)
-    lhs = sum((s * d_theta * r for s, r in zip(sums, wrap) if r), ring.zero())
-    rhs = d_theta * pair.tau_powers[d - 1] + pair.sigma.theta_image * (sums[d - 2] * d_theta)
+    lhs = derivation(ring.reduce_power(d))
+    rhs = pair.power_sums[d - 1] * derivation.d_theta
     if lhs != rhs:
         return LeibnizReport(False, (1, d - 1), lhs, rhs)
     return LeibnizReport(True)

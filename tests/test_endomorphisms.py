@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from oracles import two_list_sum_powers
 
 from cycloderiv import (
     CyclotomicRing,
@@ -193,8 +194,13 @@ def test_derivation_is_the_linear_combination_of_basis_images():
     ]
     for pair in pairs:
         ring = pair.ring
-        derivation = TwistedDerivation(pair, ring.random_element(rng))
-        images = derivation.basis_images
+        d_theta = ring.random_element(rng)
+        derivation = TwistedDerivation(pair, d_theta)
+        # D on the power basis, from the oracle's power sums; the samples
+        # include theta^k for every k < 2d
+        images = [ring.zero()] + [
+            two_list_sum_powers(pair, k) * d_theta for k in range(1, ring.degree)
+        ]
         samples = [ring.zero(), ring.one(), *(ring.reduce_power(k) for k in range(2 * ring.degree))]
         samples += [ring.random_element(rng) for _ in range(5)]
         samples.append(ring.element(tuple(rng.getrandbits(200) - 2**199 for _ in range(ring.degree))))

@@ -1,16 +1,19 @@
 """The one-pair product-rule check and the power-sum recurrence against their oracles.
 
 ``leibniz_check`` must give exactly the report of the full d^2 scan (verdict,
-first failing pair and both sides), and ``basis_images``, ``sum_powers`` and
-``telescope_check`` must agree with power sums accumulated from two power
+first failing pair and both sides), and D on the power basis, ``sum_powers``
+and ``telescope_check`` must agree with power sums accumulated from two power
 lists. The rings include zero divisors, where the power-formula extension
 really fails the product rule. The two-row lemma behind the check is tested
-for any Z-linear map through the ``two_row_scan`` oracle. The values a
-``TwistedPair`` keeps for its derivations must equal the oracles, and reports
-over a shared pair must equal those over fresh pairs.
+for any Z-linear map through the ``two_row_scan`` oracle, and the check's
+verdict is tied to the telescope at k = 0 and to the product rule on whole
+elements. The power sums a ``TwistedPair`` keeps for its derivations must
+equal the oracles, and reports over a shared pair must equal those over fresh
+pairs.
 """
 
 import random
+from contextlib import contextmanager
 
 from oracles import basis_pair_scan, leibniz_scan, two_list_sum_powers, two_row_scan
 
@@ -132,11 +135,15 @@ def test_basis_images_follow_two_list_power_sums():
     for pair in rng.sample(pairs, 50):
         ring = pair.ring
         d_theta = ring.random_element(rng)
-        images = TwistedDerivation(pair, d_theta).basis_images
-        assert len(images) == ring.degree
-        assert images[0].is_zero()
-        for k in range(1, ring.degree):
-            assert images[k] == two_list_sum_powers(pair, k) * d_theta
+        derivation = TwistedDerivation(pair, d_theta)
+        images = [ring.zero()] + [
+            two_list_sum_powers(pair, k) * d_theta for k in range(1, ring.degree)
+        ]
+        for k, image in enumerate(images):
+            assert derivation(ring.reduce_power(k)) == image, (pair, k)
+        x = ring.random_element(rng)
+        expected = sum((c * image for c, image in zip(x.coords, images)), ring.zero())
+        assert derivation(x) == expected, (pair, x)
         for k in range(1, 2 * ring.degree + 2):
             assert sum_powers(pair, k) == two_list_sum_powers(pair, k)
 
@@ -163,16 +170,9 @@ def _fields(report):
     return (report.ok, report.indices, report.lhs, report.rhs)
 
 
-def _wrap_terms(ring):
-    """The number of nonzero coordinates r_i, i >= 1, of theta^d."""
-    return sum(1 for r in ring.reduce_power(ring.degree).coords[1:] if r)
-
-
-def test_leibniz_check_makes_one_product_per_wrap_term_and_three_more(monkeypatch):
-    # with the pair's powers of tau(theta) and power sums kept, a check is
-    # one product S_i D(theta) per nonzero r_i of theta^d, i >= 1, then
-    # D(theta) tau(theta)^(d-1), S_(d-1) D(theta) and sigma(theta) times it;
-    # no basis image is built
+@contextmanager
+def _ring_products(monkeypatch):
+    """Collect the right factor of every product of two ring elements."""
     products = []
     multiply = RingElement.__mul__
 
@@ -181,37 +181,41 @@ def test_leibniz_check_makes_one_product_per_wrap_term_and_three_more(monkeypatc
             products.append(other)
         return multiply(self, other)
 
+    with monkeypatch.context() as patch:
+        patch.setattr(RingElement, "__mul__", counted)
+        patch.setattr(RingElement, "__rmul__", counted)
+        yield products
+
+
+def test_leibniz_check_makes_two_ring_products(monkeypatch):
+    # with the pair's power sums kept, a check is two products at every
+    # degree: (sum of r_i S_i) times D(theta), the sum being integer work,
+    # and S_d times D(theta)
     rng = random.Random(3)
     pairs = [*roots_of_unity_pairs(), *truncated_pairs(), *cyclotomic_pairs(30)]
-    pairs = rng.sample(pairs, 60) + [TwistedPair.zeta_powers(CyclotomicRing(49), 1, 2)]
-    counts = set()
+    pairs = rng.sample(pairs, 60) + [
+        TwistedPair.zeta_powers(CyclotomicRing(n), 1, 2) for n in (27, 49)
+    ]
     for pair in pairs:
         ring = pair.ring
-        assert len(pair.power_sums) == len(pair.tau_powers) - 1 == ring.degree - 1
+        assert len(pair.power_sums) == ring.degree
         derivation = TwistedDerivation(pair, ring.random_element(rng))
-        products.clear()
-        with monkeypatch.context() as patch:
-            patch.setattr(RingElement, "__mul__", counted)
-            patch.setattr(RingElement, "__rmul__", counted)
+        with _ring_products(monkeypatch) as products:
             leibniz_check(derivation)
-        assert derivation._basis_images is None
-        assert len(products) == _wrap_terms(ring) + 3, pair
-        counts.add(len(products))
-    # 55 -> 4 products at n = 27 and 127 -> 8 at n = 49, against 3d + 1
-    # for the d + 1 pair scan
-    assert (_wrap_terms(CyclotomicRing(27)), _wrap_terms(CyclotomicRing(49))) == (1, 5)
-    assert {3, 8} <= counts
+        assert len(products) == 2, pair
 
 
-def test_leibniz_check_passes_a_degree_1_ring_at_once():
+def test_leibniz_check_passes_a_degree_1_ring_at_once(monkeypatch):
     # Z[x]/(x - 2) has one endomorphism, so the pair is assembled by hand:
     # its only basis pair is (0, 0), which D(1) = 0 satisfies
     ring = QuotientRing(Polynomial((-2, 1)))
     pair = TwistedPair.__new__(TwistedPair)
     pair.sigma = pair.tau = Endomorphism(ring, ring.element((2,)))
-    pair._tau_powers = pair._sums = None
+    pair._sums = None
     for d_theta in (ring.zero(), ring.one(), ring.element((-7,))):
-        report = leibniz_check(TwistedDerivation(pair, d_theta))
+        with _ring_products(monkeypatch) as products:
+            report = leibniz_check(TwistedDerivation(pair, d_theta))
+        assert products == []
         expected = _fields(two_row_scan(pair, [ring.zero()]))
         assert _fields(report) == expected == (True, None, None, None)
 
@@ -222,14 +226,9 @@ def test_kept_pair_values_equal_oracles():
     for pair in rng.sample(pairs, 60):
         ring = pair.ring
         d = ring.degree
-        tau_powers, power_sums = pair.tau_powers, pair.power_sums
-        assert isinstance(tau_powers, tuple) and isinstance(power_sums, tuple)
-        assert pair.tau_powers is tau_powers and pair.power_sums is power_sums
-        expected = [ring.one()]
-        for _ in range(d - 1):
-            expected.append(expected[-1] * pair.tau.theta_image)
-        assert tau_powers == tuple(expected)
-        assert power_sums == tuple(two_list_sum_powers(pair, k) for k in range(1, d))
+        power_sums = pair.power_sums
+        assert isinstance(power_sums, tuple) and pair.power_sums is power_sums
+        assert power_sums == tuple(two_list_sum_powers(pair, k) for k in range(1, d + 1))
 
 
 def test_derivations_sharing_a_pair_report_as_on_fresh_pairs():
@@ -254,3 +253,54 @@ def test_derivations_sharing_a_pair_report_as_on_fresh_pairs():
                     assert _fields(shared) == _fields(leibniz_scan(fresh)), (pair, d_theta)
                 verdicts.add((domain, shared.ok))
     assert verdicts == {(True, True), (False, True), (False, False)}
+
+
+def test_wrap_pair_check_is_the_telescope_at_0():
+    # rhs - lhs = (S_d - sum over i of r_i S_i) D(theta), and with
+    # r_i = -a_i that is the k = 0 telescope sum times D(theta)
+    verdicts = set()
+    for pair in [*roots_of_unity_pairs(), *truncated_pairs(), *cyclotomic_pairs(30)]:
+        verdict = leibniz_check(TwistedDerivation(pair, pair.ring.one())).ok
+        assert verdict == telescope_check(pair, 0), pair
+        verdicts.add(verdict)
+    assert verdicts == {True, False}
+
+
+def _product_rule_holds(derivation, a, b):
+    """``D(ab) = D(a) tau(b) + sigma(a) D(b)`` for two whole elements."""
+    pair = derivation.pair
+    return derivation(a * b) == derivation(a) * pair.tau(b) + pair.sigma(a) * derivation(b)
+
+
+def _wide_element(ring, rng, bits):
+    return ring.element(rng.getrandbits(bits) - 2 ** (bits - 1) for _ in range(ring.degree))
+
+
+def test_product_rule_holds_on_whole_elements_of_cyclotomic_rings():
+    # up to 40 pairs of every ring with n <= 30; D(theta) and the factors are
+    # random elements, not basis elements, with 4-bit and 200-bit coordinates
+    rng = random.Random(41)
+    by_ring = {}
+    for pair in cyclotomic_pairs(30):
+        by_ring.setdefault(pair.ring.n, []).append(pair)
+    for pairs in by_ring.values():
+        for pair in rng.sample(pairs, min(40, len(pairs))):
+            for bits in (4, 200):
+                d_theta, a, b = (_wide_element(pair.ring, rng, bits) for _ in range(3))
+                derivation = TwistedDerivation(pair, d_theta)
+                assert _product_rule_holds(derivation, a, b), (pair, bits)
+
+
+def test_product_rule_holds_on_whole_elements_wherever_the_check_passes():
+    rng = random.Random(43)
+    passed = 0
+    for pair in [*roots_of_unity_pairs(), *truncated_pairs()]:
+        ring = pair.ring
+        for d_theta in _d_thetas(ring, rng):
+            derivation = TwistedDerivation(pair, d_theta)
+            if leibniz_check(derivation).ok:
+                passed += 1
+                for _ in range(3):
+                    a, b = ring.random_element(rng), ring.random_element(rng)
+                    assert _product_rule_holds(derivation, a, b), (pair, d_theta, a, b)
+    assert passed > 100
