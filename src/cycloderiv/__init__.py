@@ -32,21 +32,14 @@ _HOMES = {
     "intlinalg": (
         "IntMatrix",
         "IntVector",
-        "RatVector",
         "SingularMatrixError",
         "det",
         "adjugate",
         "mat_vec",
         "solve_unique",
     ),
-    "innerness": (
-        "MultiplierMatrix",
-        "RingForm",
-        "Valuation",
-        "valuate",
-        "Classification",
-        "classify",
-    ),
+    "innerness": ("MultiplierMatrix", "RatVector", "Classification", "classify"),
+    "predictions": ("RingForm", "Valuation", "valuate"),
     "harness": (
         "sweep",
         "SweepReport",

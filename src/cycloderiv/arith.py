@@ -4,13 +4,17 @@ Most inputs are desk-sized (a few thousand at most), so plain trial division
 is the right tool, and ``check_degree`` keeps it that way: it refuses an n
 whose ring degree phi(n) exceeds the cap before any other work. A
 deterministic Miller-Rabin test lets trial division stop as soon as what is
-left of n is prime, so a large prime n costs no more than a small one. The
-argument rules (``check_degree``, ``check_unit``, ``check_trials``) live here
-so that the CLI can apply them before it loads any ring module.
+left of n is prime, so a large prime n costs no more than a small one, and
+Pollard's rho splits what is left once trial division passes a small bound,
+so a product of two large primes costs about the fourth root of n. The
+argument rules (``check_degree``, ``check_two_units``, ``check_unit``,
+``check_trials``) live here so that the CLI can apply them before it loads
+any ring module.
 """
 
 from __future__ import annotations
 
+from itertools import count
 from math import gcd, isqrt
 from typing import Iterator
 
@@ -20,6 +24,9 @@ from typing import Iterator
 # "Strong pseudoprimes to twelve prime bases", 2015)
 _MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MILLER_RABIN_LIMIT = 3317044064679887385961981
+# trial division runs to here; a larger factor of a composite cofactor is
+# found by Pollard's rho
+_TRIAL_BOUND = 1000
 
 
 def _proven_prime(n: int) -> bool:
@@ -49,18 +56,45 @@ def _proven_prime(n: int) -> bool:
     return True
 
 
-def _prime_factors(n: int) -> Iterator[int]:
-    """The prime factors of ``n >= 1`` with multiplicity, ascending, by trial division.
+def _rho_factors(n: int) -> list[int]:
+    """The prime factors of an ``n > 1`` below the Miller-Rabin limit, unordered.
 
-    The one trial-division loop of the package. It stops as soon as the
-    cofactor left is proven prime, which it then yields; above the
-    Miller-Rabin limit it divides on to the square root, so the result is
-    exact for every n. It is lazy, so a caller that needs only the smallest
-    factor stops at the first one found.
+    A composite n is split by Pollard's rho with Brent's cycle detection:
+    ``x -> x^2 + c`` cycles modulo each prime p | n after about ``sqrt(p)``
+    steps, and the first repeat shows as ``gcd(x - y, n) > 1``.
+    """
+    if _proven_prime(n):
+        return [n]
+    for c in count(1):
+        x = y = 2
+        g, steps, power = 1, 0, 1
+        while g == 1:
+            if steps == power:
+                x, steps, power = y, 0, 2 * power
+            y = (y * y + c) % n
+            steps += 1
+            g = gcd(x - y, n)
+        if g != n:
+            return _rho_factors(g) + _rho_factors(n // g)
+
+
+def _prime_factors(n: int) -> Iterator[int]:
+    """The prime factors of ``n >= 1`` with multiplicity, ascending.
+
+    The one factoring loop of the package. Trial division stops as soon as
+    the cofactor left is proven prime, which it then yields. Past
+    ``_TRIAL_BOUND`` a cofactor below the Miller-Rabin limit that is not
+    proven prime is composite, and ``_rho_factors`` splits it; above the
+    limit trial division goes on to the square root. So the result is exact
+    for every n. It is lazy, so a caller that needs only the smallest factor
+    stops at the first one found.
     """
     f = 2
     prime = _proven_prime(n)
     while not prime and f * f <= n:
+        if f > _TRIAL_BOUND and n < _MILLER_RABIN_LIMIT:
+            yield from sorted(_rho_factors(n))
+            return
         if n % f:
             f += 1 if f == 2 else 2
         else:
@@ -121,7 +155,9 @@ def _degree_bound(n: int, cap: int) -> int | None:
     ``_factor_limit(cap)`` is refused with its exact degree. Above it, None
     means ``n // n.bit_length() <= cap``, and trial division takes at most
     about ``sqrt(cap * n.bit_length())`` steps; it stops sooner once the
-    cofactor is proven prime, so a prime n takes none.
+    cofactor is proven prime, so a prime n takes none, and below the
+    Miller-Rabin limit it stops at ``_TRIAL_BOUND``, where Pollard's rho
+    takes over.
     """
     if n > _factor_limit(min(cap, DEFAULT_DEGREE_CAP)):
         for bound in (isqrt(n // 2), n // n.bit_length()):
@@ -155,6 +191,16 @@ def check_degree(n: int, cap: int = DEFAULT_DEGREE_CAP) -> int:
             f"ring degree {degree} exceeds the cap {cap}; raise the cap to proceed"
         )
     return degree
+
+
+def check_two_units(n: int) -> None:
+    """Refuse an n with fewer than two unit exponents, which admits no pair.
+
+    Only n = 1 and n = 2 have fewer than two units, so a ring there has no
+    two distinct endomorphisms ``zeta -> zeta^u``.
+    """
+    if n <= 2:
+        raise ValueError(f"n = {n} is unsupported: fewer than two unit exponents")
 
 
 def check_unit(exponent: int, n: int) -> None:

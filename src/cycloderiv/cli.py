@@ -13,10 +13,11 @@ report through ``reporting.render`` and writes it.
 
 Start-up loads only the parser and the argument rules (``arith``). A command
 checks its input first, in the order the library would refuse it (the ring
-degree, then the trial count, then the exponents u and v), and only then
-imports the modules it runs. So ``--version``, ``--help`` and a refused
-degree, trial count or exponent load no other part of the library, and
-``main`` imports the renderer once the command has returned.
+degree, then the trial count, then the exponents u and v: an n <= 2 has
+fewer than two of them, and each must be a unit), and only then imports the
+modules it runs. So ``--version``, ``--help`` and a refused degree, trial
+count or exponent load no other part of the library, and ``main`` imports
+the renderer once the command has returned.
 
 Exit codes: 0 on success or all-pass, 1 on an assertion-style failure
 (prediction mismatch, failed round-trip, a Leibniz failure where a pass was
@@ -34,7 +35,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .arith import DEFAULT_DEGREE_CAP, check_degree, check_trials, check_unit
+from .arith import DEFAULT_DEGREE_CAP, check_degree, check_trials, check_two_units, check_unit
 from .arith import _degree_bound, _factor_limit
 
 # Annotations such as ``Report`` and ``RingForm`` name types of the modules a
@@ -69,7 +70,7 @@ def _cmd_phi_poly(args: argparse.Namespace) -> tuple[Report, int]:
 
 
 def _prediction_fields(n: int, u: int, v: int, det_abs: int) -> dict:
-    from .innerness import RingForm, Valuation, valuate
+    from .predictions import RingForm, Valuation, valuate
     from .reporting import record_cells
 
     form = RingForm.detect(n)
@@ -80,6 +81,7 @@ def _prediction_fields(n: int, u: int, v: int, det_abs: int) -> dict:
 
 
 def _check_exponents(args: argparse.Namespace) -> None:
+    check_two_units(args.n)
     check_unit(args.u, args.n)
     check_unit(args.v, args.n)
 
@@ -184,7 +186,7 @@ def _build_form(args: argparse.Namespace) -> RingForm:
         raise ValueError(
             f"ring degree of n = {n} exceeds the cap {args.cap}; raise the cap to proceed"
         )
-    from .innerness import RingForm
+    from .predictions import RingForm
 
     # RingForm rejects the option the form does not take
     return RingForm(args.form, args.p, args.r, args.k)

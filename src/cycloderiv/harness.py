@@ -8,9 +8,12 @@ each pair's ``|det|`` as a resultant, without building the multiplier
 matrix, compares it against the prediction for the ring's form, and runs one
 seeded inner round-trip per pair (draw an integral beta, rebuild the
 derivation it defines, confirm classification recovers beta exactly). The
-regression suite is a table of power-formula extensions
-over rings with zero divisors. Reports are immutable named tuples; rendering
-lives in ``reporting``. Identical (form, seed, version) inputs produce
+regression suite is a table of power-formula extensions over rings with
+zero divisors. Reports are immutable named tuples. ``_sweep_report`` and
+``_tables_report`` convert a ``SweepReport`` and a ``TableArtifact`` into
+the ``reporting.Report`` that ``render`` formats, so each batch record sits
+beside its output schema, and a command that renders its own ``Report``
+loads none of this module. Identical (form, seed, version) inputs produce
 identical reports; the measured elapsed time is kept on the object but never
 serialized, so emitted bytes stay reproducible.
 """
@@ -19,23 +22,26 @@ from __future__ import annotations
 
 import random
 import time
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Iterator, NamedTuple
 
 from . import __version__
-from .arith import DEFAULT_DEGREE_CAP, check_degree, check_trials, units
+from .arith import DEFAULT_DEGREE_CAP, check_degree, check_trials, check_two_units, units
 from .endomorphisms import Endomorphism, TwistedDerivation, TwistedPair, leibniz_check
 from .innerness import (
     MultiplierMatrix,
-    RingForm,
+    RatVector,
     classify,
     multiplication_matrix,
     multiplier_inverse,
-    valuate,
 )
-from .intlinalg import IntMatrix, RatVector
+# intlinalg is imported eagerly: perfbench/tracer.py wraps its functions and
+# looks the module up in sys.modules
+from .intlinalg import IntMatrix
 from .polynomials import Polynomial
+from .predictions import RingForm, valuate
 from .quotient import CyclotomicRing, QuotientRing
+from .reporting import Report, _markdown_table, record_cells
 
 
 class PairRecord(NamedTuple):
@@ -76,8 +82,8 @@ def _zeta_pairs(n: int, cap: int) -> Iterator[tuple[int, int, TwistedPair]]:
     The degree is checked against the cap before the ring is built, and each
     endomorphism zeta -> zeta^u is built once and shared by its pairs.
     """
-    if check_degree(n, cap) < 2:
-        raise ValueError(f"n = {n} is unsupported: fewer than two unit exponents")
+    check_degree(n, cap)
+    check_two_units(n)
     ring = CyclotomicRing(n)
     endos = {u: Endomorphism.zeta_power(ring, u) for u in units(n)}
     for u, v in combinations(endos, 2):
@@ -105,6 +111,30 @@ def sweep(form: RingForm, seed: int = 0, cap: int = DEFAULT_DEGREE_CAP) -> Sweep
         version=__version__,
         elapsed=elapsed,
     )
+
+
+def _sweep_report(report: SweepReport) -> Report:
+    form = report.form
+    rows = [record_cells(rec) for rec in report.records]
+    payload = {
+        "ring": {
+            "n": str(form.n),
+            "form": form.kind,
+            "params": {k: str(v) for k, v in form.params().items()},
+        },
+        "pairs": rows,
+        "summary": {
+            "pairs": str(len(rows)),
+            "matches": str(report.matches),
+            "seed": str(report.seed),
+            "version": report.version,
+        },
+    }
+    summary = (f"{len(rows)} pairs, {report.matches} matches, "
+               f"seed {report.seed}, version {report.version}")
+    columns = PairRecord._fields
+    markdown = chain(_markdown_table(columns, rows), ("", summary))
+    return Report(f"Sweep: n = {form.n}, form {form.label()}", columns, rows, payload, markdown)
 
 
 class TheoremVerdict(NamedTuple):
@@ -262,3 +292,62 @@ def reproduce_tables(n: int, cap: int = DEFAULT_DEGREE_CAP) -> TableArtifact:
             )
         )
     return TableArtifact(n=n, blocks=tuple(blocks), version=__version__)
+
+
+def _tables_markdown(blocks: list[dict], version: str):
+    for blk in blocks:
+        yield f"## pair ({blk['u']}, {blk['v']})"
+        yield ""
+        yield f"det = {blk['det']} (|det| = {blk['det_abs']})"
+        yield ""
+        yield "matrix rows:"
+        for r in blk["matrix"]:
+            yield "    " + " ".join(f"{x:>4}" for x in r)
+        yield ""
+        yield "solution template (coefficients of c_0..c_{d-1} over denominator):"
+        for s in blk["solution"]:
+            nums = " ".join(f"{x:>4}" for x in s["coeffs"])
+            yield f"    ( {nums} ) / {s['denominator']}"
+        yield ""
+    yield f"version {version}"
+
+
+def _tables_report(artifact: TableArtifact) -> Report:
+    n = str(artifact.n)
+    blocks = [
+        {
+            "u": str(b.u),
+            "v": str(b.v),
+            "det": str(b.det),
+            "det_abs": str(abs(b.det)),
+            "matrix": [[str(x) for x in b.matrix.row(i)] for i in range(b.matrix.rows)],
+            "solution": [
+                {"coeffs": [str(x) for x in row.numerators], "denominator": str(row.denominator)}
+                for row in b.solution_rows
+            ],
+        }
+        for b in artifact.blocks
+    ]
+    # CSV and Markdown read the JSON blocks, one CSV line per block: matrix
+    # rows joined by " ; ", solution rows by " | "
+    rows = (
+        {
+            "n": n,
+            "u": blk["u"],
+            "v": blk["v"],
+            "det": blk["det"],
+            "det_abs": blk["det_abs"],
+            "matrix": " ; ".join(" ".join(r) for r in blk["matrix"]),
+            "solution": " | ".join(
+                " ".join(s["coeffs"]) + f" / {s['denominator']}" for s in blk["solution"]
+            ),
+        }
+        for blk in blocks
+    )
+    return Report(
+        f"Multiplier tables: n = {n}",
+        ("n", "u", "v", "det", "det_abs", "matrix", "solution"),
+        rows,
+        {"n": n, "version": artifact.version, "blocks": blocks},
+        _tables_markdown(blocks, artifact.version),
+    )

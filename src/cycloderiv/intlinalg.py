@@ -18,23 +18,25 @@ public routines are thin callers:
 * ``adjugate`` eliminates ``[A | I]`` the same way and applies the sign of P.
 
 The package itself calls none of them. ``IntMatrix`` holds the matrices the
-``matrix`` and ``tables`` commands print and ``RatVector`` the witnesses;
-``innerness`` inverts a multiplier in closed form and takes its determinant
-as a resultant. ``det``, ``solve_unique`` and ``adjugate`` stay public for
-callers with other matrices and as the references the tests check those
-closed forms against.
+``matrix`` and ``tables`` commands print; ``innerness`` inverts a multiplier
+in closed form, takes its determinant as a resultant, and imports this
+module only to print a matrix, so ``classify`` loads no elimination.
+``det``, ``solve_unique`` and ``adjugate`` stay public for callers with other
+matrices and as the references the tests check those closed forms against.
 
-The unique solution of a nonsingular square system is returned as an integer
-vector over a single positive denominator, fully reduced, so integrality is
-decided by ``denominator == 1``.
+The unique solution of a nonsingular square system is returned as a
+``RatVector``, the witness record of ``innerness``: an integer vector over a
+single positive denominator, fully reduced, so integrality is decided by
+``denominator == 1``.
 """
 
 from __future__ import annotations
 
-from functools import reduce
 from itertools import chain
-from math import gcd
-from typing import Iterable, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
+
+if TYPE_CHECKING:
+    from .innerness import RatVector
 
 IntVector = tuple[int, ...]
 
@@ -254,38 +256,6 @@ def mat_vec(matrix: IntMatrix, vector: Sequence[int]) -> IntVector:
     )
 
 
-class _RatVectorFields(NamedTuple):
-    numerators: IntVector
-    denominator: int
-
-
-class RatVector(_RatVectorFields):
-    """Integer numerators over one positive denominator, fully reduced."""
-
-    __slots__ = ()
-
-    def __new__(cls, numerators: IntVector, denominator: int) -> RatVector:
-        if denominator < 1:
-            raise ValueError("denominator must be positive")
-        if reduce(gcd, numerators, denominator) != 1:
-            raise ValueError("numerators and denominator must be reduced")
-        return super().__new__(cls, numerators, denominator)
-
-    @classmethod
-    def reduced(cls, numerators: Iterable[int], denominator: int) -> RatVector:
-        nums = tuple(numerators)
-        if denominator == 0:
-            raise ValueError("denominator must be nonzero")
-        g = reduce(gcd, nums, abs(denominator))
-        if denominator < 0:
-            g = -g
-        return cls(tuple(x // g for x in nums), denominator // g)
-
-    @property
-    def is_integral(self) -> bool:
-        return self.denominator == 1
-
-
 def solve_unique(matrix: IntMatrix, rhs: Sequence[int]) -> RatVector:
     """The unique rational solution of a nonsingular square system A X = C.
 
@@ -299,6 +269,8 @@ def solve_unique(matrix: IntMatrix, rhs: Sequence[int]) -> RatVector:
         raise ValueError(
             f"right-hand side length {len(rhs)} does not match {matrix.rows} rows"
         )
+    from .innerness import RatVector
+
     ech = _eliminate(matrix, [rhs])
     if not ech.full_rank:
         raise SingularMatrixError("matrix is singular (det = 0)")

@@ -12,10 +12,11 @@ Every integer travels as a decimal string, so consumers never face 64-bit
 overflow. In JSON, booleans are booleans and a missing value is null; in CSV
 and Markdown they are ``true``/``false`` and an empty cell, and a list cell is
 joined with spaces. ``render`` also takes a ``SweepReport`` or a
-``TableArtifact`` and converts it first; the README lists every command's
-JSON keys and CSV columns. The same report rendered twice yields identical
-bytes. ``csv`` and ``harness`` are imported only by the renderings that use
-them, so rendering a command's own ``Report`` as JSON loads neither.
+``TableArtifact``, which ``harness`` converts first, beside those records;
+the README lists every command's JSON keys and CSV columns. The same report
+rendered twice yields identical bytes. ``csv`` is imported only to render
+CSV and ``harness`` only to convert its records, so rendering a command's
+own ``Report`` as JSON loads neither.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ import io
 import json
 import sys
 from collections.abc import Iterable
-from itertools import chain
 from pathlib import Path
 from typing import NamedTuple
 
@@ -71,97 +71,12 @@ def _markdown_table(columns, rows):
         yield "| " + " | ".join(_cell(row[k]) for k in columns) + " |"
 
 
-def _sweep_report(report: SweepReport) -> Report:
-    from .harness import PairRecord
-
-    form = report.form
-    rows = [record_cells(rec) for rec in report.records]
-    payload = {
-        "ring": {
-            "n": str(form.n),
-            "form": form.kind,
-            "params": {k: str(v) for k, v in form.params().items()},
-        },
-        "pairs": rows,
-        "summary": {
-            "pairs": str(len(rows)),
-            "matches": str(report.matches),
-            "seed": str(report.seed),
-            "version": report.version,
-        },
-    }
-    summary = (f"{len(rows)} pairs, {report.matches} matches, "
-               f"seed {report.seed}, version {report.version}")
-    columns = PairRecord._fields
-    markdown = chain(_markdown_table(columns, rows), ("", summary))
-    return Report(f"Sweep: n = {form.n}, form {form.label()}", columns, rows, payload, markdown)
-
-
-def _tables_markdown(blocks: list[dict], version: str):
-    for blk in blocks:
-        yield f"## pair ({blk['u']}, {blk['v']})"
-        yield ""
-        yield f"det = {blk['det']} (|det| = {blk['det_abs']})"
-        yield ""
-        yield "matrix rows:"
-        for r in blk["matrix"]:
-            yield "    " + " ".join(f"{x:>4}" for x in r)
-        yield ""
-        yield "solution template (coefficients of c_0..c_{d-1} over denominator):"
-        for s in blk["solution"]:
-            nums = " ".join(f"{x:>4}" for x in s["coeffs"])
-            yield f"    ( {nums} ) / {s['denominator']}"
-        yield ""
-    yield f"version {version}"
-
-
-def _tables_report(artifact: TableArtifact) -> Report:
-    n = str(artifact.n)
-    blocks = [
-        {
-            "u": str(b.u),
-            "v": str(b.v),
-            "det": str(b.det),
-            "det_abs": str(abs(b.det)),
-            "matrix": [[str(x) for x in b.matrix.row(i)] for i in range(b.matrix.rows)],
-            "solution": [
-                {"coeffs": [str(x) for x in row.numerators], "denominator": str(row.denominator)}
-                for row in b.solution_rows
-            ],
-        }
-        for b in artifact.blocks
-    ]
-    # CSV and Markdown read the JSON blocks, one CSV line per block: matrix
-    # rows joined by " ; ", solution rows by " | "
-    rows = (
-        {
-            "n": n,
-            "u": blk["u"],
-            "v": blk["v"],
-            "det": blk["det"],
-            "det_abs": blk["det_abs"],
-            "matrix": " ; ".join(" ".join(r) for r in blk["matrix"]),
-            "solution": " | ".join(
-                " ".join(s["coeffs"]) + f" / {s['denominator']}" for s in blk["solution"]
-            ),
-        }
-        for blk in blocks
-    )
-    return Report(
-        f"Multiplier tables: n = {n}",
-        ("n", "u", "v", "det", "det_abs", "matrix", "solution"),
-        rows,
-        {"n": n, "version": artifact.version, "blocks": blocks},
-        _tables_markdown(blocks, artifact.version),
-    )
-
-
 def render(report, fmt: str) -> str:
     """Render a Report, SweepReport or TableArtifact as json, csv or markdown."""
     if fmt not in ("json", "csv", "markdown"):
         raise ValueError(f"unknown format {fmt!r}; expected one of ('json', 'csv', 'markdown')")
     if not isinstance(report, Report):
-        from .harness import SweepReport, TableArtifact
+        from .harness import SweepReport, TableArtifact, _sweep_report, _tables_report
 
         if isinstance(report, SweepReport):
             report = _sweep_report(report)

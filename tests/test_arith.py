@@ -1,10 +1,12 @@
 """Primality, factorization and the unit check of ``arith``.
 
-``is_prime`` and ``factorize`` share one trial-division loop, which stops
-once the deterministic Miller-Rabin test proves the cofactor prime; they are
-checked against a smallest-prime-factor sieve, against sympy where it is
-installed, on Carmichael numbers and strong pseudoprimes, and ``is_prime``
-for stopping at the first factor it finds. The
+``is_prime`` and ``factorize`` share one factoring loop: trial division,
+which stops once the deterministic Miller-Rabin test proves the cofactor
+prime, and Pollard's rho past a small bound. They are checked against a
+smallest-prime-factor sieve (also with the bound lowered, so that rho splits
+every composite cofactor), against sympy where it is installed, on
+Carmichael numbers and strong pseudoprimes, and ``is_prime`` for stopping at
+the first factor it finds. The
 unit check is the one rule behind every refused exponent, so every caller
 raises the same message.
 """
@@ -47,6 +49,18 @@ def _smallest_prime_factors(limit):
 
 
 def test_is_prime_and_factorize_agree_with_a_sieve():
+    _check_against_the_sieve()
+
+
+@pytest.mark.parametrize("bound", [0, 2, 30])
+def test_pollard_rho_past_a_lowered_trial_bound_agrees_with_the_sieve(monkeypatch, bound):
+    # below its bound of 1000 trial division alone factors every n of the
+    # sieve, so the bound is lowered to send each composite cofactor to rho
+    monkeypatch.setattr(arith, "_TRIAL_BOUND", bound)
+    _check_against_the_sieve()
+
+
+def _check_against_the_sieve():
     spf = _smallest_prime_factors(LIMIT)
     for n in range(-3, LIMIT + 1):
         assert is_prime(n) == (n >= 2 and spf[n] == n), n
@@ -99,6 +113,35 @@ def test_is_prime_and_factorize_agree_with_sympy_on_40_bit_n():
     for n in ns:
         assert is_prime(n) == sympy.isprime(n), n
         assert factorize(n) == sympy.factorint(n), n
+
+
+def test_pollard_rho_factors_products_of_large_primes_as_sympy_does():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(77)
+    # every n stays below the Miller-Rabin limit (81 bits), where rho takes
+    # over from trial division at its bound
+    ns = [999999937 * 1000000007, 1009 * 1013, 1013**2]
+    for bits in (11, 16, 20, 26):
+        p, q, r = (sympy.randprime(2 ** (bits - 1), 2**bits) for _ in range(3))
+        ns += [p * q, p * p, p**3, p * q * r, p * p * q, 2 * 3 * 997 * p * q]
+    for n in ns:
+        assert n < arith._MILLER_RABIN_LIMIT
+        fac = factorize(n)
+        assert fac == sympy.factorint(n), n
+        assert list(fac) == sorted(fac), n
+        assert is_prime(n) is False, n
+
+
+def test_a_product_of_two_primes_near_10_9_factors_at_once():
+    # trial division would run to 999999937, about 5 * 10**8 steps
+    n = 999999937 * 1000000007
+    started = time.perf_counter()
+    assert factorize(n) == {999999937: 1, 1000000007: 1}
+    assert list(arith._prime_factors(4 * n)) == [2, 2, 999999937, 1000000007]
+    assert is_prime(n) is False
+    with pytest.raises(ValueError, match="^ring degree 999999941999999616 exceeds the cap"):
+        arith.check_degree(n, 10**17)
+    assert time.perf_counter() - started < 1
 
 
 def test_miller_rabin_is_exact_below_its_limit_and_silent_at_it():

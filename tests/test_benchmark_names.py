@@ -17,17 +17,21 @@ import pytest
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-@pytest.fixture(scope="module")
-def tracer():
-    # no bytecode is written into perfbench/
+def load_tracer():
+    """``perfbench/tracer.py`` as a module, imported without writing bytecode into perfbench/."""
     sys.path.insert(0, str(PERFBENCH))
     saved = sys.dont_write_bytecode
     sys.dont_write_bytecode = True
     try:
-        module = import_module("tracer")
+        return import_module("tracer")
     finally:
         sys.path.remove(str(PERFBENCH))
         sys.dont_write_bytecode = saved
+
+
+@pytest.fixture(scope="module")
+def tracer():
+    module = load_tracer()
     for module_name, _, _ in module.FUNCTIONS:
         import_module(f"cycloderiv.{module_name}")
     return module

@@ -7,6 +7,7 @@ home module is what the package returns.
 """
 
 from importlib import import_module
+from types import GenericAlias
 
 import pytest
 
@@ -25,6 +26,15 @@ def test_each_public_name_is_its_home_modules_binding(name):
     home = _home(name)
     assert name in vars(home)
     assert getattr(cycloderiv, name) is vars(home)[name]
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_each_public_class_or_function_is_defined_in_its_home_module(name):
+    # a name re-exported by a second module would also pass the binding test;
+    # IntVector is an alias of tuple[int, ...], which no module defines
+    value = getattr(cycloderiv, name)
+    if not isinstance(value, GenericAlias):
+        assert value.__module__ == f"cycloderiv.{cycloderiv._HOME[name]}"
 
 
 def test_all_lists_each_name_once():

@@ -6,7 +6,9 @@ subclass whose ``__new__`` runs the checks. ``_make`` and ``_replace`` build
 a tuple without calling that ``__new__``, so the library must not use them.
 The CLI's import stays free of ``dataclasses`` and the introspection modules
 it pulls in, which would otherwise dominate the start-up of every command,
-and each command loads only the library modules it runs.
+and each command loads only the library modules it runs: ``classify`` loads
+no elimination, family predictions or batch drivers, and every batch command
+loads each module the benchmark's tracer wraps.
 """
 
 import ast
@@ -37,6 +39,7 @@ from cycloderiv import (
     classify,
 )
 from cycloderiv.intlinalg import _Echelon
+from test_benchmark_names import load_tracer
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 HEAVY_MODULES = {"dataclasses", "inspect", "ast", "dis", "tokenize"}
@@ -74,6 +77,7 @@ def test_version_and_a_refused_degree_load_only_the_parser_and_the_check():
         (["classify", "1000000000000000003", "1", "2", "--dzeta", "1"], 2),
         (["matrix", "10", "13", "3"], 2),
         (["classify", "10", "2", "3", "--dzeta", "0,0,0,1"], 2),
+        (["classify", "1", "0", "0", "--dzeta", "1"], 2),
         (["verify-theorem", "10", "1", "3", "--trials", "0"], 2),
     ):
         code, modules = _imports("-m", "cycloderiv.cli", *argv)
@@ -87,6 +91,49 @@ def test_json_classify_loads_neither_the_batch_drivers_nor_csv():
     assert code == 0
     assert "cycloderiv.innerness" in modules
     assert modules & {"cycloderiv.harness", "csv"} == set()
+
+
+def _main_imports(*argv):
+    """``_imports`` of one CLI run through ``cli.main``, as the console script runs it."""
+    script = "import sys; from cycloderiv.cli import main; sys.exit(main(sys.argv[1:]))"
+    return _imports("-c", script, *argv)
+
+
+def test_json_classify_loads_exactly_the_ring_stack_innerness_and_the_renderer():
+    # no elimination (intlinalg), no family predictions, no batch drivers
+    dzeta = ",".join(["1"] * 42)
+    code, modules = _main_imports("classify", "49", "13", "3", f"--dzeta={dzeta}")
+    assert code == 0
+    assert _library(modules) == STARTUP | {
+        f"cycloderiv.{name}"
+        for name in ("polynomials", "quotient", "endomorphisms", "innerness", "reporting")
+    }
+
+
+def test_matrix_loads_the_printed_matrix_and_the_predictions_but_not_the_batch_drivers():
+    code, modules = _main_imports("matrix", "10", "1", "3")
+    assert code == 0
+    assert {"cycloderiv.intlinalg", "cycloderiv.predictions"} <= modules
+    assert "cycloderiv.harness" not in modules
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("sweep", "--form", "pk", "--p", "3", "--k", "2"),
+        ("tables", "10"),
+        ("verify-theorem", "10", "1", "3", "--trials", "2"),
+        ("counterexamples",),
+    ],
+)
+def test_each_batch_command_loads_every_module_the_benchmark_tracer_wraps(argv):
+    # perfbench/tracer.py looks each module of its table up in sys.modules
+    # once a pass has run, so a batch command that leaves one unloaded
+    # crashes the traced benchmark with a KeyError
+    traced = {f"cycloderiv.{module}" for module, _, _ in load_tracer().FUNCTIONS}
+    code, modules = _main_imports(*argv)
+    assert code == 0
+    assert traced - modules == set()
 
 
 def test_library_never_calls_make_or_replace():
