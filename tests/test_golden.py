@@ -3,10 +3,12 @@
 ``golden/cases.json`` maps each case name to its argv and exit code, and
 ``golden/<name>.out`` and ``golden/<name>.err`` hold the exact stdout and
 stderr bytes. The files were written before the renderer was rewritten, so a
-changed byte is a changed output, not a changed layout. Two cases pin the
-parser itself (``--version`` and ``classify --help``, whose text carries the
-``--cap`` default); they print before any command runs, so they are not
-report cases. Help is formatted at a fixed width of 80 columns.
+changed byte is a changed output, not a changed layout. The ``version`` and
+``help*`` cases pin the parser itself: ``--version``, the top-level
+``--help`` and each subcommand's ``--help``, whose text carries every
+argument, default, choice and metavar in order. They print before any
+command runs, so they are not report cases. Help is formatted at a fixed
+width of 80 columns.
 
 ``python tests/test_golden.py NAME...`` runs the named cases of
 ``cases.json`` against the CLI on ``sys.path`` and writes their files and
