@@ -8,6 +8,12 @@ file instead, and a relative ``--output`` path is resolved against the
 command that builds a ring takes ``--cap`` (default 64) and refuses a ring
 degree phi(n) above it before building anything.
 
+One table, ``_COMMANDS``, declares the subcommands: each entry gives a
+name, its help, its integer positionals, its options in help order and the
+``_cmd_*`` function it runs, and ``build_parser`` is one loop over it that
+adds the shared ``--format`` and ``--output`` flags last. So an option is
+declared once, and one that several commands share is one table edit.
+
 Each command returns its report and exit code; ``main`` alone renders the
 report through ``reporting.render`` and writes it.
 
@@ -207,7 +213,7 @@ def _cmd_verify_theorem(args: argparse.Namespace) -> tuple[Report, int]:
     from .harness import verify_theorem
     from .reporting import record_cells
 
-    verdict = verify_theorem(args.n, args.u, args.v, trials=args.trials, seed=args.seed)
+    verdict = verify_theorem(args.n, args.u, args.v, args.trials, args.seed, args.cap)
     row = {**record_cells(verdict), "all_pass": verdict.all_pass}
     title = f"Derivation construction check: n = {verdict.n}, pair ({verdict.u}, {verdict.v})"
     return _one_row(title, row), 0 if verdict.all_pass else 1
@@ -232,22 +238,39 @@ def _cmd_counterexamples(args: argparse.Namespace) -> tuple[Report, int]:
     return report, 0 if all_ok else 1
 
 
-def _add_cap_flag(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument(
-        "--cap", type=_integer, default=DEFAULT_DEGREE_CAP,
-        help=f"maximum ring degree phi(n), checked before any work (default {DEFAULT_DEGREE_CAP})",
-    )
+_INTEGER = {"type": _integer}
+_SEED = {"type": _integer, "default": 0}
+_CAP = {"--cap": {
+    "type": _integer, "default": DEFAULT_DEGREE_CAP,
+    "help": f"maximum ring degree phi(n), checked before any work (default {DEFAULT_DEGREE_CAP})",
+}}
+_OUTPUT = {
+    "--format": {"choices": ("json", "csv", "markdown"), "default": "json",
+                 "help": "output format (default json)"},
+    "--output": {"metavar": "PATH", "help": "write to PATH instead of stdout ('-' keeps stdout)"},
+}
 
-
-def _add_output_flags(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument(
-        "--format", choices=("json", "csv", "markdown"), default="json",
-        help="output format (default json)",
-    )
-    sp.add_argument(
-        "--output", default=None, metavar="PATH",
-        help="write to PATH instead of stdout ('-' keeps stdout)",
-    )
+# Each subcommand: its name, help, integer positionals, options in help order
+# (a command that builds a ring ends them with --cap) and the function it
+# runs. build_parser adds the _OUTPUT flags to every subcommand after these.
+_COMMANDS = (
+    ("phi-poly", "coefficients of the n-th cyclotomic polynomial", "n", _CAP, _cmd_phi_poly),
+    ("matrix", "multiplier matrix and determinant for a pair", "n u v", _CAP, _cmd_matrix),
+    ("classify", "inner/outer classification of D(zeta)", "n u v", {
+        "--dzeta": {"required": True, "metavar": "c0,c1,...", "help": (
+            "coordinates of D(zeta), ascending powers, exactly phi(n) entries")},
+        **_CAP,
+    }, _cmd_classify),
+    ("sweep", "score the determinant prediction over all pairs", "", {
+        "--form": {"choices": ("2rp", "pk"), "required": True},
+        "--r": _INTEGER, "--p": _INTEGER, "--k": _INTEGER, "--seed": _SEED, **_CAP,
+    }, _cmd_sweep),
+    ("verify-theorem", "randomized derivation-construction check", "n u v", {
+        "--trials": {"type": _integer, "default": 100}, "--seed": _SEED, **_CAP,
+    }, _cmd_verify_theorem),
+    ("tables", "per-pair matrices, determinants, solution templates", "n", _CAP, _cmd_tables),
+    ("counterexamples", "regression suite over non-domain rings", "", {}, _cmd_counterexamples),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -257,63 +280,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("phi-poly", help="coefficients of the n-th cyclotomic polynomial")
-    p.add_argument("n", type=_integer)
-    _add_cap_flag(p)
-    _add_output_flags(p)
-    p.set_defaults(func=_cmd_phi_poly)
-
-    p = sub.add_parser("matrix", help="multiplier matrix and determinant for a pair")
-    p.add_argument("n", type=_integer)
-    p.add_argument("u", type=_integer)
-    p.add_argument("v", type=_integer)
-    _add_cap_flag(p)
-    _add_output_flags(p)
-    p.set_defaults(func=_cmd_matrix)
-
-    p = sub.add_parser("classify", help="inner/outer classification of D(zeta)")
-    p.add_argument("n", type=_integer)
-    p.add_argument("u", type=_integer)
-    p.add_argument("v", type=_integer)
-    p.add_argument(
-        "--dzeta", required=True, metavar="c0,c1,...",
-        help="coordinates of D(zeta), ascending powers, exactly phi(n) entries",
-    )
-    _add_cap_flag(p)
-    _add_output_flags(p)
-    p.set_defaults(func=_cmd_classify)
-
-    p = sub.add_parser("sweep", help="score the determinant prediction over all pairs")
-    p.add_argument("--form", choices=("2rp", "pk"), required=True)
-    p.add_argument("--r", type=_integer, default=None)
-    p.add_argument("--p", type=_integer, default=None)
-    p.add_argument("--k", type=_integer, default=None)
-    p.add_argument("--seed", type=_integer, default=0)
-    _add_cap_flag(p)
-    _add_output_flags(p)
-    p.set_defaults(func=_cmd_sweep)
-
-    p = sub.add_parser("verify-theorem", help="randomized derivation-construction check")
-    p.add_argument("n", type=_integer)
-    p.add_argument("u", type=_integer)
-    p.add_argument("v", type=_integer)
-    p.add_argument("--trials", type=_integer, default=100)
-    p.add_argument("--seed", type=_integer, default=0)
-    _add_cap_flag(p)
-    _add_output_flags(p)
-    p.set_defaults(func=_cmd_verify_theorem)
-
-    p = sub.add_parser("tables", help="per-pair matrices, determinants, solution templates")
-    p.add_argument("n", type=_integer)
-    _add_cap_flag(p)
-    _add_output_flags(p)
-    p.set_defaults(func=_cmd_tables)
-
-    p = sub.add_parser("counterexamples", help="regression suite over non-domain rings")
-    _add_output_flags(p)
-    p.set_defaults(func=_cmd_counterexamples)
-
+    for name, help_text, positionals, options, func in _COMMANDS:
+        p = sub.add_parser(name, help=help_text)
+        for dest in positionals.split():
+            p.add_argument(dest, **_INTEGER)
+        for flag, kwargs in {**options, **_OUTPUT}.items():
+            p.add_argument(flag, **kwargs)
+        p.set_defaults(func=func)
     return parser
 
 

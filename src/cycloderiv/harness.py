@@ -150,12 +150,16 @@ class TheoremVerdict(NamedTuple):
         return self.passes == self.trials
 
 
-def verify_theorem(n: int, u: int, v: int, trials: int = 100, seed: int = 0) -> TheoremVerdict:
+def verify_theorem(
+    n: int, u: int, v: int, trials: int = 100, seed: int = 0, cap: int = DEFAULT_DEGREE_CAP
+) -> TheoremVerdict:
     """Leibniz-check the power-formula extension for random D(theta) draws.
 
     Over a cyclotomic ring every draw must pass; the expected verdict is
-    trials/trials.
+    trials/trials. The degree is checked against the cap, then the trial
+    count, before the ring is built.
     """
+    check_degree(n, cap)
     check_trials(trials)
     ring = CyclotomicRing(n)
     pair = TwistedPair.zeta_powers(ring, u, v)

@@ -4,7 +4,8 @@ These are the slow, obviously-correct routines that ``cycloderiv.intlinalg``
 replaced with one fraction-free elimination: Laplace expansion, a plain
 Bareiss determinant, Cramer's rule and the cofactor adjugate, with the
 ``minor`` and matrix product ``matmul`` they and the tests use. None of them
-calls into ``intlinalg`` beyond the ``IntMatrix`` and ``RatVector`` types.
+calls into ``intlinalg`` beyond its ``IntMatrix`` type, or into ``innerness``
+beyond its ``RatVector`` type, in which ``cramer_solve`` returns a solution.
 ``eager_eliminate`` is that elimination before its rows were scaled lazily:
 it rewrites every row below the pivot at every step.
 

@@ -221,6 +221,23 @@ def test_verify_theorem_rejects_bad_inputs():
         verify_theorem(10, 1, 3, trials=0)
 
 
+def test_verify_theorem_refuses_an_over_cap_degree_before_building_a_ring(monkeypatch):
+    def no_ring(n):
+        raise AssertionError(f"built the ring of n = {n}")
+
+    monkeypatch.setattr(harness, "CyclotomicRing", no_ring)
+    with pytest.raises(ValueError, match="^ring degree 100002 exceeds the cap 64;"):
+        verify_theorem(100003, 1, 2, trials=1)
+    with pytest.raises(ValueError, match="^ring degree 100002 exceeds the cap 1000;"):
+        verify_theorem(100003, 1, 2, trials=0, cap=1000)  # the degree is checked first
+
+
+def test_cli_verify_theorem_passes_its_cap_to_the_library(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "check_degree", lambda n, cap: None)
+    assert cli.main(["verify-theorem", "23", "1", "2", "--cap", "10"]) == 2
+    assert capsys.readouterr().err.startswith("error: ring degree 22 exceeds the cap 10;")
+
+
 def test_counterexample_suite_verdicts():
     cases = counterexample_suite()
     by_name = {c.name: c for c in cases}
