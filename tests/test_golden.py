@@ -2,7 +2,7 @@
 
 ``golden/cases.json`` maps each case name to its argv and exit code, and
 ``golden/<name>.out`` and ``golden/<name>.err`` hold the exact stdout and
-stderr bytes. The files were written before the renderer was rewritten, so a
+stderr bytes; the directory holds no other file. The files were written before the renderer was rewritten, so a
 changed byte is a changed output, not a changed layout. The ``version`` and
 ``help*`` cases pin the parser itself: ``--version``, the top-level
 ``--help`` and each subcommand's ``--help``, whose text carries every
@@ -77,6 +77,12 @@ def test_every_subcommand_and_format_has_a_golden_case():
         for case in map(CASES.get, REPORTS)
     }
     assert expected - covered == set()
+
+
+def test_golden_holds_the_manifest_and_two_files_per_case():
+    expected = {MANIFEST.name}
+    expected.update(f"{name}.{stream}" for name in CASES for stream in ("out", "err"))
+    assert {path.name for path in GOLDEN.iterdir()} == expected
 
 
 @pytest.mark.parametrize("name", REPORTS)
