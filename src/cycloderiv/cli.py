@@ -28,8 +28,9 @@ the renderer once the command has returned.
 Exit codes: 0 on success or all-pass, 1 on an assertion-style failure
 (prediction mismatch, failed round-trip, a Leibniz failure where a pass was
 expected), 2 on usage errors, including an input that runs out of memory
-(``Phi_n`` starts from the n + 1 coefficients of ``x^n - 1``, so a cap far
-above the default can admit an n whose list cannot be allocated).
+(``Phi_n`` is built as a series of phi(n) + 2 coefficients, which the cap
+bounds, so a cap far above the default can admit an n whose series cannot
+be allocated).
 """
 
 from __future__ import annotations

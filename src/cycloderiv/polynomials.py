@@ -11,7 +11,11 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
+import sys
 from typing import Iterable, Sequence
+
+from .arith import factorize
 
 ZERO_POLY_DEGREE = float("-inf")
 
@@ -139,34 +143,6 @@ class Polynomial:
             raise ValueError("negative polynomial powers are not defined")
         return _power(self, exponent, Polynomial((1,)))
 
-    def __divmod__(self, den: Polynomial) -> tuple[Polynomial, Polynomial]:
-        """Quotient and remainder for a monic divisor; exact in the integers.
-
-        Only monic divisors are supported: those are the only divisions the
-        cyclotomic recursion and quotient-ring reduction ever need, and they
-        keep every intermediate coefficient an integer.
-        """
-        if not isinstance(den, Polynomial):
-            return NotImplemented
-        if den.is_zero():
-            raise ValueError("division by the zero polynomial")
-        if not den.is_monic():
-            raise ValueError(
-                f"divisor must be monic, got leading coefficient {den.coeffs[-1]}"
-            )
-        rem = list(self.coeffs)
-        dlen = len(den.coeffs)
-        if len(rem) < dlen:
-            return Polynomial(), self
-        quo = [0] * (len(rem) - dlen + 1)
-        for i in range(len(quo) - 1, -1, -1):
-            c = rem[i + dlen - 1]
-            if c:
-                quo[i] = c
-                for j, dc in enumerate(den.coeffs):
-                    rem[i + j] -= c * dc
-        return Polynomial(quo), Polynomial(rem[: dlen - 1])
-
     def __call__(self, value):
         """Evaluate by Horner's rule.
 
@@ -207,33 +183,54 @@ class Polynomial:
 def cyclotomic_poly(n: int) -> Polynomial:
     """The n-th cyclotomic polynomial, monic of degree phi(n).
 
-    Computed by dividing ``x^n - 1`` by the product of the cyclotomic
-    polynomials of the proper divisors of n (recursively, memoized). Every
-    division is by a monic polynomial and is exact.
+    For n >= 2, ``Phi_n`` is the product of ``(1 - x^(n/s))^mu(s)`` over the
+    squarefree divisors s of n, computed as a power series through degree
+    phi(n) + 1 (Arnold and Monagan, *Calculating cyclotomic polynomials*,
+    Math. Comp. 80 (2011)). Multiplying by ``1 - x^e`` subtracts a copy
+    shifted by e, and dividing by it is a running sum with stride e, so
+    nothing is divided and memory follows phi(n), not n. The products come
+    first, so every partial series is the truncation of ``Phi_n`` times the
+    factors still to divide, and its coefficients stay small. The series
+    must end in 1, 0 at degrees phi(n) and phi(n) + 1; an n whose phi(n)
+    cannot index a list is refused before it is factored.
 
     >>> print(cyclotomic_poly(10))
     x^4 - x^3 + x^2 - x + 1
     """
     if n < 1:
         raise ValueError(f"cyclotomic polynomials are indexed by n >= 1, got {n}")
-    poly = Polynomial([-1] + [0] * (n - 1) + [1])
-    for d in range(1, n):
-        if n % d == 0:
-            poly, rem = divmod(poly, cyclotomic_poly(d))
-            if not rem.is_zero():
-                raise ArithmeticError(
-                    f"x^{n} - 1 left the remainder {rem} on division by Phi_{d}"
-                )
-    return poly
+    if n == 1:
+        return Polynomial((-1, 1))
+    # phi(n) >= n // n.bit_length(), see arith._degree_bound
+    if n // n.bit_length() > sys.maxsize:
+        raise OverflowError(f"Phi_n of a {n.bit_length()}-bit n has too many coefficients for a list")
+    factors = [(n, 1)]  # (n/s, mu(s)) for the squarefree divisors s of n
+    for p in factorize(n):
+        factors += [(e // p, -mu) for e, mu in factors]
+    top = sum(e * mu for e, mu in factors) + 1
+    series = [1] + [0] * top
+    for e, mu in sorted(factors, key=lambda f: -f[1]):
+        if e <= top and mu > 0:
+            series[e:] = map(operator.sub, series[e:], series[:-e])
+        elif e <= top:
+            for r in range(e):
+                series[r::e] = itertools.accumulate(series[r::e])
+    if series[-2:] != [1, 0]:
+        raise ArithmeticError(f"the series for Phi_{n} ends in {series[-2:]}, not [1, 0]")
+    return Polynomial(series)
 
 
-def _pseudo_remainder(a: list[int], b: list[int]) -> list[int]:
-    """Coefficients of ``lc(b)^(deg a - deg b + 1) a mod b``; ``deg a >= deg b >= 1``.
+def _pseudo_remainder(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """Coefficients of ``lc(b)^(deg a - deg b + 1) a mod b``; ``deg b >= 1``.
 
     One step per degree of the quotient, each scaling the running remainder
     by ``lc(b)`` (also when its leading term is already zero, so the power of
     ``lc(b)`` is exact) and cancelling that leading term. Trailing zeros are
-    stripped from the result.
+    stripped from the result. An ``a`` of lower degree than b, the zero
+    polynomial included, takes no step and comes back stripped. For a monic
+    b nothing is scaled, so this is the plain remainder: the resultant uses
+    it for its remainder sequence, and ``QuotientRing.reduce`` for any
+    ``a``.
     """
     r = list(a)
     lead = b[-1]

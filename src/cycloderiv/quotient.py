@@ -24,7 +24,7 @@ from __future__ import annotations
 import random
 from typing import Iterable, Sequence
 
-from .polynomials import Polynomial, _convolve, _power, cyclotomic_poly
+from .polynomials import Polynomial, _convolve, _power, _pseudo_remainder, cyclotomic_poly
 
 
 class QuotientRing:
@@ -72,9 +72,12 @@ class QuotientRing:
         return self.reduce_power(1)
 
     def reduce(self, poly: Polynomial) -> RingElement:
-        """Coordinates of ``poly(theta)``; accepts any degree."""
-        _, rem = divmod(poly, self.modulus)
-        return self.element(rem.coeffs)
+        """Coordinates of ``poly(theta)``; accepts any degree.
+
+        They are the remainder of ``poly`` on division by the monic modulus,
+        which ``_pseudo_remainder`` gives with no scaling.
+        """
+        return self.element(_pseudo_remainder(poly.coeffs, self.modulus.coeffs))
 
     def reduce_power(self, k: int) -> RingElement:
         """Coordinates of ``theta^k`` (table lookup for k <= 2d - 2)."""

@@ -1,9 +1,15 @@
+import os
 import random
+import subprocess
+import sys
 from math import gcd
+from pathlib import Path
 
 import pytest
 
+import cycloderiv.polynomials as polynomials
 from cycloderiv import Polynomial, cyclotomic_poly
+from cycloderiv.arith import factorize
 from cycloderiv.polynomials import ZERO_POLY_DEGREE, resultant
 from oracles import sylvester_det
 
@@ -51,35 +57,6 @@ def test_str_rendering():
     assert str(Polynomial((0, -2))) == "-2x"
 
 
-def test_divmod_difference_of_squares():
-    q, r = divmod(Polynomial((-1, 0, 1)), Polynomial((-1, 1)))
-    assert q == Polynomial((1, 1))
-    assert r.is_zero()
-
-
-def test_divmod_monomials():
-    q, r = divmod(Polynomial.monomial(3), Polynomial.monomial(2))
-    assert q == Polynomial((0, 1))
-    assert r.is_zero()
-
-
-def test_divmod_rejects_zero_and_nonmonic():
-    with pytest.raises(ValueError):
-        divmod(Polynomial((1, 1)), Polynomial())
-    with pytest.raises(ValueError):
-        divmod(Polynomial((1, 1)), Polynomial((1, 2)))
-
-
-def test_divmod_roundtrip_random():
-    rng = random.Random(5)
-    for _ in range(100):
-        num = Polynomial([rng.randint(-9, 9) for _ in range(rng.randint(0, 9))])
-        den = Polynomial([rng.randint(-9, 9) for _ in range(rng.randint(0, 4))] + [1])
-        q, r = divmod(num, den)
-        assert q * den + r == num
-        assert r.is_zero() or r.degree < den.degree
-
-
 def test_cyclotomic_examples():
     assert cyclotomic_poly(1) == Polynomial((-1, 1))
     assert cyclotomic_poly(2) == Polynomial((1, 1))
@@ -95,12 +72,9 @@ def test_cyclotomic_rejects_nonpositive():
 
 
 def test_x10_minus_1_over_proper_factors_gives_phi10():
-    # build the divisor product by brute-force multiplication
+    # Phi_1 Phi_2 Phi_5, multiplied by x^4 - x^3 + x^2 - x + 1, is x^10 - 1
     den = Polynomial((-1, 1)) * Polynomial((1, 1)) * Polynomial((1, 1, 1, 1, 1))
-    num = Polynomial([-1] + [0] * 9 + [1])
-    q, r = divmod(num, den)
-    assert q == Polynomial((1, -1, 1, -1, 1))
-    assert r.is_zero()
+    assert Polynomial((1, -1, 1, -1, 1)) * den == Polynomial([-1] + [0] * 9 + [1])
 
 
 def test_cyclotomic_degree_is_totient_up_to_64():
@@ -154,17 +128,83 @@ def test_composition_and_int_evaluation():
     assert p(Polynomial((0, 2))) == Polynomial((1, 2, 4))
 
 
-def test_cyclotomic_poly_raises_on_a_nonzero_remainder(monkeypatch):
-    divmod_ = Polynomial.__divmod__
-    monkeypatch.setattr(
-        Polynomial, "__divmod__", lambda a, b: (divmod_(a, b)[0], Polynomial((1,)))
+_SERIES_SCRIPT = """
+import sys
+import cycloderiv.polynomials as polynomials
+
+if not sys.flags.optimize:
+    sys.exit("expected to run under python -O")
+polynomials.factorize = lambda n: {2: 1}
+try:
+    polynomials.cyclotomic_poly(9)
+except ArithmeticError as exc:
+    print(exc)
+else:
+    sys.exit("cyclotomic_poly returned a series that ends wrong")
+"""
+
+
+def _run_python(flags, script, timeout):
+    """``python FLAGS -c SCRIPT`` with this checkout's ``src`` first on the path."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run(
+        [sys.executable, *flags, "-c", script],
+        env=env, capture_output=True, text=True, timeout=timeout,
     )
+
+
+def test_cyclotomic_poly_raises_when_the_series_ends_wrong(monkeypatch):
+    # a wrong factorization of 9 builds (1 - x^9) / (1 - x^4) through degree 6
+    message = "the series for Phi_9 ends in [0, 0], not [1, 0]"
+    monkeypatch.setattr(polynomials, "factorize", lambda n: {2: 1})
     cyclotomic_poly.cache_clear()
     try:
-        with pytest.raises(ArithmeticError, match="remainder"):
-            cyclotomic_poly(6)
+        with pytest.raises(ArithmeticError) as caught:
+            cyclotomic_poly(9)
     finally:
         cyclotomic_poly.cache_clear()
+    assert str(caught.value) == message
+    # the same under python -O, which strips assert statements
+    proc = _run_python(["-O"], _SERIES_SCRIPT, 60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == message + "\n"
+
+
+def test_cyclotomic_poly_refuses_an_unindexable_degree_before_factoring():
+    # phi(n) >= n // n.bit_length() > sys.maxsize; factoring this n alone takes seconds
+    script = (
+        "from cycloderiv.polynomials import cyclotomic_poly\n"
+        "cyclotomic_poly(33554393**3 * 33554383)\n"
+    )
+    proc = _run_python([], script, 5)
+    assert proc.returncode == 1
+    assert proc.stderr.splitlines()[-1] == (
+        "OverflowError: Phi_n of a 100-bit n has too many coefficients for a list"
+    )
+
+
+def _at_power(poly, k, sign=1):
+    """``poly(sign * x^k)``, built coefficient by coefficient."""
+    out = [0] * (k * len(poly.coeffs))
+    for i, c in enumerate(poly.coeffs):
+        out[i * k] = c * sign**i
+    return Polynomial(out)
+
+
+# squarefree n with three to six primes, up to 2 * 3 * 5 * 7 * 11 * 13
+SQUAREFREE = (30, 105, 210, 330, 390, 462, 1001, 1155, 1365, 2310, 3003, 4290, 5005, 15015, 30030)
+
+
+def test_cyclotomic_identities_on_squarefree_n_up_to_30030():
+    # Phi_mp(x) Phi_m(x) = Phi_m(x^p) for a prime p not dividing m, here the
+    # largest prime of n, and Phi_2m(x) = Phi_m(-x) for odd m
+    for n in SQUAREFREE:
+        p = max(factorize(n))
+        m = n // p
+        assert cyclotomic_poly(n) * cyclotomic_poly(m) == _at_power(cyclotomic_poly(m), p), n
+        if n % 2:
+            assert cyclotomic_poly(2 * n) == _at_power(cyclotomic_poly(n), 1, -1), n
 
 
 def test_monomial_refuses_a_negative_degree():

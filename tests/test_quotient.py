@@ -45,6 +45,18 @@ def test_reduce_of_the_modulus_is_zero():
         assert ring.reduce(ring.modulus).is_zero()
 
 
+def test_reduce_gives_the_remainder_on_random_monic_moduli():
+    # reduce(q f + r) is r for any q, a monic f and deg r < deg f
+    rng = random.Random(5)
+    for _ in range(200):
+        degree = rng.randint(1, 6)
+        f = Polynomial([rng.randint(-9, 9) for _ in range(degree)] + [1])
+        q = Polynomial([rng.randint(-9, 9) for _ in range(rng.randint(0, 9))])
+        r = Polynomial([rng.randint(-9, 9) for _ in range(rng.randint(0, degree))])
+        ring = QuotientRing(f)
+        assert ring.reduce(q * f + r) == ring.element(r.coeffs), (q, f, r)
+
+
 def test_element_padding_and_length_guard():
     ring = CyclotomicRing(10)
     assert ring.element((3,)).coords == (3, 0, 0, 0)

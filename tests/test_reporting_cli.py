@@ -459,6 +459,15 @@ def test_cli_refuses_a_huge_ring_before_building_it():
     ]
 
 
+def test_cli_builds_phi_30030_within_the_timeout():
+    # Phi_n is built from phi(n) + 2 series coefficients, so degree 5760 takes well under 10 s
+    proc = _run_process(["phi-poly", "30030", "--cap", "5760"])
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert report["degree"] == "5760"
+    assert len(report["coefficients"]) == 5761
+
+
 HUGE = "1000000000000000003"
 
 

@@ -29,10 +29,22 @@ def _sympy_poly(coeffs):
     return sympy.Poly(list(reversed(coeffs)), X, domain="ZZ")
 
 
-def test_cyclotomic_poly_equals_sympy():
-    for n in range(1, 201):
+def _check_cyclotomic_polys(conductors):
+    for n in conductors:
         expected = sympy.Poly(sympy.cyclotomic_poly(n, X), X, domain="ZZ")
         assert _sympy_poly(cyclotomic_poly(n).coeffs) == expected, n
+
+
+def test_cyclotomic_poly_equals_sympy():
+    # n <= 200, then squarefree n with four or five primes, whose series runs
+    # through 16 or 32 factors (1 - x^(n/s))^mu(s)
+    _check_cyclotomic_polys([*range(1, 201), 210, 330, 390, 462, 1155, 1365, 2310])
+
+
+@pytest.mark.slow
+def test_cyclotomic_poly_equals_sympy_at_30030():
+    # 2 * 3 * 5 * 7 * 11 * 13, degree 5760
+    _check_cyclotomic_polys([30030])
 
 
 def _check_dets_equal_resultants(conductors):
