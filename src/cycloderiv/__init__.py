@@ -1,9 +1,12 @@
 """Exact-arithmetic toolkit for twisted derivations of cyclotomic integer rings.
 
 Everything runs over arbitrary-precision integers: polynomial and power-basis
-arithmetic, endomorphism pairs and the derivations they induce, fraction-free
-linear algebra, inner/outer classification with exact witnesses, and batch
-sweep drivers with deterministic serialized reports.
+arithmetic, endomorphism pairs and the derivations they induce, each pair's
+determinant as the resultant ``Res(Phi_n, delta)`` and its closed-form
+inverse, inner/outer classification with exact witnesses, and batch sweep
+drivers with deterministic serialized reports. ``intlinalg`` holds the
+integer matrices the CLI prints and reference elimination routines that the
+package itself does not call.
 
 The public names resolve on first use (PEP 562): ``_HOMES`` lists each one
 under the module that defines it, and ``__getattr__`` imports that module

@@ -14,8 +14,10 @@ name, its help, its integer positionals, its options in help order and the
 adds the shared ``--format`` and ``--output`` flags last. So an option is
 declared once, and one that several commands share is one table edit.
 
-Each command returns its report and exit code; ``main`` alone renders the
-report through ``reporting.render`` and writes it.
+Each command returns a ``reporting.Report`` and its exit code: ``sweep``
+and ``tables`` convert their batch record with the converter ``harness``
+keeps beside it, and the other commands build their ``Report`` here.
+``main`` alone renders it through ``reporting.render`` and writes it.
 
 Start-up loads only the parser and the argument rules (``arith``). A command
 checks its input first, in the order the library would refuse it (the ring
@@ -30,7 +32,7 @@ Exit codes: 0 on success or all-pass, 1 on an assertion-style failure
 expected), 2 on usage errors, including an input that runs out of memory
 (``Phi_n`` is built as a series of phi(n) + 2 coefficients, which the cap
 bounds, so a cap far above the default can admit an n whose series cannot
-be allocated).
+be allocated, or whose length does not even fit a list index).
 """
 
 from __future__ import annotations
@@ -199,12 +201,12 @@ def _build_form(args: argparse.Namespace) -> RingForm:
     return RingForm(args.form, args.p, args.r, args.k)
 
 
-def _cmd_sweep(args: argparse.Namespace) -> tuple[SweepReport, int]:
+def _cmd_sweep(args: argparse.Namespace) -> tuple[Report, int]:
     form = _build_form(args)
-    from .harness import sweep
+    from .harness import _sweep_report, sweep
 
     report = sweep(form, seed=args.seed, cap=args.cap)
-    return report, 0 if report.all_ok else 1
+    return _sweep_report(report), 0 if report.all_ok else 1
 
 
 def _cmd_verify_theorem(args: argparse.Namespace) -> tuple[Report, int]:
@@ -220,11 +222,11 @@ def _cmd_verify_theorem(args: argparse.Namespace) -> tuple[Report, int]:
     return _one_row(title, row), 0 if verdict.all_pass else 1
 
 
-def _cmd_tables(args: argparse.Namespace) -> tuple[TableArtifact, int]:
+def _cmd_tables(args: argparse.Namespace) -> tuple[Report, int]:
     check_degree(args.n, args.cap)
-    from .harness import reproduce_tables
+    from .harness import _tables_report, reproduce_tables
 
-    return reproduce_tables(args.n, cap=args.cap), 0
+    return _tables_report(reproduce_tables(args.n, cap=args.cap)), 0
 
 
 def _cmd_counterexamples(args: argparse.Namespace) -> tuple[Report, int]:
@@ -318,7 +320,7 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except MemoryError:
+    except (MemoryError, OverflowError):
         print("error: out of memory; a lower --cap refuses a ring this large", file=sys.stderr)
         return 2
     except OSError as exc:

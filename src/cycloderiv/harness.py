@@ -12,16 +12,14 @@ regression suite is a table of power-formula extensions over rings with
 zero divisors. Reports are immutable named tuples. ``_sweep_report`` and
 ``_tables_report`` convert a ``SweepReport`` and a ``TableArtifact`` into
 the ``reporting.Report`` that ``render`` formats, so each batch record sits
-beside its output schema, and a command that renders its own ``Report``
-loads none of this module. Identical (form, seed, version) inputs produce
-identical reports; the measured elapsed time is kept on the object but never
-serialized, so emitted bytes stay reproducible.
+beside its output schema. The CLI calls them; ``reporting`` imports
+nothing from this module. Identical (form, seed, version) inputs produce
+identical reports and identical bytes.
 """
 
 from __future__ import annotations
 
 import random
-import time
 from itertools import chain, combinations
 from typing import Iterator, NamedTuple
 
@@ -61,7 +59,6 @@ class SweepReport(NamedTuple):
     records: tuple[PairRecord, ...]
     seed: int
     version: str
-    elapsed: float = 0.0  # informational only; excluded from serialization
 
     @property
     def n(self) -> int:
@@ -92,7 +89,6 @@ def _zeta_pairs(n: int, cap: int) -> Iterator[tuple[int, int, TwistedPair]]:
 
 def sweep(form: RingForm, seed: int = 0, cap: int = DEFAULT_DEGREE_CAP) -> SweepReport:
     """Score the determinant prediction over all unordered pairs of a ring."""
-    started = time.perf_counter()
     rng = random.Random(seed)
     records = []
     for u, v, pair in _zeta_pairs(form.n, cap):
@@ -103,14 +99,7 @@ def sweep(form: RingForm, seed: int = 0, cap: int = DEFAULT_DEGREE_CAP) -> Sweep
         roundtrip = verdict.is_inner and verdict.witness.numerators == beta.coords
         match = det_abs == predicted
         records.append(PairRecord(u, v, e1, e2, m, det_abs, predicted, match, roundtrip))
-    elapsed = time.perf_counter() - started
-    return SweepReport(
-        form=form,
-        records=tuple(records),
-        seed=seed,
-        version=__version__,
-        elapsed=elapsed,
-    )
+    return SweepReport(form=form, records=tuple(records), seed=seed, version=__version__)
 
 
 def _sweep_report(report: SweepReport) -> Report:

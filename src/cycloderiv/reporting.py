@@ -11,12 +11,13 @@ columns, the rows, and the JSON document. ``render`` formats it:
 Every integer travels as a decimal string, so consumers never face 64-bit
 overflow. In JSON, booleans are booleans and a missing value is null; in CSV
 and Markdown they are ``true``/``false`` and an empty cell, and a list cell is
-joined with spaces. ``render`` also takes a ``SweepReport`` or a
-``TableArtifact``, which ``harness`` converts first, beside those records;
-the README lists every command's JSON keys and CSV columns. The same report
-rendered twice yields identical bytes. ``csv`` is imported only to render
-CSV and ``harness`` only to convert its records, so rendering a command's
-own ``Report`` as JSON loads neither.
+joined with spaces. The README lists every command's JSON keys and CSV
+columns. The same report rendered twice yields identical bytes.
+
+This module imports no other module of the package: ``harness`` builds the
+``Report`` of a sweep or a table from its own records, and the CLI hands
+every command's ``Report`` to ``render``. ``csv`` is imported only to render
+CSV, so a JSON report does not load it.
 """
 
 from __future__ import annotations
@@ -71,19 +72,10 @@ def _markdown_table(columns, rows):
         yield "| " + " | ".join(_cell(row[k]) for k in columns) + " |"
 
 
-def render(report, fmt: str) -> str:
-    """Render a Report, SweepReport or TableArtifact as json, csv or markdown."""
+def render(report: Report, fmt: str) -> str:
+    """Render a Report as json, csv or markdown."""
     if fmt not in ("json", "csv", "markdown"):
         raise ValueError(f"unknown format {fmt!r}; expected one of ('json', 'csv', 'markdown')")
-    if not isinstance(report, Report):
-        from .harness import SweepReport, TableArtifact, _sweep_report, _tables_report
-
-        if isinstance(report, SweepReport):
-            report = _sweep_report(report)
-        elif isinstance(report, TableArtifact):
-            report = _tables_report(report)
-        else:
-            raise TypeError(f"cannot render objects of type {type(report).__name__}")
     if fmt == "json":
         return json.dumps(report.payload, indent=2) + "\n"
     if fmt == "csv":

@@ -60,6 +60,20 @@ def test_cli_output_matches_the_golden_bytes(name):
     assert err.encode("utf-8") == _golden(name, "err")
 
 
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_golden_case_keeps_the_exit_contract(name):
+    # exit 0 writes nothing to stderr; exit 2 writes nothing to stdout and
+    # ends stderr with an error line, never a traceback; no other exit code
+    out, err = _golden(name, "out"), _golden(name, "err").decode("utf-8")
+    assert CASES[name]["exit"] in (0, 2)
+    if CASES[name]["exit"] == 0:
+        assert err == ""
+    else:
+        assert out == b""
+        assert "error: " in err.splitlines()[-1]
+        assert "Traceback" not in err
+
+
 def _format_of(argv):
     if "--format" in argv:
         return argv[argv.index("--format") + 1]

@@ -11,6 +11,7 @@ import pytest
 from cycloderiv import RingForm, SweepReport, render, reproduce_tables, sweep
 from cycloderiv import cli
 from cycloderiv.cli import build_parser, main
+from cycloderiv.harness import _sweep_report, _tables_report
 from cycloderiv.reporting import write_text
 
 
@@ -38,7 +39,7 @@ def _markdown_rows(text):
 
 def test_sweep_json_schema():
     report = sweep(RingForm.form_pk(3, 2), seed=0)
-    payload = json.loads(render(report, "json"))
+    payload = json.loads(render(_sweep_report(report), "json"))
     assert payload["ring"] == {"n": "9", "form": "pk", "params": {"p": "3", "k": "2"}}
     assert payload["summary"] == {
         "pairs": "15",
@@ -56,14 +57,14 @@ def test_sweep_json_schema():
 
 
 def test_sweep_json_2rp_params_and_e2():
-    report = sweep(RingForm.form_2rp(1, 5), seed=0)
+    report = _sweep_report(sweep(RingForm.form_2rp(1, 5), seed=0))
     payload = json.loads(render(report, "json"))
     assert payload["ring"]["params"] == {"r": "1", "p": "5"}
     assert all(p["e2"] is not None for p in payload["pairs"])
 
 
 def test_sweep_csv_shape():
-    report = sweep(RingForm.form_2rp(1, 5), seed=0)
+    report = _sweep_report(sweep(RingForm.form_2rp(1, 5), seed=0))
     lines = render(report, "csv").splitlines()
     assert lines[0] == "u,v,e1,e2,m,det_abs,predicted,match,roundtrip"
     assert len(lines) == 1 + 6
@@ -87,13 +88,13 @@ def test_all_formats_encode_the_same_records(capsys, argv, key):
 
 
 def test_identical_reports_serialize_to_identical_bytes():
-    report = sweep(RingForm.form_pk(3, 2), seed=5)
+    record = sweep(RingForm.form_pk(3, 2), seed=5)
     for fmt in ("json", "csv", "markdown"):
-        assert render(report, fmt) == render(report, fmt)
+        assert render(_sweep_report(record), fmt) == render(_sweep_report(record), fmt)
 
 
 def test_empty_report_serializes():
-    report = SweepReport(form=RingForm.form_2rp(1, 5), records=(), seed=0, version="x")
+    report = _sweep_report(SweepReport(form=RingForm.form_2rp(1, 5), records=(), seed=0, version="x"))
     payload = json.loads(render(report, "json"))
     assert payload["pairs"] == []
     assert payload["summary"]["pairs"] == "0"
@@ -102,16 +103,8 @@ def test_empty_report_serializes():
     ]
 
 
-def test_elapsed_time_never_reaches_the_output():
-    a = sweep(RingForm.form_2rp(1, 5), seed=0)
-    b = SweepReport(form=a.form, records=a.records, seed=a.seed, version=a.version,
-                    elapsed=a.elapsed + 1000.0)
-    for fmt in ("json", "csv", "markdown"):
-        assert render(a, fmt) == render(b, fmt)
-
-
 def test_tables_render_all_formats():
-    artifact = reproduce_tables(10)
+    artifact = _tables_report(reproduce_tables(10))
     payload = json.loads(render(artifact, "json"))
     assert payload["n"] == "10"
     assert len(payload["blocks"]) == 6
@@ -127,9 +120,7 @@ def test_tables_render_all_formats():
 
 def test_render_rejects_unknown_inputs():
     with pytest.raises(ValueError):
-        render(sweep(RingForm.form_2rp(1, 5), seed=0), "yaml")
-    with pytest.raises(TypeError):
-        render(42, "json")
+        render(_sweep_report(sweep(RingForm.form_2rp(1, 5), seed=0)), "yaml")
 
 
 def test_write_text_reports_path_on_failure(tmp_path):
@@ -517,6 +508,29 @@ def test_cli_refuses_a_huge_prime_n_at_a_huge_cap_with_its_exact_degree(command)
         "error: ring degree 1000000000000000002 exceeds the cap 100000000000000000; "
         "raise the cap to proceed"
     ]
+
+
+TWO_TO_100 = str(2**100)
+
+
+@pytest.mark.parametrize("argv", [
+    ["phi-poly", TWO_TO_100],
+    ["matrix", TWO_TO_100, "1", "3"],
+    ["verify-theorem", TWO_TO_100, "1", "3", "--trials", "1"],
+    ["tables", TWO_TO_100],
+    ["classify", TWO_TO_100, "1", "3", "--dzeta", "1"],
+    ["sweep", "--form", "pk", "--p", "2", "--k", "100"],
+    ["sweep", "--form", "2rp", "--r", "99", "--p", "3"],
+], ids=lambda argv: " ".join(argv)[:40])
+def test_cli_refuses_a_degree_no_list_can_index_with_one_line(argv):
+    # n = 2^100 factors at once and phi(n) = 2^99 passes this cap, but no
+    # list of phi(n) + 2 coefficients can be built: the command exits 2 with
+    # one error line, not a traceback
+    proc = _run_process([*argv, "--cap", str(10**30)])
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert "Traceback" not in proc.stderr
+    (line,) = proc.stderr.splitlines()
+    assert line.startswith("error: ")
 
 
 @pytest.mark.parametrize("argv, message", [
