@@ -185,11 +185,14 @@ def _build_form(args: argparse.Namespace) -> RingForm:
     elif args.p is None or args.k is None:
         raise ValueError("form pk requires --p and --k")
     # p divides n, so phi(n) >= phi(p), and n >= 2^e for the form's exponent
-    # e: a p or e this large is refused before p is tested or n is computed
+    # e: a p or e this large is refused before p is tested or n is computed;
+    # only then is n itself bounded, so a p above the Miller-Rabin limit whose
+    # n is over the cap is never trial-divided
     e = args.r if args.form == "2rp" else args.k
     if args.p >= 2 and e >= 1 and (
         _degree_bound(args.p, args.cap) is not None
         or e > _factor_limit(args.cap).bit_length()
+        or _degree_bound(2**e * args.p if args.form == "2rp" else args.p**e, args.cap) is not None
     ):
         n = f"2^{e}*{args.p}" if args.form == "2rp" else f"{args.p}^{e}"
         raise ValueError(

@@ -3,14 +3,10 @@
 Everything works on arbitrary-precision integers; no floats, no modular
 shortcuts. A single private kernel runs one forward Bareiss pass (Bareiss
 1968, *Sylvester's identity and multistep integer-preserving Gaussian
-elimination*) with row pivoting over an augmented matrix ``[A | B]``. Every
-intermediate value is a minor of ``[A | B]`` and therefore an integer, and
-the last pivot is ``det(PA)`` for the row permutation P. A row whose
-multiplier is zero is not rescaled at that step: the kernel keeps, per row,
-the pivot it was last divided by and brings the row up to date only when it
-is next updated or chosen as pivot (see ``_eliminate``). On multiplier
-matrices most multipliers are zero, so most row passes are skipped. The
-public routines are thin callers:
+elimination*) with row pivoting over an augmented matrix ``[A | B]``. At
+each pivot every row below it is rewritten, so every stored value is a minor
+of ``[A | B]`` and therefore an integer, and the last pivot is ``det(PA)``
+for the row permutation P. The public routines are thin callers:
 
 * ``det`` eliminates A alone;
 * ``solve_unique`` eliminates ``[A | C]`` and back-substitutes fraction-free
@@ -101,11 +97,7 @@ class IntMatrix(_IntMatrixFields):
 
 
 class _Echelon(NamedTuple):
-    """``[PA | PB]`` after one forward Bareiss pass, in the pivot columns of A.
-
-    Pivot rows are exact. Rows past the rank of a singular A keep their
-    stored, not yet rescaled, values.
-    """
+    """``[PA | PB]`` after one forward Bareiss pass, in the pivot columns of A."""
 
     rows: list[list[int]]
     order: list[int]  # order[i] is the row of A that ended in position i
@@ -126,31 +118,17 @@ class _Echelon(NamedTuple):
 def _eliminate(matrix: IntMatrix, rhs: Sequence[Sequence[int]] = ()) -> _Echelon:
     """One forward Bareiss pass over ``[A | B]`` for a square A; B is given by its columns.
 
-    After the step with pivot row r, the true value of every entry below it
-    is the minor of ``[PA | PB]`` on rows ``0..r`` plus its own row and the
-    pivot columns plus its own column. A row is not rewritten to that value
-    at every step. Row i keeps ``div[i]``, the pivot of the last step that
-    updated it (1 at the start), and stores ``true * div[i] / prev``, where
-    prev is the latest pivot: between two updates the eager pass would only
-    rescale it by ``pivot / prev`` per step, and those factors telescope.
-
-    * A row whose multiplier is zero is left as it is.
-    * A row with a nonzero multiplier is updated in one pass as
-      ``(x * pivot - a_ik * y) // div[i]`` from its stored values. The
-      quotient is the true minor, so the division is exact. Then
-      ``div[i] = pivot``.
-    * The pivot row is caught up once, over A and B, as
-      ``x * prev // div[r]`` when it is chosen; again the quotient is a minor.
-
-    So every pivot row ends exact, as in the eager pass, and only rows past
-    the rank of a singular A are left stored, not caught up. A column with no
-    nonzero entry at or below the current row (a stored entry is zero exactly
-    when its true value is) is skipped, which leaves the rank and, for a
-    full-rank A, ``det(PA)`` as the last pivot.
+    At the step with pivot row r and previous pivot prev, every row below is
+    rewritten as ``(x * pivot - a_ik * y) // prev``, y the pivot row's entry
+    in x's column: with ``a_ik = 0`` that is ``x * pivot // prev``, which
+    leaves the row as it is when ``pivot == prev``. Each quotient is the
+    minor of ``[PA | PB]`` on rows ``0..r`` plus its own row and the pivot
+    columns plus its own column, so the division is exact. A column with no
+    nonzero entry at or below the current row is skipped, which leaves the
+    rank and, for a full-rank A, ``det(PA)`` as the last pivot.
     """
     d = matrix.rows
     a = [list(matrix.row(i)) + [c[i] for c in rhs] for i in range(d)]
-    div = [1] * d
     order = list(range(d))
     sign, prev, r = 1, 1, 0
     pivots: list[int] = []
@@ -160,24 +138,17 @@ def _eliminate(matrix: IntMatrix, rhs: Sequence[Sequence[int]] = ()) -> _Echelon
             continue
         if p != r:
             a[r], a[p] = a[p], a[r]
-            div[r], div[p] = div[p], div[r]
             order[r], order[p] = order[p], order[r]
             sign = -sign
-        row_r = a[r]
-        if div[r] != prev:
-            row_r[k:] = [x * prev // div[r] for x in row_r[k:]]
-        pivot = row_r[k]
-        tail_r = row_r[k + 1 :]
-        for i in range(r + 1, d):
-            row_i = a[i]
-            aik = row_i[k]
+        pivot = a[r][k]
+        tail = a[r][k + 1 :]
+        for row in a[r + 1 :]:
+            aik = row[k]
             if aik:
-                di = div[i]
-                row_i[k + 1 :] = [
-                    (x * pivot - aik * y) // di for x, y in zip(row_i[k + 1 :], tail_r)
-                ]
-                row_i[k] = 0
-                div[i] = pivot
+                row[k + 1 :] = [(x * pivot - aik * y) // prev for x, y in zip(row[k + 1 :], tail)]
+                row[k] = 0
+            elif pivot != prev:
+                row[k + 1 :] = [x * pivot // prev for x in row[k + 1 :]]
         prev = pivot
         pivots.append(k)
         r += 1
@@ -227,8 +198,7 @@ def adjugate(matrix: IntMatrix) -> IntMatrix:
     if matrix.rows != matrix.cols:
         raise ValueError(f"adjugate needs a square matrix, got {matrix.rows}x{matrix.cols}")
     d = matrix.rows
-    identity = IntMatrix.identity(d)
-    ech = _eliminate(matrix, [identity.column(j) for j in range(d)])
+    ech = _eliminate(matrix, [[int(i == j) for i in range(d)] for j in range(d)])
     if ech.full_rank:
         columns = _back_substitute(ech)
         return IntMatrix.from_columns([[ech.sign * x for x in col] for col in columns])

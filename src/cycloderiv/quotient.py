@@ -1,13 +1,14 @@
 """Power-basis arithmetic in quotient rings Z[x]/(f) with f monic.
 
 Elements are coordinate vectors over the basis ``1, theta, ..., theta^(d-1)``
-where ``theta`` is the class of x and d the degree of the modulus. A
-precomputed table of the reductions of ``theta^k`` for ``k <= 2d - 2`` lets a
-product be reduced without repeated division. Rows k < d are unit vectors, so
-a product keeps its low coefficients and folds each nonzero high coefficient
-through the nonzero entries of its wrap row ``theta^k``, ``d <= k <= 2d - 2``,
-which the ring keeps as ``wrap_rows``. The convolution before it multiplies
-only nonzero pairs, so no zero is ever multiplied.
+where ``theta`` is the class of x and d the degree of the modulus. The ring
+keeps one table, ``wrap_rows``: the nonzero entries of ``theta^k`` for
+``d <= k <= 2d - 2``, built by the recurrence ``theta^(k+1) = theta *
+theta^k``. A product keeps the low d coefficients of its convolution and
+folds each nonzero high coefficient through its wrap row, so it is reduced
+without division; the convolution before it multiplies only nonzero pairs,
+so no zero is ever multiplied. Any other reduction, ``reduce_power``
+included, is a division by the modulus.
 
 For ``Phi_n`` the wrap rows are sparse. ``Phi_n`` divides ``x^n - 1``, so
 ``theta^n = 1`` and a row with k >= n is the unit vector ``theta^(k-n)``. For
@@ -28,7 +29,7 @@ from .polynomials import Polynomial, _convolve, _power, _pseudo_remainder, cyclo
 
 
 class QuotientRing:
-    __slots__ = ("modulus", "degree", "power_table", "wrap_rows")
+    __slots__ = ("modulus", "degree", "wrap_rows")
 
     def __init__(self, modulus: Polynomial) -> None:
         if modulus.is_zero() or not modulus.is_monic():
@@ -40,17 +41,13 @@ class QuotientRing:
         self.degree = d
         # theta^d = -(a_0 + a_1 theta + ... + a_{d-1} theta^{d-1})
         reduction = tuple(-c for c in modulus.coeffs[:d])
-        table = [tuple(1 if i == k else 0 for i in range(d)) for k in range(d)]
-        for k in range(d, 2 * d - 1):
-            prev = table[k - 1]
-            lead = prev[d - 1]
-            shifted = (0,) + prev[: d - 1]
-            table.append(tuple(s + lead * r for s, r in zip(shifted, reduction)))
-        self.power_table = tuple(table)
-        # the nonzero (index, value) entries of theta^k for d <= k <= 2d - 2
-        self.wrap_rows = tuple(
-            tuple((i, c) for i, c in enumerate(row) if c) for row in table[d:]
-        )
+        power, rows = reduction, []
+        for _ in range(d - 1):
+            # the nonzero (index, value) entries of theta^k for d <= k <= 2d - 2
+            rows.append(tuple((i, c) for i, c in enumerate(power) if c))
+            lead = power[d - 1]
+            power = tuple(s + lead * r for s, r in zip((0,) + power[:-1], reduction))
+        self.wrap_rows = tuple(rows)
 
     def element(self, coords: Sequence[int] | Iterable[int]) -> RingElement:
         cs = list(coords)
@@ -80,11 +77,9 @@ class QuotientRing:
         return self.element(_pseudo_remainder(poly.coeffs, self.modulus.coeffs))
 
     def reduce_power(self, k: int) -> RingElement:
-        """Coordinates of ``theta^k`` (table lookup for k <= 2d - 2)."""
+        """Coordinates of ``theta^k``: the remainder of ``x^k`` by the modulus."""
         if k < 0:
             raise ValueError(f"power must be non-negative, got {k}")
-        if k < len(self.power_table):
-            return RingElement(self, self.power_table[k])
         return self.reduce(Polynomial.monomial(k))
 
     def random_element(self, rng: random.Random) -> RingElement:

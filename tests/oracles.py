@@ -6,8 +6,6 @@ Bareiss determinant, Cramer's rule and the cofactor adjugate, with the
 ``minor`` and matrix product ``matmul`` they and the tests use. None of them
 calls into ``intlinalg`` beyond its ``IntMatrix`` type, or into ``innerness``
 beyond its ``RatVector`` type, in which ``cramer_solve`` returns a solution.
-``eager_eliminate`` is that elimination before its rows were scaled lazily:
-it rewrites every row below the pivot at every step.
 
 The same holds for ``cycloderiv.endomorphisms``: the power sums accumulated
 from two running power lists, the product-rule scan over all d^2 basis pairs,
@@ -16,9 +14,10 @@ Z-linear map, where ``leibniz_check`` now checks a power-formula extension at
 its one wrap pair. They use only the ring arithmetic and the pair's generator
 images.
 
-``dense_ring_product`` is the ring product before it skipped the zeros of
-the power table: a schoolbook convolution, then every coefficient folded
-through its full row of ``power_table``.
+``dense_ring_product`` is the ring product without its wrap rows: a
+schoolbook convolution, then every coefficient folded through the full row of
+``theta^k``, which ``QuotientRing.reduce`` finds by dividing ``x^k`` by the
+modulus.
 
 ``sylvester_det`` is the resultant by its definition: ``bareiss_det`` of the
 Sylvester matrix, against which ``polynomials.resultant`` is checked.
@@ -30,7 +29,7 @@ from cycloderiv import IntMatrix, LeibnizReport, Polynomial, RatVector, RingElem
 
 
 def dense_ring_product(x: RingElement, y: RingElement) -> RingElement:
-    """x * y by the schoolbook loop and the full-table reduction."""
+    """x * y by the schoolbook loop, each power ``theta^k`` reduced by division."""
     d = x.ring.degree
     prod = [0] * (2 * d - 1)
     for i, a in enumerate(x.coords):
@@ -38,11 +37,10 @@ def dense_ring_product(x: RingElement, y: RingElement) -> RingElement:
             for j, b in enumerate(y.coords):
                 if b:
                     prod[i + j] += a * b
-    table = x.ring.power_table
     out = [0] * d
     for k, c in enumerate(prod):
         if c:
-            row = table[k]
+            row = x.ring.reduce(Polynomial.monomial(k)).coords
             for i in range(d):
                 out[i] += c * row[i]
     return RingElement(x.ring, tuple(out))
@@ -124,40 +122,6 @@ def sylvester_det(f: Polynomial, g: Polynomial) -> int:
     rows = [[0] * i + [*a] + [0] * (n - 1 - i) for i in range(n)]
     rows += [[0] * i + [*b] + [0] * (m - 1 - i) for i in range(m)]
     return bareiss_det(IntMatrix.from_rows(rows))
-
-
-def eager_eliminate(matrix: IntMatrix, rhs=()):
-    """Bareiss over ``[A | B]`` rescaling every row at every step; (rows, order, sign, pivots)."""
-    d = matrix.rows
-    a = [list(matrix.row(i)) + [c[i] for c in rhs] for i in range(d)]
-    order = list(range(d))
-    sign, prev, r = 1, 1, 0
-    pivots = []
-    for k in range(d):
-        p = next((i for i in range(r, d) if a[i][k]), None)
-        if p is None:
-            continue
-        if p != r:
-            a[r], a[p] = a[p], a[r]
-            order[r], order[p] = order[p], order[r]
-            sign = -sign
-        row_r = a[r]
-        pivot = row_r[k]
-        tail_r = row_r[k + 1 :]
-        for i in range(r + 1, d):
-            row_i = a[i]
-            aik = row_i[k]
-            if aik:
-                row_i[k + 1 :] = [
-                    (x * pivot - aik * y) // prev for x, y in zip(row_i[k + 1 :], tail_r)
-                ]
-                row_i[k] = 0
-            elif pivot != prev:
-                row_i[k + 1 :] = [x * pivot // prev for x in row_i[k + 1 :]]
-        prev = pivot
-        pivots.append(k)
-        r += 1
-    return a, order, sign, pivots
 
 
 def replace_column(m: IntMatrix, j: int, values) -> IntMatrix:

@@ -21,7 +21,6 @@ from oracles import (
     bareiss_det,
     cofactor_adjugate,
     cramer_solve,
-    eager_eliminate,
     laplace_det,
     matmul,
 )
@@ -330,11 +329,7 @@ def test_kernel_matches_oracles_on_every_multiplier_matrix_up_to_30():
         _assert_multiplier_matches_oracles(m, rng, cofactor_up_to=10)
 
 
-# -- lazy row scaling: sparse matrices, where most multipliers are zero -------
-#
-# The kernel leaves a row whose multiplier is zero as it is and keeps the
-# divisor it was last updated with, so these cases reach rows that are
-# several steps stale when they are next updated or chosen as pivot.
+# -- sparse matrices, where most multipliers are zero --------------------------
 
 
 def _sparse_matrix(rng, d, density, bits=None):
@@ -348,29 +343,13 @@ def _sparse_matrix(rng, d, density, bits=None):
     return IntMatrix(d, d, tuple(entry() for _ in range(d * d)))
 
 
-def _assert_lazy_matches_eager(m, rhs=()):
-    """Order, sign, pivots and every pivot row equal the eager pass exactly."""
-    ech = _eliminate(m, rhs)
-    rows, order, sign, pivots = eager_eliminate(m, rhs)
-    assert (ech.order, ech.sign, ech.pivots) == (order, sign, pivots)
-    rank = len(pivots)
-    assert ech.rows[:rank] == rows[:rank]
-    if ech.full_rank:
-        assert ech.rows == rows
-
-
 def _assert_sparse_matches_oracles(m, rng, bits=None):
     _assert_matches_oracles(m, rng, bits)
     if m.rows == 6:  # _assert_matches_oracles expands up to 5
         assert det(m) == laplace_det(m)
-    d = m.rows
-    c = tuple(rng.randint(-9, 9) for _ in range(d))
-    _assert_lazy_matches_eager(m)
-    _assert_lazy_matches_eager(m, [c])
-    _assert_lazy_matches_eager(m, [IntMatrix.identity(d).column(j) for j in range(d)])
 
 
-def test_lazy_kernel_on_sparse_matrices_small_entries():
+def test_kernel_matches_oracles_on_sparse_matrices_small_entries():
     rng = random.Random(55)
     ranks = set()
     for _ in range(160):
@@ -381,7 +360,7 @@ def test_lazy_kernel_on_sparse_matrices_small_entries():
     assert {0, -1, -2} <= ranks  # full rank, rank d - 1 and below are all drawn
 
 
-def test_lazy_kernel_on_sparse_matrices_200_bit_entries():
+def test_kernel_matches_oracles_on_sparse_matrices_200_bit_entries():
     rng = random.Random(56)
     for _ in range(40):
         d = rng.randint(1, 10)
@@ -399,7 +378,7 @@ def _block_diagonal(blocks):
     return IntMatrix.from_rows(rows)
 
 
-def test_lazy_kernel_on_structured_matrices():
+def test_kernel_matches_oracles_on_structured_matrices():
     rng = random.Random(58)
     for _ in range(30):
         d = rng.randint(1, 12)
@@ -441,7 +420,7 @@ def _sparse_low_rank(rng, d, rank):
     return matmul(IntMatrix.from_rows(b), IntMatrix.from_rows(c))
 
 
-def test_lazy_kernel_on_sparse_low_rank_matrices():
+def test_kernel_matches_oracles_on_sparse_low_rank_matrices():
     rng = random.Random(59)
     nonzero = 0
     for _ in range(60):
@@ -457,14 +436,13 @@ def test_lazy_kernel_on_sparse_low_rank_matrices():
         _assert_sparse_matches_oracles(m, rng)
 
 
-def test_lazy_kernel_on_multiplier_matrices():
+def test_kernel_matches_oracles_on_multiplier_matrices_at_n_14_21_25_27():
     rng = random.Random(60)
     for n in (14, 21, 25, 27):
         ring = CyclotomicRing(n)
         for u, v in list(combinations(units(n), 2))[:12]:
             m = MultiplierMatrix(TwistedPair.zeta_powers(ring, u, v)).matrix
-            c = tuple(rng.randint(-9, 9) for _ in range(m.rows))
-            _assert_lazy_matches_eager(m, [c])
+            _assert_multiplier_matches_oracles(m, rng, cofactor_up_to=8)
 
 
 def test_matrix_builders_and_adjugate_refuse_empty_ragged_or_non_square_input():

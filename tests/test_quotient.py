@@ -17,16 +17,30 @@ def test_modulus_must_be_monic_of_positive_degree():
 def test_power_table_low_entries_are_unit_vectors():
     ring = CyclotomicRing(10)
     for k in range(4):
-        assert ring.power_table[k] == tuple(1 if i == k else 0 for i in range(4))
+        assert ring.reduce_power(k).coords == tuple(1 if i == k else 0 for i in range(4))
 
 
 def test_power_table_high_entries():
     # zeta^4 = zeta^3 - zeta^2 + zeta - 1, zeta^5 = -1, zeta^6 = -zeta
     ring = CyclotomicRing(10)
-    assert ring.power_table[4] == (-1, 1, -1, 1)
-    assert ring.power_table[5] == (-1, 0, 0, 0)
-    assert ring.power_table[6] == (0, -1, 0, 0)
-    assert len(ring.power_table) == 2 * 4 - 1
+    assert ring.reduce_power(4).coords == (-1, 1, -1, 1)
+    assert ring.reduce_power(5).coords == (-1, 0, 0, 0)
+    assert ring.reduce_power(6).coords == (0, -1, 0, 0)
+    assert len(ring.wrap_rows) == 4 - 1
+
+
+@pytest.mark.parametrize("ring", [
+    *(CyclotomicRing(n) for n in range(1, 31)),
+    QuotientRing(Polynomial((-1, 0, 0, 0, 0, 0, 1))),
+    *(QuotientRing(Polynomial.monomial(r)) for r in range(1, 7)),
+], ids=repr)
+def test_reduce_power_is_the_power_of_the_generator(ring):
+    # division against the ring product's wrap rows, for k = 0 .. 3n; the
+    # range covers 2d - 2 and 2d - 1, where the wrap rows end
+    n = getattr(ring, "n", ring.degree)
+    theta = ring.generator()
+    for k in range(3 * n + 1):
+        assert ring.reduce_power(k) == theta ** k
 
 
 def test_reduce_examples_n10():

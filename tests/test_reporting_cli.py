@@ -486,6 +486,10 @@ HUGE = "1000000000000000003"
             ["sweep", "--form", "2rp", "--r", "1", "--p", HUGE],
         )
     ),
+    # neither bound on phi(p) exceeds this cap, and this p, a prime above the
+    # Miller-Rabin limit, is proven prime only by trial division to sqrt(p);
+    # n = p^2 is bounded above the cap before p is tested
+    ["sweep", "--form", "pk", "--p", "3317044064679887385962123", "--k", "2", "--cap", str(10**30)],
 ], ids=lambda argv: " ".join(argv)[:40])
 def test_cli_refuses_an_oversized_input_in_bounded_time(argv):
     proc = _run_process(argv)

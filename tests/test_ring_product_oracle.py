@@ -1,8 +1,9 @@
-"""The ring product against the dense schoolbook product with the full table.
+"""The ring product against the dense schoolbook product and a reduction by division.
 
 ``RingElement.__mul__`` multiplies only nonzero coefficient pairs and folds
-the high part through the sparse wrap rows; ``dense_ring_product`` reads
-every entry of every power-table row. The two must agree exactly, in both
+the high part through the sparse wrap rows; ``dense_ring_product`` folds
+every coefficient through the full row of ``theta^k``, found by dividing
+``x^k`` by the modulus. The two must agree exactly, in both
 operand orders, on cyclotomic rings (sparse wrap rows), on a modulus whose
 wrap rows are all full, on ``Z[x]/(x^r)`` (all empty), on ``Z[x]/(x^6 - 1)``
 and on degree-1 rings.
@@ -94,9 +95,14 @@ def test_degree_one_rings_match_dense_oracle(a):
 
 
 def test_wrap_rows_are_the_nonzero_entries_of_the_power_table():
-    for n in (1, 2, 7, 10, 21, 25, 27, 49):
-        ring = CyclotomicRing(n)
+    # the ring builds its wrap rows by the recurrence theta^(k+1) = theta *
+    # theta^k; reduce divides x^k by the modulus
+    rings = [CyclotomicRing(n) for n in (1, 2, 7, 10, 21, 25, 27, 49)]
+    rings.append(QuotientRing(Polynomial((-1, 0, 0, 0, 0, 0, 1))))
+    rings.append(QuotientRing(Polynomial((-3, -1, -4, -1, -5, 1))))
+    for ring in rings:
         d = ring.degree
         assert len(ring.wrap_rows) == d - 1
         for k, row in enumerate(ring.wrap_rows, start=d):
-            assert row == tuple((i, c) for i, c in enumerate(ring.power_table[k]) if c)
+            coords = ring.reduce(Polynomial.monomial(k)).coords
+            assert row == tuple((i, c) for i, c in enumerate(coords) if c)
