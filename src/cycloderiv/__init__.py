@@ -31,6 +31,8 @@ _HOMES = {
         "sum_powers",
         "leibniz_check",
         "telescope_check",
+        "verify_theorem",
+        "TheoremVerdict",
     ),
     "intlinalg": (
         "IntMatrix",
@@ -47,8 +49,6 @@ _HOMES = {
         "sweep",
         "SweepReport",
         "PairRecord",
-        "verify_theorem",
-        "TheoremVerdict",
         "counterexample_suite",
         "CounterexampleCase",
         "reproduce_tables",

@@ -7,13 +7,14 @@ deterministic Miller-Rabin test lets trial division stop as soon as what is
 left of n is prime, so a large prime n costs no more than a small one, and
 Pollard's rho splits what is left once trial division passes a small bound,
 so a product of two large primes costs about the fourth root of n. The
-argument rules (``check_degree``, ``check_two_units``, ``check_unit``,
-``check_trials``) live here so that the CLI can apply them before it loads
-any ring module.
+argument rules (``check_degree`` with ``check_indexable``,
+``check_two_units``, ``check_unit``, ``check_trials``) live here so that
+the CLI can apply them before it loads any ring module.
 """
 
 from __future__ import annotations
 
+import sys
 from itertools import count
 from math import gcd, isqrt
 from typing import Iterator
@@ -166,6 +167,18 @@ def _degree_bound(n: int, cap: int) -> int | None:
     return None
 
 
+def check_indexable(n: int) -> None:
+    """Refuse an ``n >= 1`` whose ``Phi_n`` no list can hold, before n is factored.
+
+    ``phi(n) >= n // n.bit_length()`` (see ``_degree_bound``), so past
+    ``sys.maxsize`` no list of phi(n) coefficients can be built, and the
+    refusal is an ``OverflowError``. Every n at or above the Miller-Rabin
+    limit is refused here, so no such n is ever trial-divided.
+    """
+    if n >= 1 and n // n.bit_length() > sys.maxsize:
+        raise OverflowError(f"Phi_n of a {n.bit_length()}-bit n has too many coefficients for a list")
+
+
 def check_degree(n: int, cap: int = DEFAULT_DEGREE_CAP) -> int:
     """The ring degree phi(n), refused above the cap before anything is built.
 
@@ -174,7 +187,8 @@ def check_degree(n: int, cap: int = DEFAULT_DEGREE_CAP) -> int:
     finds a lower bound of phi(n) above the cap, the refusal states it, so
     the work is bounded by the cap, not by n. An n too long to write in
     decimal (``sys.get_int_max_str_digits``) and its bound are given by bit
-    length.
+    length. Under a cap that high, ``check_indexable`` refuses an n whose
+    ``Phi_n`` no list can hold before n is factored.
     """
     bound = _degree_bound(n, cap)
     if bound is not None:
@@ -185,6 +199,7 @@ def check_degree(n: int, cap: int = DEFAULT_DEGREE_CAP) -> int:
         raise ValueError(
             f"ring degree {stated} exceeds the cap {cap}; raise the cap to proceed"
         )
+    check_indexable(n)
     degree = totient(n)
     if degree > cap:
         raise ValueError(

@@ -27,6 +27,14 @@ modules it runs. So ``--version``, ``--help`` and a refused degree, trial
 count or exponent load no other part of the library, and ``main`` imports
 the renderer once the command has returned.
 
+Beyond that and ``reporting``, ``phi-poly`` loads ``polynomials``;
+``verify-theorem`` the ring stack (``polynomials``, ``quotient`` and
+``endomorphisms``, where ``verify_theorem`` sits beside ``leibniz_check``);
+``classify`` the ring stack and ``innerness``; ``matrix`` those and
+``intlinalg`` and ``predictions``; and ``sweep``, ``tables`` and
+``counterexamples`` the batch drivers of ``harness``, which import every
+module. ``python tools/code_lines.py --commands`` prints each set.
+
 Exit codes: 0 on success or all-pass, 1 on an assertion-style failure
 (prediction mismatch, failed round-trip, a Leibniz failure where a pass was
 expected), 2 on usage errors, including an input that runs out of memory
@@ -45,7 +53,7 @@ from pathlib import Path
 
 from . import __version__
 from .arith import DEFAULT_DEGREE_CAP, check_degree, check_trials, check_two_units, check_unit
-from .arith import _degree_bound, _factor_limit
+from .arith import _degree_bound, _factor_limit, check_indexable
 
 # Annotations such as ``Report`` and ``RingForm`` name types of the modules a
 # command imports when it runs; they are never evaluated at run time.
@@ -186,18 +194,19 @@ def _build_form(args: argparse.Namespace) -> RingForm:
         raise ValueError("form pk requires --p and --k")
     # p divides n, so phi(n) >= phi(p), and n >= 2^e for the form's exponent
     # e: a p or e this large is refused before p is tested or n is computed;
-    # only then is n itself bounded, so a p above the Miller-Rabin limit whose
-    # n is over the cap is never trial-divided
+    # only then is n itself bounded, and an n whose Phi_n no list can hold is
+    # refused too, so a p above the Miller-Rabin limit is never trial-divided
     e = args.r if args.form == "2rp" else args.k
-    if args.p >= 2 and e >= 1 and (
-        _degree_bound(args.p, args.cap) is not None
-        or e > _factor_limit(args.cap).bit_length()
-        or _degree_bound(2**e * args.p if args.form == "2rp" else args.p**e, args.cap) is not None
-    ):
-        n = f"2^{e}*{args.p}" if args.form == "2rp" else f"{args.p}^{e}"
-        raise ValueError(
-            f"ring degree of n = {n} exceeds the cap {args.cap}; raise the cap to proceed"
-        )
+    if args.p >= 2 and e >= 1:
+        n = None
+        if _degree_bound(args.p, args.cap) is None and e <= _factor_limit(args.cap).bit_length():
+            n = 2**e * args.p if args.form == "2rp" else args.p**e
+        if n is None or _degree_bound(n, args.cap) is not None:
+            label = f"2^{e}*{args.p}" if args.form == "2rp" else f"{args.p}^{e}"
+            raise ValueError(
+                f"ring degree of n = {label} exceeds the cap {args.cap}; raise the cap to proceed"
+            )
+        check_indexable(n)
     from .predictions import RingForm
 
     # RingForm rejects the option the form does not take
@@ -216,7 +225,7 @@ def _cmd_verify_theorem(args: argparse.Namespace) -> tuple[Report, int]:
     check_degree(args.n, args.cap)
     check_trials(args.trials)
     _check_exponents(args)
-    from .harness import verify_theorem
+    from .endomorphisms import verify_theorem
     from .reporting import record_cells
 
     verdict = verify_theorem(args.n, args.u, args.v, args.trials, args.seed, args.cap)

@@ -33,14 +33,21 @@ construction, ``sum_powers`` and ``telescope_check``. A ``TwistedPair`` keeps
 ``S_1 .. S_d``, so the derivations over one pair compute them once, and
 ``D(x)`` for ``x = sum c_k theta^k`` is ``(sum over k >= 1 of c_k S_k)
 D(theta)``: integer work and one ring product.
+
+``verify_theorem`` checks the classification on ``Z[zeta_n]``: it draws
+seeded random D(theta) for one pair ``zeta -> zeta^u``, ``zeta -> zeta^v``
+and runs ``leibniz_check`` on each extension, so every draw must pass. It
+lives beside the check it drives, so the ``verify-theorem`` command loads
+only the ring stack, this module and the renderer.
 """
 
 from __future__ import annotations
 
+import random
 from itertools import islice
 from typing import Iterator, NamedTuple
 
-from .arith import check_unit
+from .arith import DEFAULT_DEGREE_CAP, check_degree, check_trials, check_unit
 from .polynomials import Polynomial
 from .quotient import CyclotomicRing, QuotientRing, RingElement
 
@@ -290,6 +297,41 @@ def leibniz_check(derivation: TwistedDerivation) -> LeibnizReport:
     if lhs != rhs:
         return LeibnizReport(False, (1, d - 1), lhs, rhs)
     return LeibnizReport(True)
+
+
+class TheoremVerdict(NamedTuple):
+    n: int
+    u: int
+    v: int
+    trials: int
+    passes: int
+    seed: int
+
+    @property
+    def all_pass(self) -> bool:
+        return self.passes == self.trials
+
+
+def verify_theorem(
+    n: int, u: int, v: int, trials: int = 100, seed: int = 0, cap: int = DEFAULT_DEGREE_CAP
+) -> TheoremVerdict:
+    """Leibniz-check the power-formula extension for random D(theta) draws.
+
+    Over a cyclotomic ring every draw must pass; the expected verdict is
+    trials/trials. The degree is checked against the cap, then the trial
+    count, before the ring is built.
+    """
+    check_degree(n, cap)
+    check_trials(trials)
+    ring = CyclotomicRing(n)
+    pair = TwistedPair.zeta_powers(ring, u, v)
+    rng = random.Random(seed)
+    passes = 0
+    for _ in range(trials):
+        derivation = TwistedDerivation(pair, ring.random_element(rng))
+        if leibniz_check(derivation).ok:
+            passes += 1
+    return TheoremVerdict(n=n, u=u, v=v, trials=trials, passes=passes, seed=seed)
 
 
 def telescope_check(pair: TwistedPair, k: int) -> bool:

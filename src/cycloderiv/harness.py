@@ -1,4 +1,4 @@
-"""Batch drivers: pair sweeps, randomized verification, regressions, tables.
+"""Batch drivers: pair sweeps, regressions, tables.
 
 Sweeps and tables share one pair walk, ``_zeta_pairs``: it checks the ring
 degree against the cap, builds ``Z[zeta_n]`` and one endomorphism
@@ -15,6 +15,10 @@ the ``reporting.Report`` that ``render`` formats, so each batch record sits
 beside its output schema. The CLI calls them; ``reporting`` imports
 nothing from this module. Identical (form, seed, version) inputs produce
 identical reports and identical bytes.
+
+The randomized product-rule check, ``verify_theorem``, lives in
+``endomorphisms`` beside ``leibniz_check``; this module binds the name only
+because the benchmark's tracer wraps ``harness.verify_theorem``.
 """
 
 from __future__ import annotations
@@ -24,8 +28,10 @@ from itertools import chain, combinations
 from typing import Iterator, NamedTuple
 
 from . import __version__
-from .arith import DEFAULT_DEGREE_CAP, check_degree, check_trials, check_two_units, units
+from .arith import DEFAULT_DEGREE_CAP, check_degree, check_two_units, units
 from .endomorphisms import Endomorphism, TwistedDerivation, TwistedPair, leibniz_check
+# bound here only for perfbench/tracer.py, which wraps harness.verify_theorem
+from .endomorphisms import verify_theorem  # noqa: F401
 from .innerness import (
     MultiplierMatrix,
     RatVector,
@@ -124,41 +130,6 @@ def _sweep_report(report: SweepReport) -> Report:
     columns = PairRecord._fields
     markdown = chain(_markdown_table(columns, rows), ("", summary))
     return Report(f"Sweep: n = {form.n}, form {form.label()}", columns, rows, payload, markdown)
-
-
-class TheoremVerdict(NamedTuple):
-    n: int
-    u: int
-    v: int
-    trials: int
-    passes: int
-    seed: int
-
-    @property
-    def all_pass(self) -> bool:
-        return self.passes == self.trials
-
-
-def verify_theorem(
-    n: int, u: int, v: int, trials: int = 100, seed: int = 0, cap: int = DEFAULT_DEGREE_CAP
-) -> TheoremVerdict:
-    """Leibniz-check the power-formula extension for random D(theta) draws.
-
-    Over a cyclotomic ring every draw must pass; the expected verdict is
-    trials/trials. The degree is checked against the cap, then the trial
-    count, before the ring is built.
-    """
-    check_degree(n, cap)
-    check_trials(trials)
-    ring = CyclotomicRing(n)
-    pair = TwistedPair.zeta_powers(ring, u, v)
-    rng = random.Random(seed)
-    passes = 0
-    for _ in range(trials):
-        derivation = TwistedDerivation(pair, ring.random_element(rng))
-        if leibniz_check(derivation).ok:
-            passes += 1
-    return TheoremVerdict(n=n, u=u, v=v, trials=trials, passes=passes, seed=seed)
 
 
 class CounterexampleCase(NamedTuple):

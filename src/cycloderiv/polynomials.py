@@ -12,10 +12,9 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
-import sys
 from typing import Iterable, Sequence
 
-from .arith import factorize
+from .arith import check_indexable, factorize
 
 ZERO_POLY_DEGREE = float("-inf")
 
@@ -201,9 +200,7 @@ def cyclotomic_poly(n: int) -> Polynomial:
         raise ValueError(f"cyclotomic polynomials are indexed by n >= 1, got {n}")
     if n == 1:
         return Polynomial((-1, 1))
-    # phi(n) >= n // n.bit_length(), see arith._degree_bound
-    if n // n.bit_length() > sys.maxsize:
-        raise OverflowError(f"Phi_n of a {n.bit_length()}-bit n has too many coefficients for a list")
+    check_indexable(n)
     factors = [(n, 1)]  # (n/s, mu(s)) for the squarefree divisors s of n
     for p in factorize(n):
         factors += [(e // p, -mu) for e, mu in factors]

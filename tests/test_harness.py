@@ -24,7 +24,7 @@ from cycloderiv import (
     units,
     verify_theorem,
 )
-from cycloderiv import arith, cli, harness
+from cycloderiv import arith, cli, endomorphisms, harness
 
 from reference_tables import (
     KNOWN_BAD_SOLUTION_ROWS,
@@ -204,6 +204,26 @@ def test_sweep_at_a_large_cap_refuses_a_huge_p_before_testing_it(monkeypatch, ca
     assert capsys.readouterr().err.endswith(" exceeds the cap 1000000000; raise the cap to proceed\n")
 
 
+def test_an_n_no_list_can_index_is_refused_before_it_is_factored(monkeypatch, capsys):
+    # n // n.bit_length() <= phi(n), and past sys.maxsize no list holds Phi_n;
+    # every n from the Miller-Rabin limit up is past it, so neither
+    # check_degree nor a sweep form trial-divides such an n or its p
+    monkeypatch.setattr(arith, "_prime_factors", _no_trial_division)
+    limit = arith._MILLER_RABIN_LIMIT
+    assert limit // limit.bit_length() > sys.maxsize
+    for n in (limit, 3317044064679887385962123, 2**100):
+        with pytest.raises(OverflowError, match=f"^Phi_n of a {n.bit_length()}-bit n has too many"):
+            arith.check_degree(n, 10**30)
+    for form in (["2rp", "--r", "1", "--p", "3317044064679887385962123"], ["pk", "--p", "2", "--k", "100"]):
+        assert cli.main(["sweep", "--form", *form, "--cap", str(10**30)]) == 2
+        assert capsys.readouterr().err == (
+            "error: out of memory; a lower --cap refuses a ring this large\n"
+        )
+    # below the list limit, and at n <= 0, the check leaves n to the others
+    for n in (sys.maxsize * 64, 0, -5):
+        assert arith.check_indexable(n) is None
+
+
 def test_verify_theorem_reference_runs():
     assert verify_theorem(10, 1, 3, trials=100, seed=42).passes == 100
     assert verify_theorem(9, 2, 5, trials=100, seed=7).passes == 100
@@ -225,7 +245,7 @@ def test_verify_theorem_refuses_an_over_cap_degree_before_building_a_ring(monkey
     def no_ring(n):
         raise AssertionError(f"built the ring of n = {n}")
 
-    monkeypatch.setattr(harness, "CyclotomicRing", no_ring)
+    monkeypatch.setattr(endomorphisms, "CyclotomicRing", no_ring)
     with pytest.raises(ValueError, match="^ring degree 100002 exceeds the cap 64;"):
         verify_theorem(100003, 1, 2, trials=1)
     with pytest.raises(ValueError, match="^ring degree 100002 exceeds the cap 1000;"):

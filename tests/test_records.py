@@ -6,9 +6,10 @@ subclass whose ``__new__`` runs the checks. ``_make`` and ``_replace`` build
 a tuple without calling that ``__new__``, so the library must not use them.
 The CLI's import stays free of ``dataclasses`` and the introspection modules
 it pulls in, which would otherwise dominate the start-up of every command,
-and each command loads only the library modules it runs: ``classify`` loads
-no elimination, family predictions or batch drivers, and every batch command
-loads each module the benchmark's tracer wraps.
+and each command loads only the library modules it runs: ``classify`` and
+``verify-theorem`` load no elimination, family predictions or batch
+drivers, and one pass of each benchmark workload loads each module the
+benchmark's tracer wraps.
 """
 
 import ast
@@ -19,6 +20,8 @@ from pathlib import Path
 
 import pytest
 
+import cycloderiv.endomorphisms as endomorphisms
+import cycloderiv.harness as harness
 import cycloderiv.innerness as innerness
 from cycloderiv import (
     Classification,
@@ -42,6 +45,7 @@ from cycloderiv.intlinalg import _Echelon
 from test_benchmark_names import load_tracer
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+PERFBENCH = SRC.parent / "perfbench"
 HEAVY_MODULES = {"dataclasses", "inspect", "ast", "dis", "tokenize"}
 # what the parser and the argument rules need; `-m` runs cli as __main__
 STARTUP = {"cycloderiv", "cycloderiv.arith", "cycloderiv.cli"}
@@ -110,6 +114,24 @@ def test_json_classify_loads_exactly_the_ring_stack_innerness_and_the_renderer()
     }
 
 
+def test_verify_theorem_loads_exactly_the_ring_stack_endomorphisms_and_the_renderer():
+    # verify_theorem sits beside leibniz_check: no classification, elimination,
+    # family predictions or batch drivers
+    code, modules = _main_imports("verify-theorem", "49", "1", "2", "--trials", "5")
+    assert code == 0
+    assert _library(modules) == STARTUP | {
+        f"cycloderiv.{name}" for name in ("polynomials", "quotient", "endomorphisms", "reporting")
+    }
+
+
+def test_verify_theorem_is_defined_once_beside_leibniz_check():
+    # harness binds the same function, for the benchmark's tracer; no second copy
+    assert harness.verify_theorem is endomorphisms.verify_theorem
+    assert endomorphisms.verify_theorem.__module__ == "cycloderiv.endomorphisms"
+    assert TheoremVerdict is endomorphisms.TheoremVerdict
+    assert not hasattr(harness, "TheoremVerdict")
+
+
 def test_matrix_loads_the_printed_matrix_and_the_predictions_but_not_the_batch_drivers():
     code, modules = _main_imports("matrix", "10", "1", "3")
     assert code == 0
@@ -117,23 +139,48 @@ def test_matrix_loads_the_printed_matrix_and_the_predictions_but_not_the_batch_d
     assert "cycloderiv.harness" not in modules
 
 
+def _traced_modules():
+    return {f"cycloderiv.{module}" for module, _, _ in load_tracer().FUNCTIONS}
+
+
 @pytest.mark.parametrize(
     "argv",
     [
         ("sweep", "--form", "pk", "--p", "3", "--k", "2"),
         ("tables", "10"),
-        ("verify-theorem", "10", "1", "3", "--trials", "2"),
         ("counterexamples",),
     ],
 )
 def test_each_batch_command_loads_every_module_the_benchmark_tracer_wraps(argv):
-    # perfbench/tracer.py looks each module of its table up in sys.modules
-    # once a pass has run, so a batch command that leaves one unloaded
-    # crashes the traced benchmark with a KeyError
-    traced = {f"cycloderiv.{module}" for module, _, _ in load_tracer().FUNCTIONS}
+    # the batch drivers of harness import every module the tracer wraps
     code, modules = _main_imports(*argv)
     assert code == 0
-    assert traced - modules == set()
+    assert _traced_modules() - modules == set()
+
+
+# one pass of a workload, in one process, as run.py --trace 1 runs it; -B
+# keeps bytecode out of perfbench/
+_WORKLOAD_PASS = """\
+import io, sys
+from contextlib import redirect_stdout
+sys.path.insert(0, sys.argv[1])
+from cycloderiv.cli import main
+from workloads import WORKLOADS
+with redirect_stdout(io.StringIO()):
+    codes = [main(list(inv.argv)) for inv in WORKLOADS[sys.argv[2]](1)]
+sys.exit(max(codes))
+"""
+
+
+@pytest.mark.parametrize("workload", ["solve", "verify"])
+def test_each_workload_pass_loads_every_module_the_benchmark_tracer_wraps(workload):
+    # perfbench/run.py --trace 1 installs the tracer only after a whole
+    # untraced pass, and the tracer looks each module of its table up in
+    # sys.modules; a module the pass left unloaded would crash it with a
+    # KeyError
+    code, modules = _imports("-B", "-c", _WORKLOAD_PASS, str(PERFBENCH), workload)
+    assert code == 0
+    assert _traced_modules() - modules == set()
 
 
 def test_reporting_imports_no_module_of_the_package():

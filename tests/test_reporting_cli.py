@@ -460,6 +460,22 @@ def test_cli_builds_phi_30030_within_the_timeout():
 
 
 HUGE = "1000000000000000003"
+# a prime above the Miller-Rabin limit, which only trial division to its
+# square root would prove prime; at this cap every ring command refuses an
+# n this large as one no list can index, before n or p is factored
+ABOVE_MILLER_RABIN = "3317044064679887385962123"
+ABOVE_MILLER_RABIN_ARGV = [
+    [*argv, "--cap", str(10**30)]
+    for argv in (
+        ["phi-poly", ABOVE_MILLER_RABIN],
+        ["classify", ABOVE_MILLER_RABIN, "1", "2", "--dzeta=1"],
+        ["matrix", ABOVE_MILLER_RABIN, "1", "2"],
+        ["verify-theorem", ABOVE_MILLER_RABIN, "1", "2"],
+        ["tables", ABOVE_MILLER_RABIN],
+        ["sweep", "--form", "2rp", "--r", "1", "--p", ABOVE_MILLER_RABIN],
+    )
+]
+OUT_OF_MEMORY = "error: out of memory; a lower --cap refuses a ring this large"
 
 
 @pytest.mark.parametrize("argv", [
@@ -489,7 +505,8 @@ HUGE = "1000000000000000003"
     # neither bound on phi(p) exceeds this cap, and this p, a prime above the
     # Miller-Rabin limit, is proven prime only by trial division to sqrt(p);
     # n = p^2 is bounded above the cap before p is tested
-    ["sweep", "--form", "pk", "--p", "3317044064679887385962123", "--k", "2", "--cap", str(10**30)],
+    ["sweep", "--form", "pk", "--p", ABOVE_MILLER_RABIN, "--k", "2", "--cap", str(10**30)],
+    *ABOVE_MILLER_RABIN_ARGV,
 ], ids=lambda argv: " ".join(argv)[:40])
 def test_cli_refuses_an_oversized_input_in_bounded_time(argv):
     proc = _run_process(argv)
@@ -497,6 +514,9 @@ def test_cli_refuses_an_oversized_input_in_bounded_time(argv):
     assert proc.stdout == ""
     cap = argv[argv.index("--cap") + 1] if "--cap" in argv else "64"
     (line,) = proc.stderr.splitlines()
+    if argv in ABOVE_MILLER_RABIN_ARGV:
+        assert line == OUT_OF_MEMORY
+        return
     assert line.startswith("error: ring degree ")
     assert line.endswith(f" exceeds the cap {cap}; raise the cap to proceed")
 
