@@ -27,13 +27,10 @@ modules it runs. So ``--version``, ``--help`` and a refused degree, trial
 count or exponent load no other part of the library, and ``main`` imports
 the renderer once the command has returned.
 
-Beyond that and ``reporting``, ``phi-poly`` loads ``polynomials``;
-``verify-theorem`` the ring stack (``polynomials``, ``quotient`` and
-``endomorphisms``, where ``verify_theorem`` sits beside ``leibniz_check``);
-``classify`` the ring stack and ``innerness``; ``matrix`` those and
-``intlinalg`` and ``predictions``; and ``sweep``, ``tables`` and
-``counterexamples`` the batch drivers of ``harness``, which import every
-module. ``python tools/code_lines.py --commands`` prints each set.
+Beside ``reporting``, ``verify-theorem`` loads only the ring stack
+(``polynomials``, ``quotient``, ``endomorphisms``), ``classify`` adds
+``innerness``, and the batch commands load ``harness`` and every module;
+``python tools/code_lines.py --commands`` prints each command's set.
 
 Exit codes: 0 on success or all-pass, 1 on an assertion-style failure
 (prediction mismatch, failed round-trip, a Leibniz failure where a pass was
