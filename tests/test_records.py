@@ -148,6 +148,7 @@ def _traced_modules():
     [
         ("sweep", "--form", "pk", "--p", "3", "--k", "2"),
         ("tables", "10"),
+        ("sweep", "--form", "2rp", "--p", "3", "--r", "1"),
         ("counterexamples",),
     ],
 )
