@@ -171,12 +171,14 @@ def check_indexable(n: int) -> None:
     """Refuse an ``n >= 1`` whose ``Phi_n`` no list can hold, before n is factored.
 
     ``phi(n) >= n // n.bit_length()`` (see ``_degree_bound``), so past
-    ``sys.maxsize`` no list of phi(n) coefficients can be built, and the
-    refusal is an ``OverflowError``. Every n at or above the Miller-Rabin
-    limit is refused here, so no such n is ever trial-divided.
+    ``sys.maxsize`` no list of phi(n) coefficients can be built. The
+    ``ValueError`` states that bound in bits, as ``check_degree`` does for an
+    n too long to write, and no digit of n. Every n at or above the
+    Miller-Rabin limit is refused here, so no such n is ever trial-divided.
     """
-    if n >= 1 and n // n.bit_length() > sys.maxsize:
-        raise OverflowError(f"Phi_n of a {n.bit_length()}-bit n has too many coefficients for a list")
+    if n >= 1 and (bound := n // n.bit_length()) > sys.maxsize:
+        stated = f"phi(n) of a {n.bit_length()}-bit n >= 2^{bound.bit_length() - 1}"
+        raise ValueError(f"ring degree {stated} has more coefficients than a list can hold")
 
 
 def check_degree(n: int, cap: int = DEFAULT_DEGREE_CAP) -> int:

@@ -34,10 +34,10 @@ Beside ``reporting``, ``verify-theorem`` loads only the ring stack
 
 Exit codes: 0 on success or all-pass, 1 on an assertion-style failure
 (prediction mismatch, failed round-trip, a Leibniz failure where a pass was
-expected), 2 on usage errors, including an input that runs out of memory
-(``Phi_n`` is built as a series of phi(n) + 2 coefficients, which the cap
-bounds, so a cap far above the default can admit an n whose series cannot
-be allocated, or whose length does not even fit a list index).
+expected), 2 on usage errors, including an n whose ``Phi_n`` no list can
+hold and an input that runs out of memory (``Phi_n`` is built as a series
+of phi(n) + 2 coefficients, which the cap bounds, so a cap far above the
+default can admit an n whose series cannot be allocated).
 """
 
 from __future__ import annotations

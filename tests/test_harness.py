@@ -212,12 +212,17 @@ def test_an_n_no_list_can_index_is_refused_before_it_is_factored(monkeypatch, ca
     limit = arith._MILLER_RABIN_LIMIT
     assert limit // limit.bit_length() > sys.maxsize
     for n in (limit, 3317044064679887385962123, 2**100):
-        with pytest.raises(OverflowError, match=f"^Phi_n of a {n.bit_length()}-bit n has too many"):
+        bits = (n // n.bit_length()).bit_length() - 1
+        with pytest.raises(ValueError, match=rf"^ring degree phi\(n\) of a {n.bit_length()}-bit n >= 2\^{bits} has more"):
             arith.check_degree(n, 10**30)
-    for form in (["2rp", "--r", "1", "--p", "3317044064679887385962123"], ["pk", "--p", "2", "--k", "100"]):
+    for form, bits in (
+        (["2rp", "--r", "1", "--p", "3317044064679887385962123"], (83, 76)),
+        (["pk", "--p", "2", "--k", "100"], (101, 93)),
+    ):
         assert cli.main(["sweep", "--form", *form, "--cap", str(10**30)]) == 2
         assert capsys.readouterr().err == (
-            "error: out of memory; a lower --cap refuses a ring this large\n"
+            f"error: ring degree phi(n) of a {bits[0]}-bit n >= 2^{bits[1]} "
+            "has more coefficients than a list can hold\n"
         )
     # below the list limit, and at n <= 0, the check leaves n to the others
     for n in (sys.maxsize * 64, 0, -5):

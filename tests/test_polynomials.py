@@ -180,7 +180,7 @@ def test_cyclotomic_poly_refuses_an_unindexable_degree_before_factoring():
     proc = _run_python([], script, 5)
     assert proc.returncode == 1
     assert proc.stderr.splitlines()[-1] == (
-        "OverflowError: Phi_n of a 100-bit n has too many coefficients for a list"
+        "ValueError: ring degree phi(n) of a 100-bit n >= 2^93 has more coefficients than a list can hold"
     )
 
 
