@@ -1,10 +1,15 @@
-"""Dense integer polynomials with exact arithmetic.
+"""Dense integer polynomials: the coefficient record, ``Phi_n`` and the resultant.
 
 A polynomial is an ascending tuple of arbitrary-precision integer
 coefficients: ``(1, -2, 0, 1)`` stands for ``1 - 2x + x^3``. Trailing zero
 coefficients are stripped on construction, the zero polynomial is the empty
 tuple, and its degree is the ``-inf`` sentinel so it can never be confused
 with a degree-0 constant.
+
+``Polynomial`` has no arithmetic operators. The one product of coefficient
+lists is ``_convolve``, which the ring product in ``quotient`` calls, and
+the one division loop is ``_pseudo_remainder``, which the resultant and
+``QuotientRing.reduce`` share.
 """
 
 from __future__ import annotations
@@ -34,20 +39,8 @@ def _convolve(left: Sequence[int], right: Sequence[int]) -> list[int]:
     return out
 
 
-def _power(base, exponent: int, one):
-    """``base ** exponent`` by square-and-multiply from ``one``; exponent >= 0."""
-    result = one
-    while exponent:
-        if exponent & 1:
-            result = result * base
-        exponent >>= 1
-        if exponent:
-            base = base * base
-    return result
-
-
 class Polynomial:
-    """An integer polynomial; all arithmetic stays in the integers.
+    """An integer polynomial: its coefficients, evaluation and printed form.
 
     >>> Polynomial((1, 0, 1))
     Polynomial((1, 0, 1))
@@ -93,60 +86,11 @@ class Polynomial:
     def __hash__(self) -> int:
         return hash(self.coeffs)
 
-    @staticmethod
-    def _coerce(other: object) -> Polynomial | None:
-        if isinstance(other, Polynomial):
-            return other
-        if isinstance(other, int):
-            return Polynomial((other,))
-        return None
-
-    def __add__(self, other: int | Polynomial) -> Polynomial:
-        rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
-        return Polynomial(
-            a + b for a, b in itertools.zip_longest(self.coeffs, rhs.coeffs, fillvalue=0)
-        )
-
-    __radd__ = __add__
-
-    def __sub__(self, other: int | Polynomial) -> Polynomial:
-        rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
-        return Polynomial(
-            a - b for a, b in itertools.zip_longest(self.coeffs, rhs.coeffs, fillvalue=0)
-        )
-
-    def __rsub__(self, other: int | Polynomial) -> Polynomial:
-        rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
-        return rhs - self
-
-    def __neg__(self) -> Polynomial:
-        return Polynomial(-c for c in self.coeffs)
-
-    def __mul__(self, other: int | Polynomial) -> Polynomial:
-        if isinstance(other, int):
-            return Polynomial(c * other for c in self.coeffs)
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        return Polynomial(_convolve(self.coeffs, other.coeffs))
-
-    __rmul__ = __mul__
-
-    def __pow__(self, exponent: int) -> Polynomial:
-        if exponent < 0:
-            raise ValueError("negative polynomial powers are not defined")
-        return _power(self, exponent, Polynomial((1,)))
-
     def __call__(self, value):
-        """Evaluate by Horner's rule.
+        """Evaluate by Horner's rule at an integer or a quotient-ring element.
 
-        Works for plain integers, polynomials (composition) and quotient-ring
-        elements, since all of those support ``+ int`` and ``* value``.
+        Both support ``* value`` and ``+ int``; the zero polynomial gives the
+        integer 0.
         """
         result = 0
         for c in reversed(self.coeffs):

@@ -25,7 +25,7 @@ from __future__ import annotations
 import random
 from typing import Iterable, Sequence
 
-from .polynomials import Polynomial, _convolve, _power, _pseudo_remainder, cyclotomic_poly
+from .polynomials import Polynomial, _convolve, _pseudo_remainder, cyclotomic_poly
 
 
 class QuotientRing:
@@ -190,9 +190,17 @@ class RingElement:
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int) -> RingElement:
+        """``self ** exponent`` by square-and-multiply; exponent >= 0."""
         if exponent < 0:
             raise ValueError("negative powers are not defined in the quotient ring")
-        return _power(self, exponent, self.ring.one())
+        result, base = self.ring.one(), self
+        while exponent:
+            if exponent & 1:
+                result = result * base
+            exponent >>= 1
+            if exponent:
+                base = base * base
+        return result
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RingElement):

@@ -21,6 +21,9 @@ modulus.
 
 ``sylvester_det`` is the resultant by its definition: ``bareiss_det`` of the
 Sylvester matrix, against which ``polynomials.resultant`` is checked.
+
+``Polynomial`` has no operators, so the tests multiply polynomials with
+``polynomials._convolve`` and substitute ``c x^k`` for x with ``at_power``.
 """
 
 from __future__ import annotations
@@ -44,6 +47,14 @@ def dense_ring_product(x: RingElement, y: RingElement) -> RingElement:
             for i in range(d):
                 out[i] += c * row[i]
     return RingElement(x.ring, tuple(out))
+
+
+def at_power(poly: Polynomial, k: int, c: int = 1) -> Polynomial:
+    """``poly(c * x^k)``, built coefficient by coefficient."""
+    out = [0] * (k * len(poly.coeffs))
+    for i, a in enumerate(poly.coeffs):
+        out[i * k] = a * c**i
+    return Polynomial(out)
 
 
 def minor(m: IntMatrix, i: int, j: int) -> IntMatrix:

@@ -32,7 +32,8 @@ from cycloderiv import (
     verify_theorem,
 )
 
-from oracles import matmul
+from cycloderiv.polynomials import _convolve
+from oracles import at_power, matmul
 from reference_tables import REF_N9_DETS
 
 # three fixed pairs per ring for the randomized criteria
@@ -206,11 +207,11 @@ def test_criterion_11_cyclotomic_identity_suite():
     ok = True
     # divisor product: prod over d | n of Phi_d = x^n - 1, n <= 64
     for n in range(1, 65):
-        prod = Polynomial((1,))
+        prod = [1]
         for d in range(1, n + 1):
             if n % d == 0:
-                prod = prod * cyclotomic_poly(d)
-        ok &= prod == Polynomial([-1] + [0] * (n - 1) + [1])
+                prod = _convolve(prod, cyclotomic_poly(d).coeffs)
+        ok &= Polynomial(prod) == Polynomial([-1] + [0] * (n - 1) + [1])
         ok &= cyclotomic_poly(n).degree == sum(
             1 for x in range(1, n + 1) if gcd(x, n) == 1
         )
@@ -221,20 +222,15 @@ def test_criterion_11_cyclotomic_identity_suite():
     for p in (2, 3, 5):
         k = 2
         while p**k <= 64:
-            ok &= cyclotomic_poly(p**k) == cyclotomic_poly(p)(
-                Polynomial.monomial(p ** (k - 1))
-            )
+            ok &= cyclotomic_poly(p**k) == at_power(cyclotomic_poly(p), p ** (k - 1))
             k += 1
     # doubling of odd conductors
-    minus_x = Polynomial((0, -1))
     for n in range(3, 32, 2):
-        ok &= cyclotomic_poly(2 * n) == cyclotomic_poly(n)(minus_x)
+        ok &= cyclotomic_poly(2 * n) == at_power(cyclotomic_poly(n), 1, -1)
     # 2^k p identity
     for p in (3, 5, 7, 11, 13):
         k = 1
         while 2**k * p <= 64:
-            ok &= cyclotomic_poly(2**k * p) == cyclotomic_poly(p)(
-                Polynomial.monomial(2 ** (k - 1), -1)
-            )
+            ok &= cyclotomic_poly(2**k * p) == at_power(cyclotomic_poly(p), 2 ** (k - 1), -1)
             k += 1
     _verdict(11, "cyclotomic identities hold for n <= 64", ok)

@@ -37,7 +37,7 @@ from cycloderiv import (  # noqa: E402
     solve_unique,
 )
 from cycloderiv.arith import factorize, units  # noqa: E402
-from cycloderiv.polynomials import resultant  # noqa: E402
+from cycloderiv.polynomials import _convolve, resultant  # noqa: E402
 
 PROPERTY_SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=40)
 
@@ -215,7 +215,7 @@ def polynomial_pair(draw):
     f, g = draw(polynomials), draw(polynomials)
     if draw(st.booleans()):
         common = draw(st.lists(coords, min_size=2, max_size=4).filter(lambda c: c[-1]))
-        f, g = f * Polynomial(common), g * Polynomial(common)
+        f, g = Polynomial(_convolve(f.coeffs, common)), Polynomial(_convolve(g.coeffs, common))
     return f, g
 
 

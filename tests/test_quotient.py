@@ -3,6 +3,7 @@ import random
 import pytest
 
 from cycloderiv import CyclotomicRing, Polynomial, QuotientRing
+from cycloderiv.polynomials import _convolve
 
 
 def test_modulus_must_be_monic_of_positive_degree():
@@ -68,7 +69,11 @@ def test_reduce_gives_the_remainder_on_random_monic_moduli():
         q = Polynomial([rng.randint(-9, 9) for _ in range(rng.randint(0, 9))])
         r = Polynomial([rng.randint(-9, 9) for _ in range(rng.randint(0, degree))])
         ring = QuotientRing(f)
-        assert ring.reduce(q * f + r) == ring.element(r.coeffs), (q, f, r)
+        # q f has at least deg f coefficients, so r adds into it in place
+        qf_plus_r = _convolve(q.coeffs, f.coeffs)
+        for i, c in enumerate(r.coeffs):
+            qf_plus_r[i] += c
+        assert ring.reduce(Polynomial(qf_plus_r)) == ring.element(r.coeffs), (q, f, r)
 
 
 def test_element_padding_and_length_guard():
