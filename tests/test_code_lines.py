@@ -1,7 +1,13 @@
-"""The code-line counter in ``tools/code_lines.py``, on a small fixture and on one command."""
+"""The code-line counter in ``tools/code_lines.py``, on a small fixture and on one command,
+and its list of the package functions that no golden case reaches."""
 
+import importlib
 import importlib.util
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "code_lines.py"
 _spec = importlib.util.spec_from_file_location("code_lines", TOOL)
@@ -79,3 +85,77 @@ def test_commands_prints_what_verify_theorem_loads_and_its_code_lines(tmp_path, 
     files = ["__init__", *(m.partition(".")[2] for m in modules[1:])]
     expected = sum(code_lines.code_lines((package / f"{f}.py").read_text(encoding="utf-8")) for f in files)
     assert int(count.replace(",", "")) == expected
+
+
+_RING_API = "ring API that the tests state identities in"
+_INTLINALG = "intlinalg library routine that no command calls (ROADMAP item 2)"
+# every package function that no golden case enters, with the reason it stays
+UNREACHED = {
+    "cycloderiv.__getattr__": "resolves cycloderiv.<name> for library callers; the CLI imports modules",
+    "cycloderiv.__dir__": "lists the names __getattr__ resolves",
+    "cycloderiv.endomorphisms.Endomorphism.__call__": _RING_API,
+    "cycloderiv.endomorphisms.sum_powers": "perfbench/tracer.py wraps it (ROADMAP items 1 and 6)",
+    "cycloderiv.endomorphisms.telescope_check": "the per-pair theorem check of ROADMAP item 12",
+    "cycloderiv.harness.SweepReport.n": "perfbench/tracer.py reads it (ROADMAP items 1 and 6)",
+    "cycloderiv.intlinalg.IntMatrix.from_rows": _INTLINALG,
+    "cycloderiv.intlinalg.IntMatrix.identity": _INTLINALG,
+    "cycloderiv.intlinalg.IntMatrix.at": _INTLINALG,
+    "cycloderiv.intlinalg.IntMatrix.column": _INTLINALG,
+    "cycloderiv.intlinalg.IntMatrix.row_list": _INTLINALG,
+    "cycloderiv.intlinalg._Echelon.full_rank": _INTLINALG,
+    "cycloderiv.intlinalg._Echelon.last_pivot": _INTLINALG,
+    "cycloderiv.intlinalg._eliminate": _INTLINALG,
+    "cycloderiv.intlinalg._back_substitute": _INTLINALG,
+    "cycloderiv.intlinalg.det": _INTLINALG,
+    "cycloderiv.intlinalg.adjugate": _INTLINALG,
+    "cycloderiv.intlinalg.adjugate.<locals>.shifted": _INTLINALG,
+    "cycloderiv.intlinalg.mat_vec": _INTLINALG,
+    "cycloderiv.intlinalg.solve_unique": _INTLINALG,
+    "cycloderiv.polynomials.Polynomial.degree": "the degree with its -inf sentinel for the zero polynomial",
+    "cycloderiv.quotient.QuotientRing.zero": _RING_API,
+    "cycloderiv.quotient.CyclotomicRing.zeta": _RING_API,
+    "cycloderiv.quotient.RingElement.__rsub__": _RING_API,
+    "cycloderiv.quotient.RingElement.__neg__": _RING_API,
+    "cycloderiv.quotient.RingElement.__pow__": _RING_API,
+}
+
+
+@pytest.fixture(scope="module")
+def unreached_run(tmp_path_factory):
+    """The tool's ``--unreached`` output on a one-line module, from a fresh interpreter."""
+    module = tmp_path_factory.mktemp("unreached") / "b.py"
+    module.write_text("x = 1\n", encoding="utf-8")
+    proc = subprocess.run(
+        [sys.executable, str(TOOL), "--unreached", str(module)],
+        capture_output=True, text=True, timeout=120, check=True,
+    )
+    return module, proc.stdout.splitlines()
+
+
+def test_unreached_prints_each_package_function_after_the_counts(unreached_run):
+    module, lines = unreached_run
+    assert lines[:2] == [f"     1 {module}", "     1 total"]
+    assert all(line.startswith("unreached: cycloderiv.") for line in lines[2:])
+    names = [line.removeprefix("unreached: ") for line in lines[2:]]
+    assert len(names) == len(set(names))
+    # each name is a package module and a qualname defined in it, module by module
+    files = [p.stem for p in sorted(code_lines.PACKAGE.glob("*.py"))]
+    homes = []
+    for name in names:
+        _, first, *rest = name.split(".")
+        home, qualname = (first, rest) if first in files else ("__init__", [first, *rest])
+        homes.append(files.index(home))
+        target = importlib.import_module("cycloderiv" if home == "__init__" else f"cycloderiv.{home}")
+        for part in qualname[:qualname.index("<locals>")] if "<locals>" in qualname else qualname:
+            target = vars(target)[part]
+    assert homes == sorted(homes)
+    # the pass refuses to run once the package is imported, as it is here
+    with pytest.raises(RuntimeError, match="fresh interpreter"):
+        code_lines.unreached()
+
+
+def test_unreached_is_exactly_the_allowlist(unreached_run):
+    # a new function that no golden case reaches fails here, and so does an
+    # allowlist entry that a case now reaches or that names no function
+    _, lines = unreached_run
+    assert {line.removeprefix("unreached: ") for line in lines[2:]} == set(UNREACHED)
