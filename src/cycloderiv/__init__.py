@@ -1,12 +1,12 @@
 """Exact-arithmetic toolkit for twisted derivations of cyclotomic integer rings.
 
 Everything runs over arbitrary-precision integers: ``Phi_n`` and the
-resultant on integer coefficient tuples, power-basis ring arithmetic
-(``Polynomial`` is a coefficient record with no operators; the ring
-elements carry them), endomorphism pairs and the derivations they induce, each pair's
-determinant as the resultant ``Res(Phi_n, delta)`` and its closed-form
-inverse, inner/outer classification with exact witnesses, and batch sweep
-drivers with deterministic serialized reports. ``intlinalg`` holds the
+resultant on integer coefficients (``Polynomial`` is a coefficient record
+with no arithmetic operators), power-basis ring arithmetic, endomorphism
+pairs and the derivations they induce, each pair's determinant as the
+resultant ``Res(Phi_n, delta)`` and its closed-form inverse, inner/outer
+classification with exact witnesses, and batch sweep drivers with
+deterministic serialized reports. ``intlinalg`` holds the
 integer matrices the CLI prints and reference elimination routines that the
 package itself does not call.
 
