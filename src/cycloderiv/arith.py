@@ -177,8 +177,26 @@ def check_indexable(n: int) -> None:
     Miller-Rabin limit is refused here, so no such n is ever trial-divided.
     """
     if n >= 1 and (bound := n // n.bit_length()) > sys.maxsize:
-        stated = f"phi(n) of a {n.bit_length()}-bit n >= 2^{bound.bit_length() - 1}"
-        raise ValueError(f"ring degree {stated} has more coefficients than a list can hold")
+        raise _unindexable(f"a {n.bit_length()}-bit n", bound.bit_length() - 1)
+
+
+def check_indexable_above(bits: int) -> None:
+    """Refuse every ``n >= 2^bits`` as ``check_indexable`` would, from bits alone.
+
+    Over the n of b bits, ``n // n.bit_length()`` is least at ``2^(b - 1)``,
+    and ``2^(b - 1) // b`` never falls as b grows, so every such n gives at
+    least ``2^bits // (bits + 1)``, whose bit length is
+    ``bits - bits.bit_length() + 1``. So this refuses exactly when
+    ``check_indexable(2**bits)`` does, without building ``2**bits`` or n.
+    """
+    if (floor_log := bits - bits.bit_length()) >= sys.maxsize.bit_length():
+        raise _unindexable(f"an at least {bits + 1}-bit n", floor_log)
+
+
+def _unindexable(n_stated: str, bound_log: int) -> ValueError:
+    """The refusal of an n whose ``phi(n) >= 2^bound_log`` no list can index."""
+    stated = f"phi(n) of {n_stated} >= 2^{bound_log}"
+    return ValueError(f"ring degree {stated} has more coefficients than a list can hold")
 
 
 def check_degree(n: int, cap: int = DEFAULT_DEGREE_CAP) -> int:

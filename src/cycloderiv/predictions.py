@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .arith import check_unit, factorize, is_prime, multiplicity
+from .arith import check_indexable, check_indexable_above, check_unit, factorize, is_prime, multiplicity
 
 
 class _RingFormFields(NamedTuple):
@@ -42,7 +42,10 @@ class RingForm(_RingFormFields):
     """One of the two conductor families with a determinant prediction.
 
     kind "2rp" is n = 2^r p with r >= 1 and p an odd prime; kind "pk" is
-    n = p^k with p prime and k >= 2 (k = 1 carries no prediction here).
+    n = p^k with p prime and k >= 2 (k = 1 carries no prediction here). A
+    form whose ``Phi_n`` no list can hold is refused with the message of
+    ``arith.check_indexable``, in bounded time: from the bit lengths of p
+    and the exponent alone before n is built, and before p is tested.
     """
 
     __slots__ = ()
@@ -53,18 +56,27 @@ class RingForm(_RingFormFields):
                 raise ValueError("form 2rp requires r >= 1")
             if k is not None:
                 raise ValueError("form 2rp does not take k")
-            if p == 2 or not is_prime(p):
-                raise ValueError(f"form 2rp requires an odd prime p, got {p}")
         elif kind == "pk":
             if k is None or k < 2:
                 raise ValueError("form pk requires k >= 2")
             if r is not None:
                 raise ValueError("form pk does not take r")
-            if not is_prime(p):
-                raise ValueError(f"form pk requires a prime p, got {p}")
         else:
             raise ValueError(f"unknown ring form kind {kind!r}")
-        return super().__new__(cls, kind, p, r, k)
+        form = super().__new__(cls, kind, p, r, k)
+        if p >= 2:
+            # n >= 2^bits, so a form whose Phi_n no list can hold is refused
+            # before n is built (3^(10^7) alone takes seconds) and before p is
+            # tested (trial division of a p above the Miller-Rabin limit never
+            # ends); past the first check n has at most 140 bits
+            bits = r + p.bit_length() - 1 if kind == "2rp" else k * (p.bit_length() - 1)
+            check_indexable_above(bits)
+            check_indexable(form.n)
+        if kind == "2rp" and (p == 2 or not is_prime(p)):
+            raise ValueError(f"form 2rp requires an odd prime p, got {p}")
+        if kind == "pk" and not is_prime(p):
+            raise ValueError(f"form pk requires a prime p, got {p}")
+        return form
 
     @classmethod
     def form_2rp(cls, r: int, p: int) -> RingForm:

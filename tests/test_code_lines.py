@@ -93,6 +93,10 @@ _INTLINALG = "intlinalg library routine that no command calls (ROADMAP item 2)"
 UNREACHED = {
     "cycloderiv.__getattr__": "resolves cycloderiv.<name> for library callers; the CLI imports modules",
     "cycloderiv.__dir__": "lists the names __getattr__ resolves",
+    "cycloderiv.cli.run": (
+        "the process entry point (python -m, the console script); it ends the "
+        "process, so this in-process pass calls cli.main"
+    ),
     "cycloderiv.endomorphisms.Endomorphism.__call__": _RING_API,
     "cycloderiv.endomorphisms.sum_powers": "perfbench/tracer.py wraps it (ROADMAP items 1 and 6)",
     "cycloderiv.endomorphisms.telescope_check": "the per-pair theorem check of ROADMAP item 12",

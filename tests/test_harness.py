@@ -1,7 +1,10 @@
+import os
 import random
+import subprocess
 import sys
 from itertools import combinations
 from math import isqrt
+from pathlib import Path
 
 import pytest
 
@@ -227,6 +230,60 @@ def test_an_n_no_list_can_index_is_refused_before_it_is_factored(monkeypatch, ca
     # below the list limit, and at n <= 0, the check leaves n to the others
     for n in (sys.maxsize * 64, 0, -5):
         assert arith.check_indexable(n) is None
+
+
+def test_the_bits_check_refuses_exactly_the_powers_of_two_check_indexable_does():
+    for bits in range(-1, 400):
+        refusals = []
+        for check, arg in ((arith.check_indexable, 2**bits if bits >= 0 else 0),
+                           (arith.check_indexable_above, bits)):
+            try:
+                check(arg)
+            except ValueError as exc:
+                refusals.append(str(exc))
+        assert len(refusals) in (0, 2), bits
+        if refusals:
+            assert refusals[1] == refusals[0].replace(
+                f"a {bits + 1}-bit n", f"an at least {bits + 1}-bit n"
+            ), bits
+
+
+# RingForm arguments and the refusal: the bit lengths of p and the exponent
+# refuse the first five before n is built or p is tested, and n (70 bits)
+# refuses the last; 2^89 - 1 and the third p are above the Miller-Rabin
+# limit, where testing p trial-divides to its square root, and building
+# 3^(10^7) alone takes seconds
+OVERSIZED_FORMS = [
+    (("pk", 2**89 - 1, None, 2), "an at least 177-bit n >= 2^168"),
+    (("2rp", 2**89 - 1, 1), "an at least 90-bit n >= 2^82"),
+    (("2rp", 3317044064679887385962123, 1), "an at least 83-bit n >= 2^75"),
+    (("pk", 3, None, 10**7), "an at least 10000001-bit n >= 2^9999976"),
+    (("2rp", 3, 10**7), "an at least 10000002-bit n >= 2^9999977"),
+    (("pk", 2**35 - 31, None, 2), "a 70-bit n >= 2^63"),
+]
+
+
+def test_an_oversized_ring_form_is_refused_in_bounded_time():
+    # in a child with a time budget, so a form that hangs fails the test
+    # instead of stopping the run
+    script = (
+        "from cycloderiv import RingForm, sweep\n"
+        f"for args in {[args for args, _ in OVERSIZED_FORMS]!r}:\n"
+        "    try:\n"
+        "        sweep(RingForm(*args))\n"
+        "    except ValueError as exc:\n"
+        "        print(exc)\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=10,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        f"ring degree phi(n) of {stated} has more coefficients than a list can hold"
+        for _, stated in OVERSIZED_FORMS
+    ]
 
 
 def test_verify_theorem_reference_runs():

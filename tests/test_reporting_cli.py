@@ -565,3 +565,112 @@ def test_cli_refuses_a_degree_no_list_can_index_with_one_line(argv):
 def test_cli_sweep_size_bound_leaves_invalid_forms_to_their_own_error(capsys, argv, message):
     # n = p^k or 2^r p is no bound on phi(n) when p < 2 or the exponent is below 1
     assert _run(capsys, ["sweep", *argv]) == (2, "", f"error: {message}\n")
+
+
+# --- the process entry point ------------------------------------------------
+
+
+def _child(args, unbuffered=False, **streams):
+    """``python ARGS`` with this checkout's ``src`` first on the path and stdout
+    buffered unless asked; stdout and stderr as bytes, 60 s at most."""
+    streams = {"stdout": subprocess.PIPE, "stderr": subprocess.PIPE, **streams}
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return subprocess.run(
+        [sys.executable, *args], env=env, timeout=60, **streams,
+    )
+
+
+def _atexit_script(stream):
+    return (
+        "import atexit, sys\n"
+        "from cycloderiv.cli import run\n"
+        f"atexit.register(print, 'atexit handler', file=sys.{stream})\n"
+        "sys.argv[1:] = ['phi-poly', '10']\n"
+        "run()\n"
+    )
+
+
+def test_run_runs_an_atexit_handler_once_after_the_output():
+    proc = _child(["-c", _atexit_script("stdout")])
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    out = proc.stdout.decode("utf-8")
+    assert out.endswith("}\natexit handler\n")
+    assert json.loads(out.removesuffix("atexit handler\n"))["degree"] == "4"
+    # when the flush fails and the interpreter ends the process, not again
+    _, stderr = _closed_stdout(["-c", _atexit_script("stderr")], False)
+    assert stderr.startswith("atexit handler\nException ignored")
+    assert stderr.count("atexit handler") == 1
+
+
+@pytest.mark.parametrize("code", [None, 0, 3, "a message"])
+def test_run_gives_a_system_exit_code_as_the_interpreter_does(code):
+    # the interpreter ending on sys.exit(code) is the oracle
+    exit_now = f"import sys\nsys.exit({code!r})\n"
+    through_run = f"import sys\nfrom cycloderiv import cli\ncli.main = lambda: sys.exit({code!r})\ncli.run()\n"
+    expected, got = _child(["-c", exit_now]), _child(["-c", through_run])
+    assert (got.returncode, got.stdout, got.stderr) == (expected.returncode, expected.stdout, expected.stderr)
+
+
+@pytest.mark.parametrize("argv", [["tables", "21"], ["phi-poly", "10"], ["phi-poly", "0"], ["--version"]])
+def test_run_writes_the_bytes_main_writes_on_buffered_streams(capsys, argv):
+    # tables 21 writes about 400 KB, more than one buffer; stdout is a pipe,
+    # so it is block-buffered and only run's flush writes the last block
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    proc = _child(["-m", "cycloderiv.cli", *argv])
+    assert proc.returncode == code
+    assert proc.stdout == captured.out.encode("utf-8")
+    assert proc.stderr == captured.err.encode("utf-8")
+
+
+# the interpreter's own report of stdout it could not flush at exit
+_UNFLUSHED = "the interpreter's report"
+# exit code and stderr with stdout's read end closed, as recorded before run
+# existed, when the CLI ended through sys.exit(main()) (Python 3.11)
+CLOSED_STDOUT = {
+    (False, "phi-poly 10"): (120, _UNFLUSHED),
+    (False, "tables 21"): (1, "error: [Errno 32] Broken pipe\n"),
+    (False, "--version"): (120, _UNFLUSHED),
+    (False, "phi-poly 0"): (2, "error: totient undefined for 0\n"),
+    (True, "phi-poly 10"): (1, "error: [Errno 32] Broken pipe\n"),
+    (True, "tables 21"): (1, "error: [Errno 32] Broken pipe\n"),
+    (True, "--version"): (0, ""),
+    (True, "phi-poly 0"): (2, "error: totient undefined for 0\n"),
+}
+
+
+def _closed_stdout(args, unbuffered):
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = _child(args, unbuffered, stdout=write_end)
+    finally:
+        os.close(write_end)
+    return proc.returncode, proc.stderr.decode("utf-8")
+
+
+@pytest.mark.parametrize("unbuffered, argv", list(CLOSED_STDOUT), ids=lambda x: str(x))
+def test_run_reports_a_closed_stdout_as_before(unbuffered, argv):
+    code, stderr = CLOSED_STDOUT[unbuffered, argv]
+    if stderr == _UNFLUSHED:
+        _, stderr = _closed_stdout(["-c", "print('x')"], unbuffered)
+        assert stderr.startswith("Exception ignored")
+        assert stderr.endswith("BrokenPipeError: [Errno 32] Broken pipe\n")
+    assert _closed_stdout(["-m", "cycloderiv.cli", *argv.split()], unbuffered) == (code, stderr)
+
+
+def test_run_ends_a_run_without_stdout_as_before():
+    # with descriptor 1 closed sys.stdout is None, and argparse writes the
+    # version to stderr; recorded before run existed: exit 0, the version
+    def close_stdout():
+        os.close(1)
+
+    proc = _child(["-m", "cycloderiv.cli", "--version"], stdout=None, preexec_fn=close_stdout)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, None, f"{cli.__version__}\n".encode())

@@ -35,7 +35,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "cycloderiv"
 CASES = ROOT / "tests" / "golden" / "cases.json"
-# one CLI run through cli.main, as the console script runs it
+# one CLI run through cli.main, which loads what the console script's cli.run loads
 _RUN_CLI = "import sys; from cycloderiv.cli import main; sys.exit(main(sys.argv[1:]))"
 
 _NOT_CODE = {
