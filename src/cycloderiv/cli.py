@@ -3,10 +3,12 @@
 Subcommands mirror the library surface: phi-poly, matrix, classify, sweep,
 verify-theorem, tables, counterexamples. Output goes to stdout by default
 (always UTF-8, integers as decimal strings in JSON); ``--output`` writes to a
-file instead, and a relative ``--output`` path is resolved against the
-``CYCLODERIV_OUTPUT_DIR`` environment variable when that is set. Every
-command that builds a ring takes ``--cap`` (default 64) and refuses a ring
-degree phi(n) above it before building anything.
+file instead. ``main`` hands ``--output`` as given to
+``reporting.write_text``, which alone decides where the report goes (a
+relative path is resolved against ``CYCLODERIV_OUTPUT_DIR``) and raises
+``OSError`` for every failed write. Every command that builds a ring takes
+``--cap`` (default 64) and refuses a ring degree phi(n) above it before
+building anything.
 
 One table, ``_COMMANDS``, declares the subcommands: each entry gives a
 name, its help, its integer positionals, its options in help order and the
@@ -44,12 +46,15 @@ A process enters through ``run`` (``python -m cycloderiv.cli`` and the
 returns the exit code. ``run`` takes the code from ``main``, or from the
 ``SystemExit`` argparse raises for ``--version``, ``--help`` and a usage
 error, as the interpreter would. It then runs the ``atexit`` handlers,
-flushes stdout and stderr and ends the process with ``os._exit``, skipping
-interpreter teardown: module cleanup and a last garbage collection that
-take about a tenth of a short command's run and that no command needs, as
-it starts no thread and closes an ``--output`` file itself. When a flush
-fails, as on a closed pipe, ``run`` leaves through ``sys.exit`` instead, so
-the interpreter reports the broken pipe as it would without ``run``.
+flushes stdout and stderr, ignoring an ``OSError``, and ends the process
+with ``os._exit``, skipping interpreter teardown: module cleanup and a last
+garbage collection that take about a tenth of a short command's run and
+that no command needs, as it starts no thread and closes an ``--output``
+file itself. That is its one exit. A report is flushed inside
+``write_text``, so a closed stdout or a broken pipe reaches ``main`` as an
+``OSError``: one ``error:`` line and exit 1. What is left to flush is what
+argparse wrote for ``--help`` or ``--version``, and argparse drops its own
+write errors, so those exit 0 whether stdout is open or not.
 """
 
 from __future__ import annotations
@@ -59,7 +64,6 @@ import atexit
 import os
 import re
 import sys
-from pathlib import Path
 from typing import NoReturn
 
 from . import __version__
@@ -68,17 +72,6 @@ from .arith import _degree_bound, _factor_limit, check_indexable
 
 # Annotations such as ``Report`` and ``RingForm`` name types of the modules a
 # command imports when it runs; they are never evaluated at run time.
-
-
-def _destination(args: argparse.Namespace) -> str | Path | None:
-    dest = args.output
-    if dest is None or dest == "-":
-        return dest
-    path = Path(dest)
-    base = os.environ.get("CYCLODERIV_OUTPUT_DIR")
-    if base and not path.is_absolute():
-        path = Path(base) / path
-    return path
 
 
 def _one_row(title: str, row: dict) -> Report:
@@ -339,7 +332,7 @@ def main(argv: list[str] | None = None) -> int:
         report, code = args.func(args)
         from .reporting import render, write_text
 
-        write_text(render(report, args.format), _destination(args))
+        write_text(render(report, args.format), args.output)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -364,12 +357,12 @@ def run() -> NoReturn:
         print(code, file=sys.stderr)
         code = 1
     atexit._run_exitfuncs()
-    try:
-        for stream in (sys.stdout, sys.stderr):
+    for stream in (sys.stdout, sys.stderr):
+        try:
             if stream is not None:
                 stream.flush()
-    except OSError:
-        sys.exit(code)
+        except OSError:
+            pass
     os._exit(code)
 
 

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import io
 import json
+import os
 import sys
 from collections.abc import Iterable
 from pathlib import Path
@@ -90,12 +91,21 @@ def render(report: Report, fmt: str) -> str:
     return "\n".join([f"# {report.title}", "", *body]) + "\n"
 
 
-def write_text(text: str, destination: str | Path | None) -> None:
-    """Write to a file, or to stdout when destination is None or '-'."""
-    if destination is None or destination == "-":
+def write_text(text: str, output: str | Path | None) -> None:
+    """Write the report where ``--output`` says, and flush it before returning.
+
+    None or '-' means stdout. Any other path is a file, and a relative one is
+    resolved against ``CYCLODERIV_OUTPUT_DIR`` when that is set. Every
+    failure, a closed stdout (``sys.stdout`` None, as with descriptor 1
+    closed) and a broken pipe included, is an ``OSError`` raised here.
+    """
+    if output is None or output == "-":
+        if sys.stdout is None:
+            raise OSError("failed writing report to stdout: it is closed")
         sys.stdout.write(text)
+        sys.stdout.flush()
         return
-    path = Path(destination)
+    path = Path(os.environ.get("CYCLODERIV_OUTPUT_DIR", ""), output)
     try:
         path.write_text(text, encoding="utf-8")
     except OSError as exc:

@@ -129,6 +129,30 @@ def test_write_text_reports_path_on_failure(tmp_path):
         write_text("{}", target)
 
 
+def test_write_text_resolves_only_a_relative_path_against_the_output_dir(tmp_path, monkeypatch, capsys):
+    base = tmp_path / "base"
+    base.mkdir()
+    monkeypatch.setenv("CYCLODERIV_OUTPUT_DIR", str(base))
+    write_text("relative", "rel.txt")
+    write_text("absolute", str(tmp_path / "abs.txt"))
+    write_text("dash ", "-")
+    write_text("none", None)
+    assert (base / "rel.txt").read_text() == "relative"
+    assert (tmp_path / "abs.txt").read_text() == "absolute"
+    assert sorted(p.name for p in base.iterdir()) == ["rel.txt"]
+    assert capsys.readouterr().out == "dash none"
+
+
+def test_write_text_flushes_stdout_and_refuses_a_missing_one(monkeypatch):
+    written = io.BytesIO()
+    monkeypatch.setattr(sys, "stdout", io.TextIOWrapper(written, encoding="utf-8"))
+    write_text("{}\n", None)
+    assert written.getvalue() == b"{}\n"
+    monkeypatch.setattr(sys, "stdout", None)
+    with pytest.raises(OSError, match="^failed writing report to stdout: it is closed$"):
+        write_text("{}\n", "-")
+
+
 # --- command-line surface ---------------------------------------------------
 
 
@@ -600,10 +624,10 @@ def test_run_runs_an_atexit_handler_once_after_the_output():
     out = proc.stdout.decode("utf-8")
     assert out.endswith("}\natexit handler\n")
     assert json.loads(out.removesuffix("atexit handler\n"))["degree"] == "4"
-    # when the flush fails and the interpreter ends the process, not again
-    _, stderr = _closed_stdout(["-c", _atexit_script("stderr")], False)
-    assert stderr.startswith("atexit handler\nException ignored")
-    assert stderr.count("atexit handler") == 1
+    # when the report's write fails, after main's error line, and not again
+    assert _closed_stdout(["-c", _atexit_script("stderr")], False) == (
+        1, "error: [Errno 32] Broken pipe\natexit handler\n"
+    )
 
 
 @pytest.mark.parametrize("code", [None, 0, 3, "a message"])
@@ -630,19 +654,22 @@ def test_run_writes_the_bytes_main_writes_on_buffered_streams(capsys, argv):
     assert proc.stderr == captured.err.encode("utf-8")
 
 
-# the interpreter's own report of stdout it could not flush at exit
-_UNFLUSHED = "the interpreter's report"
-# exit code and stderr with stdout's read end closed, as recorded before run
-# existed, when the CLI ended through sys.exit(main()) (Python 3.11)
+_BROKEN_PIPE = (1, "error: [Errno 32] Broken pipe\n")
+# exit code and stderr with stdout's read end closed, buffered or not: a
+# report's write fails inside write_text and main prints one error line;
+# argparse drops its own failed write of the version or the help
 CLOSED_STDOUT = {
-    (False, "phi-poly 10"): (120, _UNFLUSHED),
-    (False, "tables 21"): (1, "error: [Errno 32] Broken pipe\n"),
-    (False, "--version"): (120, _UNFLUSHED),
-    (False, "phi-poly 0"): (2, "error: totient undefined for 0\n"),
-    (True, "phi-poly 10"): (1, "error: [Errno 32] Broken pipe\n"),
-    (True, "tables 21"): (1, "error: [Errno 32] Broken pipe\n"),
-    (True, "--version"): (0, ""),
-    (True, "phi-poly 0"): (2, "error: totient undefined for 0\n"),
+    (unbuffered, argv): outcome
+    for unbuffered in (False, True)
+    for argv, outcome in {
+        "phi-poly 10": _BROKEN_PIPE,
+        "tables 21": _BROKEN_PIPE,
+        "--version": (0, ""),
+        "--help": (0, ""),
+        "phi-poly 0": (2, "error: totient undefined for 0\n"),
+        "verify-theorem 49 1 2 --trials 5": _BROKEN_PIPE,
+        "classify 49 1 2 --dzeta=" + ",".join(str(i % 7 - 3) for i in range(42)): _BROKEN_PIPE,
+    }.items()
 }
 
 
@@ -656,14 +683,10 @@ def _closed_stdout(args, unbuffered):
     return proc.returncode, proc.stderr.decode("utf-8")
 
 
-@pytest.mark.parametrize("unbuffered, argv", list(CLOSED_STDOUT), ids=lambda x: str(x))
+@pytest.mark.parametrize("unbuffered, argv", list(CLOSED_STDOUT), ids=lambda x: str(x)[:40])
 def test_run_reports_a_closed_stdout_as_before(unbuffered, argv):
-    code, stderr = CLOSED_STDOUT[unbuffered, argv]
-    if stderr == _UNFLUSHED:
-        _, stderr = _closed_stdout(["-c", "print('x')"], unbuffered)
-        assert stderr.startswith("Exception ignored")
-        assert stderr.endswith("BrokenPipeError: [Errno 32] Broken pipe\n")
-    assert _closed_stdout(["-m", "cycloderiv.cli", *argv.split()], unbuffered) == (code, stderr)
+    expected = CLOSED_STDOUT[unbuffered, argv]
+    assert _closed_stdout(["-m", "cycloderiv.cli", *argv.split()], unbuffered) == expected
 
 
 def test_run_ends_a_run_without_stdout_as_before():
@@ -674,3 +697,27 @@ def test_run_ends_a_run_without_stdout_as_before():
 
     proc = _child(["-m", "cycloderiv.cli", "--version"], stdout=None, preexec_fn=close_stdout)
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, None, f"{cli.__version__}\n".encode())
+
+
+def _without_descriptor_1(argv, unbuffered):
+    proc = _child(["-m", "cycloderiv.cli", *argv], unbuffered, stdout=None,
+                  preexec_fn=lambda: os.close(1))
+    return proc.returncode, proc.stderr.decode("utf-8")
+
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+@pytest.mark.parametrize("argv", [["phi-poly", "10"], ["tables", "21"]])
+def test_run_reports_a_report_without_stdout_in_one_line(argv, unbuffered):
+    # sys.stdout is None: write_text refuses it as an OSError, not an
+    # AttributeError traceback
+    assert _without_descriptor_1(argv, unbuffered) == (
+        1, "error: failed writing report to stdout: it is closed\n"
+    )
+
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+def test_run_writes_an_output_file_without_stdout(tmp_path, unbuffered):
+    target = tmp_path / "phi.json"
+    assert _without_descriptor_1(["phi-poly", "10", "--output", str(target)], unbuffered) == (0, "")
+    golden = Path(__file__).resolve().parent / "golden" / "phi-poly_10_json.out"
+    assert target.read_bytes() == golden.read_bytes()
