@@ -43,18 +43,22 @@ default can admit an n whose series cannot be allocated).
 
 A process enters through ``run`` (``python -m cycloderiv.cli`` and the
 ``cycloderiv`` console script); tests and tools call ``main(argv)``, which
-returns the exit code. ``run`` takes the code from ``main``, or from the
-``SystemExit`` argparse raises for ``--version``, ``--help`` and a usage
-error, as the interpreter would. It then runs the ``atexit`` handlers,
-flushes stdout and stderr, ignoring an ``OSError``, and ends the process
-with ``os._exit``, skipping interpreter teardown: module cleanup and a last
-garbage collection that take about a tenth of a short command's run and
-that no command needs, as it starts no thread and closes an ``--output``
-file itself. That is its one exit. A report is flushed inside
-``write_text``, so a closed stdout or a broken pipe reaches ``main`` as an
-``OSError``: one ``error:`` line and exit 1. What is left to flush is what
-argparse wrote for ``--help`` or ``--version``, and argparse drops its own
-write errors, so those exit 0 whether stdout is open or not.
+returns every exit code and raises no ``SystemExit``: its parser's exit, for
+``--version``, ``--help`` and a usage error, is a return value too. An
+``error:`` line, and a usage error's usage and message, go out in one write
+that drops the text, not the code, when stderr is a closed pipe or None
+(descriptor 2 closed), so none of it lands on stdout. ``run`` calls
+``main``, runs the ``atexit`` handlers, flushes stdout and stderr, ignoring
+an ``OSError``, and ends the process with ``os._exit``, skipping
+interpreter teardown: module cleanup and a last garbage collection that
+take about a tenth of a short command's run and that no command needs, as
+it starts no thread and closes an ``--output`` file itself. That is its one
+exit. A report is flushed inside ``write_text``, so a closed stdout or a
+broken pipe reaches ``main`` as an ``OSError``: one ``error:`` line and
+exit 1. What is left to flush is what argparse wrote for ``--help`` or
+``--version``, and the argparse of Python 3.12, 3.13 and recent 3.11
+releases drops its own write errors, so those exit 0 whether stdout is
+open or not; Python 3.10's argparse raises, so there they exit 1.
 """
 
 from __future__ import annotations
@@ -292,8 +296,26 @@ _COMMANDS = (
 )
 
 
+class _ParserExit(Exception):
+    """argparse's exit, as the exit code and the message to write to stderr."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """An ``ArgumentParser`` whose exit (``--help``, ``--version``, a usage
+    error) raises ``_ParserExit`` for ``main`` to return, not ``SystemExit``;
+    its subparsers are of this class too. A usage error's usage and message
+    go to ``main``'s one write: argparse would send the usage to stdout when
+    stderr is None, and Python 3.10's argparse lets its failed write raise."""
+
+    def exit(self, status: int = 0, message: str | None = None) -> NoReturn:
+        raise _ParserExit(status, message or "")
+
+    def error(self, message: str) -> NoReturn:
+        raise _ParserExit(2, f"{self.format_usage()}{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="cycloderiv",
         description="Exact twisted-derivation toolkit for cyclotomic integer rings",
     )
@@ -326,41 +348,36 @@ def _join_negative_values(argv: list[str]) -> list[str]:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(_join_negative_values(sys.argv[1:] if argv is None else argv))
     try:
+        args = build_parser().parse_args(_join_negative_values(sys.argv[1:] if argv is None else argv))
         report, code = args.func(args)
         from .reporting import render, write_text
 
         write_text(render(report, args.format), args.output)
+        return code
+    except _ParserExit as exc:
+        code, message = exc.args
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        code, message = 2, f"error: {exc}\n"
     except (MemoryError, OverflowError):
-        print("error: out of memory; a lower --cap refuses a ring this large", file=sys.stderr)
-        return 2
+        code, message = 2, "error: out of memory; a lower --cap refuses a ring this large\n"
     except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        code, message = 1, f"error: {exc}\n"
+    # the one write to stderr: a closed stderr, or none, drops the text, not the code
+    try:
+        sys.stderr.write(message)
+    except (AttributeError, OSError):
+        pass
     return code
 
 
 def run() -> NoReturn:
     """The process entry point: ``main`` on ``sys.argv``, then exit without teardown."""
-    try:
-        code = main()
-    except SystemExit as exc:
-        code = exc.code
-    if code is None:
-        code = 0
-    elif not isinstance(code, int):
-        print(code, file=sys.stderr)
-        code = 1
+    code = main()
     atexit._run_exitfuncs()
-    for stream in (sys.stdout, sys.stderr):
+    for stream in filter(None, (sys.stdout, sys.stderr)):
         try:
-            if stream is not None:
-                stream.flush()
+            stream.flush()
         except OSError:
             pass
     os._exit(code)

@@ -1,0 +1,107 @@
+"""Property test of the command line: argv drawn from ``cli._COMMANDS``.
+
+Every drawn argv runs through ``cli.main`` in this process, with stdout and
+stderr captured. ``main`` must return an int and never raise. The code is 0
+or 2: every check the commands run holds on a valid input, and the report
+goes to stdout, so nothing can exit 1. Exit 0 must leave stderr empty, and
+exit 2 must leave stdout empty and end stderr with an ``error:`` line.
+
+Values stay small: n, the exponents and the form parameters in -3..60,
+``--cap`` in 0..64, ``--trials`` in -1..5, and a few tokens that are not
+integers. Most draws are meant to pass: exponents and form parameters lean
+to small values, a required option is mostly given and ``--dzeta`` mostly
+has phi(n) entries, so the commands' own work is searched as well as their
+refusals. The batch commands ``sweep`` and ``tables`` always take a
+``--cap`` of at most 24, since ``tables 59`` at the default cap runs for
+about 11 s. Runs only where ``hypothesis`` is installed; examples are
+derandomized.
+"""
+
+import io
+from contextlib import redirect_stderr, redirect_stdout
+
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from cycloderiv import cli  # noqa: E402
+from cycloderiv.arith import totient  # noqa: E402
+
+# int() refuses the first five; it takes Arabic-Indic digits, which are 12 here
+NOT_INTEGERS = ("1.5", "x", "", "0x1f", "--", "١٢")
+BATCH = ("sweep", "tables")
+BATCH_CAP = 24
+FORM_PARAMETERS = {"2rp": ("--r", "--p"), "pk": ("--p", "--k")}
+
+
+def _mostly(valid, invalid):
+    """``valid`` in about nine draws of ten, ``invalid`` in the rest."""
+    return st.sampled_from([valid] * 9 + [invalid]).flatmap(lambda chosen: chosen)
+
+
+def _integer(low, high, likely=None):
+    """A decimal in low..high, mostly drawn from ``likely`` when given, or a non-integer."""
+    value = st.integers(low, high)
+    if likely is not None:
+        value = _mostly(st.sampled_from(likely), value)
+    return _mostly(value.map(str), st.sampled_from(NOT_INTEGERS))
+
+
+def _value(draw, name, flag, kwargs, n):
+    if flag == "--output":
+        return "-"  # stdout; a drawn path would write a file
+    if "choices" in kwargs:
+        return draw(_mostly(st.sampled_from(kwargs["choices"]), st.just("x")))
+    if flag == "--dzeta":
+        count = draw(_mostly(st.just(totient(n) if n > 0 else 0), st.integers(0, 20)))
+        coordinates = st.lists(st.integers(-5, 5).map(str), min_size=count, max_size=count)
+        return draw(_mostly(coordinates.map(",".join), st.sampled_from(NOT_INTEGERS)))
+    if flag == "--cap":
+        return draw(_integer(0, BATCH_CAP if name in BATCH else 64))
+    if flag == "--trials":
+        return draw(_integer(-1, 5))
+    if flag == "--p":
+        return draw(_integer(-3, 60, likely=(2, 3, 5, 7, 11, 13)))
+    return draw(_integer(-3, 60, likely=range(1, 5)))  # --r, --k, --seed
+
+
+def _given(draw, name, flag, kwargs, form):
+    """Whether the option is in argv: a required one or a parameter of the drawn
+    form mostly, a parameter of the other form rarely, any other one half the time."""
+    if kwargs.get("required") or flag in FORM_PARAMETERS.get(form, ()):
+        return draw(_mostly(st.just(True), st.just(False)))
+    if flag in ("--r", "--p", "--k"):
+        return draw(_mostly(st.just(False), st.just(True)))
+    return (flag == "--cap" and name in BATCH) or draw(st.booleans())
+
+
+@st.composite
+def argvs(draw):
+    """One argv: a subcommand, its positionals and a subset of its options."""
+    if draw(st.integers(0, 19)) == 0:
+        return [draw(st.sampled_from(["--version", "--help"]))]
+    name, _, positionals, options, _ = draw(st.sampled_from(cli._COMMANDS))
+    argv = [name]
+    for dest in positionals.split():
+        argv.append(draw(_integer(-3, 60, likely=range(1, 31 if dest == "n" else 13))))
+    n = int(argv[1]) if positionals and argv[1] not in NOT_INTEGERS else 0
+    for flag, kwargs in {**options, **cli._OUTPUT}.items():
+        if _given(draw, name, flag, kwargs, dict(zip(argv, argv[1:])).get("--form")):
+            argv += [flag, _value(draw, name, flag, kwargs, n)]
+    return argv
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(argvs())
+def test_main_returns_a_code_and_keeps_each_stream_to_its_outcome(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = cli.main(argv)
+    assert type(code) is int and code in (0, 2), (argv, code)
+    if code == 0:
+        assert err.getvalue() == "", argv
+    if code == 2:
+        assert out.getvalue() == "", argv
+        assert "error: " in err.getvalue().splitlines()[-1], argv

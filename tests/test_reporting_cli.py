@@ -268,10 +268,9 @@ def test_every_integer_argument_has_the_one_converter():
 ], ids=["decimal", "long-non-numeral", "5000-digits", "signed-5000-digits-with-underscores"])
 @pytest.mark.parametrize("name", INTEGER_ARGUMENTS)
 def test_cli_refuses_a_non_integer_argument_without_echoing_it(capsys, name, value, reason):
-    with pytest.raises(SystemExit) as exc:
-        main([value if a == "X" else a for a in INTEGER_ARGUMENTS[name]])
+    code = main([value if a == "X" else a for a in INTEGER_ARGUMENTS[name]])
     captured = capsys.readouterr()
-    assert (exc.value.code, captured.out) == (2, "")
+    assert (code, captured.out) == (2, "")
     assert captured.err.splitlines()[-1].endswith(f"error: argument {name}: the value {reason}")
     assert len(captured.err) < 500
 
@@ -390,9 +389,7 @@ def test_cli_tables(capsys):
 
 
 def test_cli_usage_error_exits_2(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["sweep"])  # missing required --form
-    assert exc.value.code == 2
+    assert main(["sweep"]) == 2  # missing required --form
 
 
 def test_cli_output_file(tmp_path, capsys):
@@ -630,23 +627,21 @@ def test_run_runs_an_atexit_handler_once_after_the_output():
     )
 
 
-@pytest.mark.parametrize("code", [None, 0, 3, "a message"])
-def test_run_gives_a_system_exit_code_as_the_interpreter_does(code):
-    # the interpreter ending on sys.exit(code) is the oracle
-    exit_now = f"import sys\nsys.exit({code!r})\n"
-    through_run = f"import sys\nfrom cycloderiv import cli\ncli.main = lambda: sys.exit({code!r})\ncli.run()\n"
-    expected, got = _child(["-c", exit_now]), _child(["-c", through_run])
-    assert (got.returncode, got.stdout, got.stderr) == (expected.returncode, expected.stdout, expected.stderr)
+@pytest.mark.parametrize("argv, code", [(["--help"], 0), (["--version"], 0), (["sweep"], 2)],
+                         ids=["--help", "--version", "usage-error"])
+def test_run_exits_with_the_code_main_returns_for_a_parser_exit(capsys, argv, code):
+    # argparse's own exit is a return value of main, and run ends the
+    # process with it
+    assert main(argv) == code
+    capsys.readouterr()
+    assert _child(["-m", "cycloderiv.cli", *argv]).returncode == code
 
 
 @pytest.mark.parametrize("argv", [["tables", "21"], ["phi-poly", "10"], ["phi-poly", "0"], ["--version"]])
 def test_run_writes_the_bytes_main_writes_on_buffered_streams(capsys, argv):
     # tables 21 writes about 400 KB, more than one buffer; stdout is a pipe,
     # so it is block-buffered and only run's flush writes the last block
-    try:
-        code = main(argv)
-    except SystemExit as exc:
-        code = exc.code
+    code = main(argv)
     captured = capsys.readouterr()
     proc = _child(["-m", "cycloderiv.cli", *argv])
     assert proc.returncode == code
@@ -721,3 +716,52 @@ def test_run_writes_an_output_file_without_stdout(tmp_path, unbuffered):
     assert _without_descriptor_1(["phi-poly", "10", "--output", str(target)], unbuffered) == (0, "")
     golden = Path(__file__).resolve().parent / "golden" / "phi-poly_10_json.out"
     assert target.read_bytes() == golden.read_bytes()
+
+
+@pytest.mark.parametrize("stderr", [None, "broken pipe"])
+@pytest.mark.parametrize("argv", [["phi-poly", "0"], ["matrix", "10", "2", "3"], ["sweep"]])
+def test_main_drops_an_error_line_it_cannot_write_and_keeps_the_code(capsys, monkeypatch, argv, stderr):
+    # print(..., file=None) and argparse's print_usage(None) would write to
+    # stdout; neither the error line nor the usage may
+    class BrokenPipe:
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+    monkeypatch.setattr(sys, "stderr", None if stderr is None else BrokenPipe())
+    assert main(argv) == 2
+    monkeypatch.undo()
+    assert capsys.readouterr() == ("", "")
+
+
+_GOLDEN_PHI_10 = (Path(__file__).resolve().parent / "golden" / "phi-poly_10_json.out").read_bytes()
+# exit code and stdout with stderr's read end closed or descriptor 2 closed,
+# buffered or not: an error line that cannot be written is dropped, its exit
+# code stands, and nothing meant for stderr reaches stdout
+CLOSED_STDERR = {
+    "phi-poly 0": (2, b""),
+    "matrix 10 2 3": (2, b""),
+    "sweep": (2, b""),  # a usage error: --form is required
+    "phi-poly 10": (0, _GOLDEN_PHI_10),
+    "--version": (0, f"{cli.__version__}\n".encode()),
+}
+
+
+def _closed_stderr(argv, unbuffered, closed):
+    args = ["-m", "cycloderiv.cli", *argv.split()]
+    if closed == "descriptor 2":
+        proc = _child(args, unbuffered, stderr=None, preexec_fn=lambda: os.close(2))
+    else:
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = _child(args, unbuffered, stderr=write_end)
+        finally:
+            os.close(write_end)
+    return proc.returncode, proc.stdout
+
+
+@pytest.mark.parametrize("closed", ["read end", "descriptor 2"])
+@pytest.mark.parametrize("unbuffered", [False, True])
+@pytest.mark.parametrize("argv", list(CLOSED_STDERR))
+def test_run_keeps_the_exit_code_and_stdout_with_a_closed_stderr(argv, unbuffered, closed):
+    assert _closed_stderr(argv, unbuffered, closed) == CLOSED_STDERR[argv]

@@ -133,10 +133,10 @@ def defined_functions() -> dict[tuple[str, int], str]:
 def unreached() -> list[str]:
     """The package functions that no golden case enters, in source order.
 
-    Every case runs through ``cli.main`` with its output discarded and
-    ``SystemExit`` caught, under a profiler that records each code object
-    entered. The package must not be imported yet: a cache that an earlier
-    call filled would hide the calls that fill it.
+    Every case runs through ``cli.main`` with its output discarded, under a
+    profiler that records each code object entered. The package must not be
+    imported yet: a cache that an earlier call filled would hide the calls
+    that fill it.
     """
     if "cycloderiv" in sys.modules:
         raise RuntimeError("run the pass in a fresh interpreter, before cycloderiv is imported")
@@ -155,10 +155,7 @@ def unreached() -> list[str]:
 
         for case in cases.values():
             with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
-                try:
-                    run_cli(case["argv"])
-                except SystemExit:
-                    pass
+                run_cli(case["argv"])
     finally:
         sys.setprofile(None)
     return [
