@@ -16,18 +16,30 @@ name, its help, its integer positionals, its options in help order and the
 adds the shared ``--format`` and ``--output`` flags last. So an option is
 declared once, and one that several commands share is one table edit.
 
+``main`` reads a well-formed argv straight from that table (``_parse``): a
+command name, then its integer positionals and its flags spelled in full,
+each value after ``=`` or as the next token, every value valid. That gives
+what argparse would, without importing argparse, which with the ``gettext``
+it pulls in and seven subparsers to build costs a short command a few
+milliseconds. Any other argv (``--help``, ``--version``, an abbreviated or
+unknown flag, ``--``, a negative value as its own token, a bad value, a
+missing or extra argument) goes to ``build_parser``'s argparse parser,
+which is imported and built only then and remains the one source of help,
+version, usage and refusal text.
+
 Each command returns a ``reporting.Report`` and its exit code: ``sweep``
 and ``tables`` convert their batch record with the converter ``harness``
 keeps beside it, and the other commands build their ``Report`` here.
 ``main`` alone renders it through ``reporting.render`` and writes it.
 
-Start-up loads only the parser and the argument rules (``arith``). A command
+Start-up loads only this module and the argument rules (``arith``). A command
 checks its input first, in the order the library would refuse it (the ring
 degree, then the trial count, then the exponents u and v: an n <= 2 has
 fewer than two of them, and each must be a unit), and only then imports the
 modules it runs. So ``--version``, ``--help`` and a refused degree, trial
-count or exponent load no other part of the library, and ``main`` imports
-the renderer once the command has returned.
+count or exponent load no other part of the library (only argparse, for
+the first two), and ``main`` imports the renderer once the command has
+returned.
 
 Beside ``reporting``, ``verify-theorem`` loads only the ring stack
 (``polynomials``, ``quotient``, ``endomorphisms``), ``classify`` adds
@@ -56,26 +68,27 @@ it starts no thread and closes an ``--output`` file itself. That is its one
 exit. A report is flushed inside ``write_text``, so a closed stdout or a
 broken pipe reaches ``main`` as an ``OSError``: one ``error:`` line and
 exit 1. What is left to flush is what argparse wrote for ``--help`` or
-``--version``, and the argparse of Python 3.12, 3.13 and recent 3.11
-releases drops its own write errors, so those exit 0 whether stdout is
-open or not; Python 3.10's argparse raises, so there they exit 1.
+``--version``, and a failed write of those is dropped (by argparse from
+Python 3.11 on, and by the parser's own ``_print_message`` on 3.10, whose
+argparse would raise), so they exit 0 whether stdout is open or not.
 """
 
 from __future__ import annotations
 
-import argparse
 import atexit
 import os
 import re
 import sys
+from types import SimpleNamespace
 from typing import NoReturn
 
 from . import __version__
 from .arith import DEFAULT_DEGREE_CAP, check_degree, check_trials, check_two_units, check_unit
 from .arith import _degree_bound, _factor_limit, check_indexable
 
-# Annotations such as ``Report`` and ``RingForm`` name types of the modules a
-# command imports when it runs; they are never evaluated at run time.
+# Annotations such as ``Report``, ``RingForm`` and ``argparse.Namespace`` name
+# types of the modules a command or a refusal imports when it runs; they are
+# never evaluated at run time.
 
 
 def _one_row(title: str, row: dict) -> Report:
@@ -153,7 +166,9 @@ def _integer(text: str) -> int:
     try:
         return int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"the value {_not_an_int(text)}") from None
+        from argparse import ArgumentTypeError
+
+        raise ArgumentTypeError(f"the value {_not_an_int(text)}") from None
 
 
 def _parse_coords(text: str, expected: int) -> tuple[int, ...]:
@@ -300,21 +315,31 @@ class _ParserExit(Exception):
     """argparse's exit, as the exit code and the message to write to stderr."""
 
 
-class _Parser(argparse.ArgumentParser):
-    """An ``ArgumentParser`` whose exit (``--help``, ``--version``, a usage
-    error) raises ``_ParserExit`` for ``main`` to return, not ``SystemExit``;
-    its subparsers are of this class too. A usage error's usage and message
-    go to ``main``'s one write: argparse would send the usage to stdout when
-    stderr is None, and Python 3.10's argparse lets its failed write raise."""
-
-    def exit(self, status: int = 0, message: str | None = None) -> NoReturn:
-        raise _ParserExit(status, message or "")
-
-    def error(self, message: str) -> NoReturn:
-        raise _ParserExit(2, f"{self.format_usage()}{self.prog}: error: {message}\n")
-
-
 def build_parser() -> argparse.ArgumentParser:
+    """The argparse parser of ``_COMMANDS``, the one source of help, version,
+    usage and refusal text; ``main`` builds it only for an argv ``_parse`` declines."""
+    import argparse
+
+    class _Parser(argparse.ArgumentParser):
+        """An ``ArgumentParser`` whose exit (``--help``, ``--version``, a usage
+        error) raises ``_ParserExit`` for ``main`` to return, not ``SystemExit``;
+        its subparsers are of this class too. A usage error's usage and message
+        go to ``main``'s one write: argparse would send the usage to stdout when
+        stderr is None. A failed write of the help or the version is dropped, as
+        argparse does from Python 3.11 on; Python 3.10's lets it raise."""
+
+        def exit(self, status: int = 0, message: str | None = None) -> NoReturn:
+            raise _ParserExit(status, message or "")
+
+        def error(self, message: str) -> NoReturn:
+            raise _ParserExit(2, f"{self.format_usage()}{self.prog}: error: {message}\n")
+
+        def _print_message(self, message: str, file=None) -> None:
+            try:
+                super()._print_message(message, file)
+            except (AttributeError, OSError):
+                pass
+
     parser = _Parser(
         prog="cycloderiv",
         description="Exact twisted-derivation toolkit for cyclotomic integer rings",
@@ -329,6 +354,45 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument(flag, **kwargs)
         p.set_defaults(func=func)
     return parser
+
+
+def _parse(argv: list[str]) -> SimpleNamespace | None:
+    """``build_parser().parse_args(argv)`` for an argv that names a command, then
+    gives its positionals and exact flags, each flag's value after ``=`` or as
+    the next token (one starting with '-' only if it is '-'), all valid; None
+    for any other argv, which argparse then parses, accepts or refuses."""
+    entry = next((entry for entry in _COMMANDS if argv[:1] == [entry[0]]), None)
+    if entry is None:
+        return None
+    name, _, positionals, options, func = entry
+    # each positional is a required integer option named by its dest
+    required = {**_INTEGER, "required": True}
+    options = {**dict.fromkeys(positionals.split(), required), **options, **_OUTPUT}
+    values = {flag: kwargs.get("default") for flag, kwargs in options.items()}
+    dests, tokens = iter(positionals.split()), iter(argv[1:])
+    try:
+        for token in tokens:
+            flag, sep, value = token.partition("=")
+            if token[:1] != "-":
+                flag, sep, value = next(dests, "-"), "=", token  # "-" past the last positional
+            if flag not in options:
+                return None
+            if not sep:
+                value = next(tokens, None)
+                # argparse may read a next token that starts with '-' as a flag
+                if value is None or value[:1] == "-" and value != "-":
+                    return None
+            kwargs = options[flag]
+            value = int(value) if "type" in kwargs else value
+            if "choices" in kwargs and value not in kwargs["choices"]:
+                return None
+            values[flag] = value
+    except ValueError:  # int() refused the value
+        return None
+    # a required option has no default, so it is None until it is given
+    if any(kwargs.get("required") and values[flag] is None for flag, kwargs in options.items()):
+        return None
+    return SimpleNamespace(**{flag.lstrip("-"): v for flag, v in values.items()}, command=name, func=func)
 
 
 def _join_negative_values(argv: list[str]) -> list[str]:
@@ -349,7 +413,8 @@ def _join_negative_values(argv: list[str]) -> list[str]:
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        args = build_parser().parse_args(_join_negative_values(sys.argv[1:] if argv is None else argv))
+        argv = _join_negative_values(sys.argv[1:] if argv is None else argv)
+        args = _parse(argv) or build_parser().parse_args(argv)
         report, code = args.func(args)
         from .reporting import render, write_text
 

@@ -1,7 +1,8 @@
-"""Property test of the command line: argv drawn from ``cli._COMMANDS``.
+"""Property tests of the command line: argv drawn from ``cli._COMMANDS``.
 
-Every drawn argv runs through ``cli.main`` in this process, with stdout and
-stderr captured. ``main`` must return an int and never raise. The code is 0
+Every drawn argv runs through ``cli.main`` in this process, twice, with
+stdout and stderr captured. ``main`` must return an int and never raise,
+and the second run must give the first one's code and bytes. The code is 0
 or 2: every check the commands run holds on a valid input, and the report
 goes to stdout, so nothing can exit 1. Exit 0 must leave stderr empty, and
 exit 2 must leave stdout empty and end stderr with an ``error:`` line.
@@ -13,8 +14,17 @@ to small values, a required option is mostly given and ``--dzeta`` mostly
 has phi(n) entries, so the commands' own work is searched as well as their
 refusals. The batch commands ``sweep`` and ``tables`` always take a
 ``--cap`` of at most 24, since ``tables 59`` at the default cap runs for
-about 11 s. Runs only where ``hypothesis`` is installed; examples are
-derandomized.
+about 11 s.
+
+A second test holds ``cli._parse``, which parses a well-formed argv without
+argparse, to argparse itself: wherever ``_parse`` accepts an argv, it gives
+what ``build_parser().parse_args`` gives. Its argv are only parsed, never
+run, so their values may be large (``10^k +- c``, 5,000 digits), and they
+hold what ``_parse`` must leave to argparse: abbreviated, unknown and
+repeated flags, ``=`` forms, values that start with '-', ``--``, ``-h``,
+and missing or extra positionals, among positionals and flags in any order.
+
+Runs only where ``hypothesis`` is installed; examples are derandomized.
 """
 
 import io
@@ -93,15 +103,81 @@ def argvs(draw):
     return argv
 
 
-@settings(derandomize=True, database=None, deadline=None, max_examples=300)
-@given(argvs())
-def test_main_returns_a_code_and_keeps_each_stream_to_its_outcome(argv):
+def _run(argv):
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
         code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(argvs())
+def test_main_returns_a_code_and_keeps_each_stream_to_its_outcome(argv):
+    code, out, err = _run(argv)
     assert type(code) is int and code in (0, 2), (argv, code)
     if code == 0:
-        assert err.getvalue() == "", argv
+        assert err == "", argv
     if code == 2:
-        assert out.getvalue() == "", argv
-        assert "error: " in err.getvalue().splitlines()[-1], argv
+        assert out == "", argv
+        assert "error: " in err.splitlines()[-1], argv
+    assert _run(argv) == (code, out, err), argv
+
+
+# integer values, parsed only: 10^k + c for |c| <= 3, a 5,000-digit numeral
+# (more digits than int() converts), and tokens int() takes or refuses
+LARGE = st.one_of(
+    st.tuples(st.integers(1, 30), st.integers(-3, 3)).map(lambda kc: str(10 ** kc[0] + kc[1])),
+    st.just("7" * 5000),
+    st.sampled_from(["0", "1", "2", "13", "49", "+5", " 7", "1_000", "١٢", "-3"]),
+    st.sampled_from(["1" + "0" * 4300, "1.5", "x", "", "0x1f", "-", "--1"]),
+)
+# tokens beside the drawn flags: none is a flag of any command, except that
+# "--form" is sweep's own and a prefix of --format in every other command
+NOT_FLAGS = ("--", "-h", "--help", "--version", "--bogus", "-x", "--form", "-")
+
+
+def _spellings(flag, abbreviate):
+    """The exact flag, or when ``abbreviate`` it or a prefix of it, which argparse
+    may expand or refuse as ambiguous (sweep's ``--fo`` may be ``--form`` or ``--format``)."""
+    return st.sampled_from([flag] + [flag[:k] for k in range(3, len(flag)) if abbreviate])
+
+
+def _flag_value(flag, kwargs):
+    if "choices" in kwargs:
+        return _mostly(st.sampled_from(kwargs["choices"]), st.sampled_from(["x", "JSON", ""]))
+    if flag == "--dzeta":
+        coordinates = st.lists(st.integers(-5, 5).map(str), min_size=1, max_size=6).map(",".join)
+        return _mostly(coordinates, st.sampled_from(["", "x,1", "-x"]))
+    if flag == "--output":
+        return st.sampled_from(["-", "report.json", "", "-x", "--format"])
+    return _mostly(st.integers(-3, 60).map(str), LARGE)
+
+
+@st.composite
+def command_lines(draw):
+    """A command, its positionals and flags in a drawn order, some malformed."""
+    name, _, positionals, options, _ = draw(st.sampled_from(cli._COMMANDS))
+    options = {**options, **cli._OUTPUT}
+    count = len(positionals.split())
+    abbreviate = draw(st.integers(0, 3)) == 0
+    pieces = [[draw(_mostly(st.integers(0, 60).map(str), LARGE))]
+              for _ in range(draw(_mostly(st.just(count), st.integers(0, count + 1))))]
+    for flag, kwargs in options.items():
+        least = 1 if kwargs.get("required") else 0
+        for _ in range(draw(_mostly(st.integers(least, 1), st.integers(0, 2)))):
+            spelled, value = draw(_spellings(flag, abbreviate)), draw(_flag_value(flag, kwargs))
+            form = draw(_mostly(st.sampled_from(["next", "equals"]), st.just("bare")))
+            pieces.append({"next": [spelled, value], "equals": [f"{spelled}={value}"],
+                           "bare": [spelled]}[form])
+    if draw(st.integers(0, 9)) == 0:
+        pieces.append([draw(st.sampled_from(NOT_FLAGS))])
+    head = draw(_mostly(st.just(name), st.sampled_from(["--version", "-h", name[:3], "bogus"])))
+    return [head] + [token for piece in draw(st.permutations(pieces)) for token in piece]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=1000)
+@given(command_lines())
+def test_parse_gives_what_argparse_gives_or_leaves_the_argv_to_it(argv):
+    parsed = cli._parse(argv)
+    if parsed is not None:
+        assert vars(parsed) == vars(cli.build_parser().parse_args(argv)), argv

@@ -25,7 +25,7 @@ from unittest import mock
 
 import pytest
 
-from cycloderiv.cli import build_parser, main
+from cycloderiv.cli import _join_negative_values, _parse, build_parser, main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 MANIFEST = GOLDEN / "cases.json"
@@ -69,6 +69,14 @@ def test_golden_case_keeps_the_exit_contract(name):
         assert out == b""
         assert "error: " in err.splitlines()[-1]
         assert "Traceback" not in err
+
+
+def test_every_report_case_is_parsed_without_argparse_as_argparse_parses_it():
+    # each report's argv is well formed, so main reads it from the command
+    # table and builds no argparse parser
+    for name in REPORTS:
+        argv = _join_negative_values(CASES[name]["argv"])
+        assert vars(_parse(argv)) == vars(build_parser().parse_args(argv)), name
 
 
 def _format_of(argv):

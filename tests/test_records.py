@@ -5,14 +5,16 @@ input (``IntMatrix``, ``RatVector``, ``RingForm``) are a fields tuple plus a
 subclass whose ``__new__`` runs the checks. ``_make`` and ``_replace`` build
 a tuple without calling that ``__new__``, so the library must not use them.
 The CLI's import stays free of ``dataclasses`` and the introspection modules
-it pulls in, which would otherwise dominate the start-up of every command,
-and each command loads only the library modules it runs: ``classify`` and
-``verify-theorem`` load no elimination, family predictions or batch
-drivers, and one pass of each benchmark workload loads each module the
-benchmark's tracer wraps.
+it pulls in, which would otherwise dominate the start-up of every command.
+A report run loads no ``argparse`` either, which only help, the version and
+a refusal need. Each command loads only the library modules it runs:
+``classify`` and ``verify-theorem`` load no elimination, family predictions
+or batch drivers, and one pass of each benchmark workload loads each module
+the benchmark's tracer wraps.
 """
 
 import ast
+import json
 import os
 import subprocess
 import sys
@@ -47,20 +49,33 @@ from test_benchmark_names import load_tracer
 SRC = Path(__file__).resolve().parents[1] / "src"
 PERFBENCH = SRC.parent / "perfbench"
 HEAVY_MODULES = {"dataclasses", "inspect", "ast", "dis", "tokenize"}
-# what the parser and the argument rules need; `-m` runs cli as __main__
+# what start-up loads of the package: cli, with its table parser, and the
+# argument rules; `-m` runs cli as __main__. argparse is not among them: it
+# and the gettext it imports load only to print help, the version or a refusal
 STARTUP = {"cycloderiv", "cycloderiv.arith", "cycloderiv.cli"}
+ARGPARSE = {"argparse", "gettext"}
+GOLDEN = Path(__file__).resolve().parent / "golden"
 FORMATS = {"json", "csv"}
+
+
+def _traced(*args):
+    """``python -X importtime *args``, finished, with its import lines taken out of
+    its stderr, and the set of modules it imported; help is 80 columns wide."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", *args],
+        env=dict(os.environ, PYTHONPATH=path, COLUMNS="80"), capture_output=True, text=True, timeout=60,
+    )
+    lines = proc.stderr.splitlines(keepends=True)
+    imports = [line for line in lines if line.startswith("import time:")]
+    proc.stderr = "".join(line for line in lines if not line.startswith("import time:"))
+    return proc, {line.rpartition("|")[2].strip() for line in imports[1:]}
 
 
 def _imports(*args):
     """Exit code and the set of modules imported by ``python -X importtime *args``."""
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run(
-        [sys.executable, "-X", "importtime", *args],
-        env=env, capture_output=True, text=True, timeout=60,
-    )
-    lines = [line for line in proc.stderr.splitlines() if line.startswith("import time:")]
-    return proc.returncode, {line.rpartition("|")[2].strip() for line in lines[1:]}
+    proc, modules = _traced(*args)
+    return proc.returncode, modules
 
 
 def _library(modules):
@@ -88,6 +103,51 @@ def test_version_and_a_refused_degree_load_only_the_parser_and_the_check():
         assert code == expected_code, argv
         assert _library(modules) <= STARTUP, argv
         assert modules & FORMATS == set(), argv
+
+
+def _json_cases():
+    """Each subcommand's first JSON golden case: its argv and its stdout."""
+    cases = json.loads((GOLDEN / "cases.json").read_text(encoding="utf-8"))
+    out = {}
+    for name, case in cases.items():
+        command = case["argv"][0]
+        if name.startswith(f"{command}_") and name.endswith("_json") and case["exit"] == 0:
+            out.setdefault(command, (case["argv"], (GOLDEN / f"{name}.out").read_text(encoding="utf-8")))
+    return out
+
+
+@pytest.mark.parametrize("argv, out", list(_json_cases().values()), ids=lambda x: str(x)[:20])
+def test_a_json_report_loads_no_argparse(argv, out):
+    # cli._parse reads a well-formed argv from cli._COMMANDS, so a report run
+    # builds no argparse parser
+    proc, modules = _traced("-m", "cycloderiv.cli", *argv)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, out, "")
+    assert modules & ARGPARSE == set()
+
+
+SWEEP_USAGE = """\
+usage: cycloderiv sweep [-h] --form {2rp,pk} [--r R] [--p P] [--k K]
+                        [--seed SEED] [--cap CAP]
+                        [--format {json,csv,markdown}] [--output PATH]
+cycloderiv sweep: error: the following arguments are required: --form
+"""
+
+
+def test_help_version_a_refusal_and_an_abbreviation_load_argparse_and_keep_their_bytes():
+    # the argv cli._parse leaves to argparse: argparse prints help, the
+    # version and usage errors, and expands an abbreviated flag
+    help_text, version = ((GOLDEN / f"{name}.out").read_text(encoding="utf-8") for name in ("help", "version"))
+    full, _ = _traced("-m", "cycloderiv.cli", "classify", "10", "1", "3", "--dzeta=1,2,3,4")
+    assert full.returncode == 0
+    for argv, expected in (
+        (["--help"], (0, help_text, "")),
+        (["--version"], (0, version, "")),
+        (["sweep"], (2, "", SWEEP_USAGE)),
+        (["classify", "10", "1", "3", "--dz=1,2,3,4"], (0, full.stdout, "")),
+    ):
+        proc, modules = _traced("-m", "cycloderiv.cli", *argv)
+        assert (proc.returncode, proc.stdout, proc.stderr) == expected, argv
+        assert ARGPARSE <= modules, argv
 
 
 def test_json_classify_loads_neither_the_batch_drivers_nor_csv():
