@@ -9,7 +9,9 @@ Pollard's rho splits what is left once trial division passes a small bound,
 so a product of two large primes costs about the fourth root of n. The
 argument rules (``check_degree`` with ``check_indexable``,
 ``check_two_units``, ``check_unit``, ``check_trials``) live here so that
-the CLI can apply them before it loads any ring module.
+the CLI can apply them before it loads any ring module. ``check_degree``
+sizes a bare n; a sweep form, which comes factored, is sized from its
+closed-form degree by ``predictions.RingForm.degree``.
 """
 
 from __future__ import annotations
@@ -107,7 +109,8 @@ def _prime_factors(n: int) -> Iterator[int]:
 
 
 def is_prime(n: int) -> bool:
-    return n >= 2 and next(_prime_factors(n)) == n
+    """Whether n is prime: one Miller-Rabin test below its limit, the smallest factor above it."""
+    return _proven_prime(n) or n >= _MILLER_RABIN_LIMIT and next(_prime_factors(n)) == n
 
 
 def factorize(n: int) -> dict[int, int]:
@@ -167,7 +170,7 @@ def _degree_bound(n: int, cap: int) -> int | None:
     return None
 
 
-def check_indexable(n: int) -> None:
+def check_indexable(n: int, n_stated: str = "") -> None:
     """Refuse an ``n >= 1`` whose ``Phi_n`` no list can hold, before n is factored.
 
     ``phi(n) >= n // n.bit_length()`` (see ``_degree_bound``), so past
@@ -175,28 +178,22 @@ def check_indexable(n: int) -> None:
     ``ValueError`` states that bound in bits, as ``check_degree`` does for an
     n too long to write, and no digit of n. Every n at or above the
     Miller-Rabin limit is refused here, so no such n is ever trial-divided.
+    A caller that checks a divisor of its n, whose phi bounds phi(n) too,
+    names that n in ``n_stated``.
     """
     if n >= 1 and (bound := n // n.bit_length()) > sys.maxsize:
-        raise _unindexable(f"a {n.bit_length()}-bit n", bound.bit_length() - 1)
-
-
-def check_indexable_above(bits: int) -> None:
-    """Refuse every ``n >= 2^bits`` as ``check_indexable`` would, from bits alone.
-
-    Over the n of b bits, ``n // n.bit_length()`` is least at ``2^(b - 1)``,
-    and ``2^(b - 1) // b`` never falls as b grows, so every such n gives at
-    least ``2^bits // (bits + 1)``, whose bit length is
-    ``bits - bits.bit_length() + 1``. So this refuses exactly when
-    ``check_indexable(2**bits)`` does, without building ``2**bits`` or n.
-    """
-    if (floor_log := bits - bits.bit_length()) >= sys.maxsize.bit_length():
-        raise _unindexable(f"an at least {bits + 1}-bit n", floor_log)
+        raise _unindexable(n_stated or f"a {n.bit_length()}-bit n", bound.bit_length() - 1)
 
 
 def _unindexable(n_stated: str, bound_log: int) -> ValueError:
     """The refusal of an n whose ``phi(n) >= 2^bound_log`` no list can index."""
     stated = f"phi(n) of {n_stated} >= 2^{bound_log}"
     return ValueError(f"ring degree {stated} has more coefficients than a list can hold")
+
+
+def _above_cap(stated: str, cap: int) -> ValueError:
+    """The refusal of a ring degree, as ``stated``, above the cap."""
+    return ValueError(f"ring degree {stated} exceeds the cap {cap}; raise the cap to proceed")
 
 
 def check_degree(n: int, cap: int = DEFAULT_DEGREE_CAP) -> int:
@@ -216,15 +213,11 @@ def check_degree(n: int, cap: int = DEFAULT_DEGREE_CAP) -> int:
             stated = f"phi({n}) >= {bound}"
         except ValueError:
             stated = f"phi(n) of a {n.bit_length()}-bit n >= 2^{bound.bit_length() - 1}"
-        raise ValueError(
-            f"ring degree {stated} exceeds the cap {cap}; raise the cap to proceed"
-        )
+        raise _above_cap(stated, cap)
     check_indexable(n)
     degree = totient(n)
     if degree > cap:
-        raise ValueError(
-            f"ring degree {degree} exceeds the cap {cap}; raise the cap to proceed"
-        )
+        raise _above_cap(str(degree), cap)
     return degree
 
 

@@ -84,7 +84,6 @@ from typing import NoReturn
 
 from . import __version__
 from .arith import DEFAULT_DEGREE_CAP, check_degree, check_trials, check_two_units, check_unit
-from .arith import _degree_bound, _factor_limit, check_indexable
 
 # Annotations such as ``Report``, ``RingForm`` and ``argparse.Namespace`` name
 # types of the modules a command or a refusal imports when it runs; they are
@@ -210,30 +209,14 @@ def _cmd_classify(args: argparse.Namespace) -> tuple[Report, int]:
 
 
 def _build_form(args: argparse.Namespace) -> RingForm:
-    if args.form == "2rp":
-        if args.r is None or args.p is None:
-            raise ValueError("form 2rp requires --r and --p")
-    elif args.p is None or args.k is None:
-        raise ValueError("form pk requires --p and --k")
-    # p divides n, so phi(n) >= phi(p), and n >= 2^e for the form's exponent
-    # e: a p or e this large is refused before p is tested or n is computed;
-    # only then is n itself bounded, and an n whose Phi_n no list can hold is
-    # refused too, so a p above the Miller-Rabin limit is never trial-divided
-    e = args.r if args.form == "2rp" else args.k
-    if args.p >= 2 and e >= 1:
-        n = None
-        if _degree_bound(args.p, args.cap) is None and e <= _factor_limit(args.cap).bit_length():
-            n = 2**e * args.p if args.form == "2rp" else args.p**e
-        if n is None or _degree_bound(n, args.cap) is not None:
-            label = f"2^{e}*{args.p}" if args.form == "2rp" else f"{args.p}^{e}"
-            raise ValueError(
-                f"ring degree of n = {label} exceeds the cap {args.cap}; raise the cap to proceed"
-            )
-        check_indexable(n)
+    needed = ("r", "p") if args.form == "2rp" else ("p", "k")
+    if None in (getattr(args, name) for name in needed):
+        raise ValueError(f"form {args.form} requires --{needed[0]} and --{needed[1]}")
     from .predictions import RingForm
 
-    # RingForm rejects the option the form does not take
-    return RingForm(args.form, args.p, args.r, args.k)
+    # RingForm rejects the option the form does not take, then sizes the form
+    # against the cap from its closed-form degree before n is built
+    return RingForm(args.form, args.p, args.r, args.k, cap=args.cap)
 
 
 def _cmd_sweep(args: argparse.Namespace) -> tuple[Report, int]:

@@ -1,20 +1,21 @@
 """Batch drivers: pair sweeps, regressions, tables.
 
-Sweeps and tables share one pair walk, ``_zeta_pairs``: it checks the ring
-degree against the cap, builds ``Z[zeta_n]`` and one endomorphism
-``zeta -> zeta^u`` per unit u, and yields every unordered pair of unit
-exponents in the order of ``combinations(units(n), 2)``. A sweep measures
-each pair's ``|det|`` as a resultant, without building the multiplier
-matrix, compares it against the prediction for the ring's form, and runs one
-seeded inner round-trip per pair (draw an integral beta, rebuild the
-derivation it defines, confirm classification recovers beta exactly). The
-regression suite is a table of power-formula extensions over rings with
-zero divisors. Reports are immutable named tuples. ``_sweep_report`` and
-``_tables_report`` convert a ``SweepReport`` and a ``TableArtifact`` into
-the ``reporting.Report`` that ``render`` formats, so each batch record sits
-beside its output schema. The CLI calls them; ``reporting`` imports
-nothing from this module. Identical (form, seed, version) inputs produce
-identical reports and identical bytes.
+Sweeps and tables share one pair walk, ``_zeta_pairs``, once the ring
+degree is checked against the cap (a sweep's from its form's closed form by
+``RingForm.degree``, a table's by ``check_degree``): it builds ``Z[zeta_n]``
+and one endomorphism ``zeta -> zeta^u`` per unit u, and yields every
+unordered pair of unit exponents in the order of
+``combinations(units(n), 2)``. A sweep measures each pair's ``|det|`` as a
+resultant, without building the multiplier matrix, compares it against the
+prediction for the ring's form, and runs one seeded inner round-trip per
+pair (draw an integral beta, rebuild the derivation it defines, confirm
+classification recovers beta exactly). The regression suite is a table of
+power-formula extensions over rings with zero divisors. Reports are
+immutable named tuples. ``_sweep_report`` and ``_tables_report`` convert a
+``SweepReport`` and a ``TableArtifact`` into the ``reporting.Report`` that
+``render`` formats, so each batch record sits beside its output schema. The
+CLI calls them; ``reporting`` imports nothing from this module. Identical
+(form, seed, version) inputs produce identical reports and identical bytes.
 
 The randomized product-rule check, ``verify_theorem``, lives in
 ``endomorphisms`` beside ``leibniz_check``; this module binds the name only
@@ -79,13 +80,11 @@ class SweepReport(NamedTuple):
         return all(r.match and r.roundtrip for r in self.records)
 
 
-def _zeta_pairs(n: int, cap: int) -> Iterator[tuple[int, int, TwistedPair]]:
+def _zeta_pairs(n: int) -> Iterator[tuple[int, int, TwistedPair]]:
     """``(u, v, pair)`` for every unordered pair of unit exponents of Z[zeta_n].
 
-    The degree is checked against the cap before the ring is built, and each
-    endomorphism zeta -> zeta^u is built once and shared by its pairs.
+    Each endomorphism zeta -> zeta^u is built once and shared by its pairs.
     """
-    check_degree(n, cap)
     check_two_units(n)
     ring = CyclotomicRing(n)
     endos = {u: Endomorphism.zeta_power(ring, u) for u in units(n)}
@@ -95,9 +94,10 @@ def _zeta_pairs(n: int, cap: int) -> Iterator[tuple[int, int, TwistedPair]]:
 
 def sweep(form: RingForm, seed: int = 0, cap: int = DEFAULT_DEGREE_CAP) -> SweepReport:
     """Score the determinant prediction over all unordered pairs of a ring."""
+    form.degree(cap)
     rng = random.Random(seed)
     records = []
-    for u, v, pair in _zeta_pairs(form.n, cap):
+    for u, v, pair in _zeta_pairs(form.n):
         det_abs = MultiplierMatrix(pair).det_abs
         e1, e2, m, predicted = valuate(form, u, v)
         beta = pair.ring.random_element(rng)
@@ -238,8 +238,9 @@ def reproduce_tables(n: int, cap: int = DEFAULT_DEGREE_CAP) -> TableArtifact:
     ``MultiplierMatrix.det``, not an elimination of the printed matrix.
     Deterministic: no randomness is involved.
     """
+    check_degree(n, cap)
     blocks = []
-    for u, v, pair in _zeta_pairs(n, cap):
+    for u, v, pair in _zeta_pairs(n):
         multiplier = MultiplierMatrix(pair)
         num, m = multiplier_inverse(pair)
         if pair.theta_difference() * num != pair.ring.element((m,)):

@@ -26,9 +26,11 @@ import this module; ``classify`` never does.
 
 from __future__ import annotations
 
+import sys
 from typing import NamedTuple
 
-from .arith import check_indexable, check_indexable_above, check_unit, factorize, is_prime, multiplicity
+from .arith import _above_cap, _unindexable, check_indexable, check_unit, factorize, is_prime
+from .arith import multiplicity
 
 
 class _RingFormFields(NamedTuple):
@@ -43,14 +45,16 @@ class RingForm(_RingFormFields):
 
     kind "2rp" is n = 2^r p with r >= 1 and p an odd prime; kind "pk" is
     n = p^k with p prime and k >= 2 (k = 1 carries no prediction here). A
-    form whose ``Phi_n`` no list can hold is refused with the message of
-    ``arith.check_indexable``, in bounded time: from the bit lengths of p
-    and the exponent alone before n is built, and before p is tested.
+    form is sized by ``degree`` as it is made, against ``cap`` when one is
+    given, so a p that is not prime and a ring degree above the cap or than
+    a list can hold are refused in bounded time, before n is built.
     """
 
     __slots__ = ()
 
-    def __new__(cls, kind: str, p: int, r: int | None = None, k: int | None = None) -> RingForm:
+    def __new__(
+        cls, kind: str, p: int, r: int | None = None, k: int | None = None, *, cap: int | None = None
+    ) -> RingForm:
         if kind == "2rp":
             if r is None or r < 1:
                 raise ValueError("form 2rp requires r >= 1")
@@ -64,19 +68,55 @@ class RingForm(_RingFormFields):
         else:
             raise ValueError(f"unknown ring form kind {kind!r}")
         form = super().__new__(cls, kind, p, r, k)
-        if p >= 2:
-            # n >= 2^bits, so a form whose Phi_n no list can hold is refused
-            # before n is built (3^(10^7) alone takes seconds) and before p is
-            # tested (trial division of a p above the Miller-Rabin limit never
-            # ends); past the first check n has at most 140 bits
-            bits = r + p.bit_length() - 1 if kind == "2rp" else k * (p.bit_length() - 1)
-            check_indexable_above(bits)
-            check_indexable(form.n)
-        if kind == "2rp" and (p == 2 or not is_prime(p)):
-            raise ValueError(f"form 2rp requires an odd prime p, got {p}")
-        if kind == "pk" and not is_prime(p):
-            raise ValueError(f"form pk requires a prime p, got {p}")
+        form.degree(cap)
         return form
+
+    def degree(self, cap: int | None = None) -> int:
+        """phi(n) from the closed form, ``2^(r-1) (p-1)`` or ``p^(k-1) (p-1)``.
+
+        The one routine that sizes a form: nothing is factored and n is not
+        built. Four steps, in this order:
+
+        1. for p >= 2, phi(n) >= 2^(e-1) for the exponent e, so an e whose
+           bound exceeds the cap or ``sys.maxsize``, past which no list of
+           phi(n) coefficients can be built, is refused by bit length alone
+           (building 3^(10^7) takes seconds);
+        2. p divides n, so ``phi(n) >= phi(p) >= p // p.bit_length()``, and
+           ``check_indexable(p)`` refuses every p from the Miller-Rabin
+           limit up;
+        3. below that limit ``is_prime`` is one Miller-Rabin test, so a
+           composite p is refused with no trial division or rho;
+        4. the exact degree is compared with the cap and the list limit.
+
+        A degree above a cap of at most ``sys.maxsize`` is refused as above
+        the cap, and any other with its bound in bits.
+        """
+        p, e = self.p, self.r if self.kind == "2rp" else self.k
+        limit = sys.maxsize if cap is None else min(cap, sys.maxsize)
+        if p >= 2 and e > limit.bit_length():
+            raise self._oversized(cap, e - 1)
+        check_indexable(p, self._n_label())
+        if not is_prime(p) or self.kind == "2rp" and p == 2:
+            prime = "an odd prime" if self.kind == "2rp" else "a prime"
+            raise ValueError(f"form {self.kind} requires {prime} p, got {p}")
+        degree = (2 if self.kind == "2rp" else p) ** (e - 1) * (p - 1)
+        if degree > limit:
+            raise self._oversized(cap, degree.bit_length() - 1)
+        return degree
+
+    def _oversized(self, cap: int | None, log: int) -> ValueError:
+        """The refusal of a degree of at least ``2^log`` above the cap or the list limit."""
+        if cap is not None and cap <= sys.maxsize:
+            return _above_cap(f"of {self._n_label()}", cap)
+        return _unindexable(self._n_label(), log)
+
+    def _n_label(self) -> str:
+        """``n = 2^r*p`` or ``n = p^k``; p by bit length when it has too many digits to write."""
+        try:
+            p = str(self.p)
+        except ValueError:
+            p = f"(a {self.p.bit_length()}-bit p)"
+        return f"n = 2^{self.r}*{p}" if self.kind == "2rp" else f"n = {p}^{self.k}"
 
     @classmethod
     def form_2rp(cls, r: int, p: int) -> RingForm:
@@ -91,15 +131,11 @@ class RingForm(_RingFormFields):
         """Match n against the two families; None when neither applies."""
         if n < 4:
             return None
-        fac = factorize(n)
-        if len(fac) == 1:
-            ((q, e),) = fac.items()
-            return cls.form_pk(q, e) if e >= 2 else None
-        if len(fac) == 2 and 2 in fac:
-            odd = [(q, e) for q, e in fac.items() if q != 2]
-            (q, e) = odd[0]
-            if e == 1:
-                return cls.form_2rp(fac[2], q)
+        match list(factorize(n).items()):  # primes ascending
+            case [(q, e)] if e >= 2:
+                return cls.form_pk(q, e)
+            case [(2, r), (q, 1)]:
+                return cls.form_2rp(r, q)
         return None
 
     @property

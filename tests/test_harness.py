@@ -218,48 +218,32 @@ def test_an_n_no_list_can_index_is_refused_before_it_is_factored(monkeypatch, ca
         bits = (n // n.bit_length()).bit_length() - 1
         with pytest.raises(ValueError, match=rf"^ring degree phi\(n\) of a {n.bit_length()}-bit n >= 2\^{bits} has more"):
             arith.check_degree(n, 10**30)
-    for form, bits in (
-        (["2rp", "--r", "1", "--p", "3317044064679887385962123"], (83, 76)),
-        (["pk", "--p", "2", "--k", "100"], (101, 93)),
+    # a form is bounded by its p, which divides n, or by its exponent
+    for form, stated in (
+        (["2rp", "--r", "1", "--p", "3317044064679887385962123"], "2^1*3317044064679887385962123 >= 2^75"),
+        (["pk", "--p", "2", "--k", "100"], "2^100 >= 2^99"),
     ):
         assert cli.main(["sweep", "--form", *form, "--cap", str(10**30)]) == 2
         assert capsys.readouterr().err == (
-            f"error: ring degree phi(n) of a {bits[0]}-bit n >= 2^{bits[1]} "
-            "has more coefficients than a list can hold\n"
+            f"error: ring degree phi(n) of n = {stated} has more coefficients than a list can hold\n"
         )
     # below the list limit, and at n <= 0, the check leaves n to the others
     for n in (sys.maxsize * 64, 0, -5):
         assert arith.check_indexable(n) is None
 
 
-def test_the_bits_check_refuses_exactly_the_powers_of_two_check_indexable_does():
-    for bits in range(-1, 400):
-        refusals = []
-        for check, arg in ((arith.check_indexable, 2**bits if bits >= 0 else 0),
-                           (arith.check_indexable_above, bits)):
-            try:
-                check(arg)
-            except ValueError as exc:
-                refusals.append(str(exc))
-        assert len(refusals) in (0, 2), bits
-        if refusals:
-            assert refusals[1] == refusals[0].replace(
-                f"a {bits + 1}-bit n", f"an at least {bits + 1}-bit n"
-            ), bits
-
-
-# RingForm arguments and the refusal: the bit lengths of p and the exponent
-# refuse the first five before n is built or p is tested, and n (70 bits)
-# refuses the last; 2^89 - 1 and the third p are above the Miller-Rabin
-# limit, where testing p trial-divides to its square root, and building
-# 3^(10^7) alone takes seconds
+# RingForm arguments and the refusal: the exponent refuses the fourth and
+# fifth by its bit length, before n is built (3^(10^7) alone takes seconds);
+# p refuses the first three, which are above the Miller-Rabin limit, where
+# testing p would trial-divide to its square root; the closed-form degree
+# p (p - 1), about 2^69, refuses the last
 OVERSIZED_FORMS = [
-    (("pk", 2**89 - 1, None, 2), "an at least 177-bit n >= 2^168"),
-    (("2rp", 2**89 - 1, 1), "an at least 90-bit n >= 2^82"),
-    (("2rp", 3317044064679887385962123, 1), "an at least 83-bit n >= 2^75"),
-    (("pk", 3, None, 10**7), "an at least 10000001-bit n >= 2^9999976"),
-    (("2rp", 3, 10**7), "an at least 10000002-bit n >= 2^9999977"),
-    (("pk", 2**35 - 31, None, 2), "a 70-bit n >= 2^63"),
+    (("pk", 2**89 - 1, None, 2), "618970019642690137449562111^2 >= 2^82"),
+    (("2rp", 2**89 - 1, 1), "2^1*618970019642690137449562111 >= 2^82"),
+    (("2rp", 3317044064679887385962123, 1), "2^1*3317044064679887385962123 >= 2^75"),
+    (("pk", 3, None, 10**7), "3^10000000 >= 2^9999999"),
+    (("2rp", 3, 10**7), "2^10000000*3 >= 2^9999999"),
+    (("pk", 2**35 - 31, None, 2), "34359738337^2 >= 2^69"),
 ]
 
 
@@ -281,7 +265,7 @@ def test_an_oversized_ring_form_is_refused_in_bounded_time():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == [
-        f"ring degree phi(n) of {stated} has more coefficients than a list can hold"
+        f"ring degree phi(n) of n = {stated} has more coefficients than a list can hold"
         for _, stated in OVERSIZED_FORMS
     ]
 

@@ -483,7 +483,8 @@ def test_cli_builds_phi_30030_within_the_timeout():
 HUGE = "1000000000000000003"
 # a prime above the Miller-Rabin limit, which only trial division to its
 # square root would prove prime; at this cap every ring command refuses an
-# n this large as one no list can index, before n or p is factored
+# n this large, or a sweep form with this p, as one no list can index,
+# before n or p is factored
 ABOVE_MILLER_RABIN = "3317044064679887385962123"
 ABOVE_MILLER_RABIN_ARGV = [
     [*argv, "--cap", str(10**30)]
@@ -494,9 +495,10 @@ ABOVE_MILLER_RABIN_ARGV = [
         ["verify-theorem", ABOVE_MILLER_RABIN, "1", "2"],
         ["tables", ABOVE_MILLER_RABIN],
         ["sweep", "--form", "2rp", "--r", "1", "--p", ABOVE_MILLER_RABIN],
+        ["sweep", "--form", "pk", "--p", ABOVE_MILLER_RABIN, "--k", "2"],
     )
 ]
-UNINDEXABLE = "error: ring degree phi(n) of a {}-bit n >= 2^{} has more coefficients than a list can hold"
+UNINDEXABLE = "error: ring degree phi(n) of {} >= 2^75 has more coefficients than a list can hold"
 
 
 @pytest.mark.parametrize("argv", [
@@ -523,10 +525,6 @@ UNINDEXABLE = "error: ring degree phi(n) of a {}-bit n >= 2^{} has more coeffici
             ["sweep", "--form", "2rp", "--r", "1", "--p", HUGE],
         )
     ),
-    # neither bound on phi(p) exceeds this cap, and this p, a prime above the
-    # Miller-Rabin limit, is proven prime only by trial division to sqrt(p);
-    # n = p^2 is bounded above the cap before p is tested
-    ["sweep", "--form", "pk", "--p", ABOVE_MILLER_RABIN, "--k", "2", "--cap", str(10**30)],
     *ABOVE_MILLER_RABIN_ARGV,
 ], ids=lambda argv: " ".join(argv)[:40])
 def test_cli_refuses_an_oversized_input_in_bounded_time(argv):
@@ -536,8 +534,11 @@ def test_cli_refuses_an_oversized_input_in_bounded_time(argv):
     cap = argv[argv.index("--cap") + 1] if "--cap" in argv else "64"
     (line,) = proc.stderr.splitlines()
     if argv in ABOVE_MILLER_RABIN_ARGV:
-        # the 2rp sweep's n is 2p, one bit longer
-        assert line == (UNINDEXABLE.format(83, 76) if "2rp" in argv else UNINDEXABLE.format(82, 75))
+        # a sweep form is refused by its p, which divides n, so phi(n) >= phi(p)
+        stated = {"2rp": f"n = 2^1*{ABOVE_MILLER_RABIN}", "pk": f"n = {ABOVE_MILLER_RABIN}^2"}
+        assert line == UNINDEXABLE.format(next(
+            (stated[form] for form in stated if form in argv), "a 82-bit n"
+        ))
         return
     assert line.startswith("error: ring degree ")
     assert line.endswith(f" exceeds the cap {cap}; raise the cap to proceed")
