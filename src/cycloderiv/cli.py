@@ -323,12 +323,18 @@ def build_parser() -> argparse.ArgumentParser:
             except (AttributeError, OSError):
                 pass
 
+    # a fixed top-level usage, wrapped as argparse wraps it at 80 columns up
+    # to Python 3.12 (3.13 keeps "..." on the choices line), so help and
+    # refusals print the same bytes on every Python; the subcommands' prog
+    # is then given, since argparse would build it from this usage
+    indent = "\n" + " " * len("usage: cycloderiv ")
     parser = _Parser(
         prog="cycloderiv",
+        usage=f"%(prog)s [-h] [--version]{indent}{{{','.join(c[0] for c in _COMMANDS)}}}{indent}...",
         description="Exact twisted-derivation toolkit for cyclotomic integer rings",
     )
     parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, prog="cycloderiv")
     for name, help_text, positionals, options, func in _COMMANDS:
         p = sub.add_parser(name, help=help_text)
         for dest in positionals.split():
