@@ -8,13 +8,17 @@ changed byte is a changed output, not a changed layout. The ``version`` and
 ``--help`` and each subcommand's ``--help``, whose text carries every
 argument, default, choice and metavar in order. They print before any
 command runs, so they are not report cases. Help is formatted at a fixed
-width of 80 columns.
+width of 80 columns, and the top-level usage is fixed text, so the help
+bytes are the same on every supported Python (3.13's argparse would keep
+``...`` on the 92-column choices line). ``contract.py`` replays these
+cases, and the closed-stream runs, on any Python without pytest.
 
 ``python tests/test_golden.py NAME...`` runs the named cases of
 ``cases.json`` against the CLI on ``sys.path`` and writes their files and
 exit codes; run it only to add a case or to record a deliberate change.
 """
 
+import ast
 import io
 import json
 import os
@@ -110,6 +114,15 @@ def test_output_file_holds_the_golden_stdout(name, tmp_path):
     code, out, err = run_cli([*CASES[name]["argv"], "--output", str(target)])
     assert (code, out, err) == (0, "", "")
     assert target.read_bytes() == _golden(name, "out")
+
+
+def test_the_process_contract_replay_imports_the_standard_library_alone():
+    # CI runs contract.py on the installed script, with neither pytest nor
+    # the package importable from the directory it runs in
+    tree = ast.parse((Path(__file__).resolve().parent / "contract.py").read_text(encoding="utf-8"))
+    modules = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names}
+    modules |= {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+    assert modules and {name.partition(".")[0] for name in modules} <= sys.stdlib_module_names
 
 
 def _write(names):
