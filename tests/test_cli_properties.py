@@ -24,16 +24,28 @@ hold what ``_parse`` must leave to argparse: abbreviated, unknown and
 repeated flags, ``=`` forms, values that start with '-', ``--``, ``-h``,
 and missing or extra positionals, among positionals and flags in any order.
 
+A third test draws ``sweep --form`` argv with large values: ``10^k +- c``,
+primes and semiprimes near ``10^9``, ``10^18``, ``2^63`` and the
+Miller-Rabin limit, a 5,000-digit ``--p``, exponents up to ``10^6`` and a
+``--cap`` from 0 to ``10^30``. Each runs through ``main`` twice, each time
+under a ``signal.setitimer`` budget of 2 s, so a refusal that hangs fails
+the test; it keeps the stream rules above and gives the same bytes twice. A
+form the cap admits runs its sweep, so no draw may admit one above degree
+24: its sweep would run for minutes, or allocate a series of that many
+coefficients.
+
 Runs only where ``hypothesis`` is installed; examples are derandomized.
 """
 
 import io
+import signal
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings  # noqa: E402
+from hypothesis import assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from cycloderiv import cli  # noqa: E402
@@ -181,3 +193,86 @@ def test_parse_gives_what_argparse_gives_or_leaves_the_argv_to_it(argv):
     parsed = cli._parse(argv)
     if parsed is not None:
         assert vars(parsed) == vars(cli.build_parser().parse_args(argv)), argv
+
+
+# primes and semiprimes (two primes near the square root) near 10^9, 10^18,
+# 2^63 and the Miller-Rabin limit, where primality goes from exact to
+# unproven; the last semiprime is of two 34-bit primes, which rho splits
+PRIMES = (
+    999999937, 1000000007, 999999999999999989, 1000000000000000003,
+    9223372036854775783, 9223372036854775837,
+    3317044064679887385961813, 3317044064679887385962123,
+)
+SEMIPRIMES = (
+    31627 * 31643, 1000000007 * 1000000009, 3037000493 * 3037000507,
+    1821275395031 * 1821275395081, 3317044064679887385961981, 8589934609 * 8590983187,
+)
+LARGE_P = st.one_of(
+    st.tuples(st.integers(1, 30), st.integers(-3, 3)).map(lambda kc: 10 ** kc[0] + kc[1]),
+    st.sampled_from(PRIMES + SEMIPRIMES),
+    st.tuples(st.sampled_from(PRIMES + SEMIPRIMES), st.integers(-2, 2)).map(sum),
+    st.sampled_from([-3, 0, 1, 2, 3, 5, 7, 11, 13]),
+)
+EXPONENT = st.one_of(
+    st.integers(1, 4), st.integers(-1, 70), st.integers(0, 10**6),
+    st.sampled_from([62, 63, 64, 65, 10**6]),
+)
+CAP = st.one_of(
+    st.integers(0, 30).map(lambda k: 10**k), st.integers(0, 10**30), st.integers(0, 64),
+    st.sampled_from([0, 24, sys.maxsize - 1, sys.maxsize, sys.maxsize + 1, 10**30]),
+)
+BUDGET_S = 2
+
+
+def _admits_above(form, p, e, cap, degree):
+    """Whether the cap may admit the form at a degree above ``degree``: from the
+    closed form, which over-counts a composite p, unless p is a known semiprime."""
+    if p < 2 or e < (1 if form == "2rp" else 2) or p in SEMIPRIMES or e > 300 or p.bit_length() > 300:
+        return False  # refused: a bad p or exponent, or phi(n) >= 2^299
+    closed = 2 ** (e - 1) * (p - 1) if form == "2rp" else p ** (e - 1) * (p - 1)
+    return degree < closed <= min(cap, sys.maxsize)
+
+
+@st.composite
+def large_sweeps(draw):
+    """A sweep argv with large values; a 5,000-digit ``--p`` in about one draw of ten."""
+    form, p, e, cap = draw(st.sampled_from(["2rp", "pk"])), draw(LARGE_P), draw(EXPONENT), draw(CAP)
+    assume(not _admits_above(form, p, e, cap, BATCH_CAP))
+    p = draw(_mostly(st.just(str(p)), st.just("7" * 5000)))
+    exponent = ["--r", str(e)] if form == "2rp" else ["--k", str(e)]
+    return ["sweep", "--form", form, "--p", p, *exponent, "--cap", str(cap)]
+
+
+class _OverBudget(BaseException):
+    """Raised by the timer; no handler of ``main`` catches it."""
+
+
+def _on_alarm(signum, frame):
+    raise _OverBudget
+
+
+def _run_within_budget(argv):
+    previous = signal.signal(signal.SIGALRM, _on_alarm)
+    signal.setitimer(signal.ITIMER_REAL, BUDGET_S)
+    try:
+        return _run(argv)
+    except _OverBudget:
+        pytest.fail(f"over the {BUDGET_S} s budget: {argv}")
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.skipif(not hasattr(signal, "setitimer"), reason="needs signal.setitimer")
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(large_sweeps())
+def test_a_sweep_with_large_values_ends_within_its_budget_and_keeps_each_stream_to_its_outcome(argv):
+    code, out, err = _run_within_budget(argv)
+    assert type(code) is int and code in (0, 2), (argv, code)
+    if code == 0:
+        assert err == "", argv
+    else:
+        assert out == "", argv
+        assert "error: " in err.splitlines()[-1], argv
+        assert "Traceback" not in err, argv
+    assert _run_within_budget(argv) == (code, out, err), argv

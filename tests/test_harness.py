@@ -270,6 +270,42 @@ def test_an_oversized_ring_form_is_refused_in_bounded_time():
     ]
 
 
+def _forms_up_to(degree):
+    """Every form whose closed-form degree is at most ``degree``, from a sieve, not from arith."""
+    primes = [q for q in range(2, degree + 2) if all(q % f for f in range(2, isqrt(q) + 1))]
+    forms = []
+    for p in primes:
+        forms += [("2rp", p, r, None) for r in range(1, degree.bit_length() + 1)
+                  if p > 2 and 2 ** (r - 1) * (p - 1) <= degree]
+        forms += [("pk", p, None, k) for k in range(2, degree.bit_length() + 1)
+                  if p ** (k - 1) * (p - 1) <= degree]
+    return forms
+
+
+def test_a_forms_closed_form_degree_is_phi_n_and_is_refused_exactly_above_the_cap():
+    forms = _forms_up_to(256)
+    assert len(forms) == 140
+    for args in forms:
+        degree = totient(RingForm(*args).n)
+        assert RingForm(*args).degree() == degree, args
+        for cap in range(257):
+            if degree > cap:
+                with pytest.raises(ValueError, match=f" exceeds the cap {cap}; raise the cap"):
+                    RingForm(*args, cap=cap)
+            else:
+                assert RingForm(*args, cap=cap).degree(cap) == degree, (args, cap)
+
+
+@pytest.mark.parametrize("kind, exponent", [("pk", {"k": 2}), ("2rp", {"r": 1})])
+def test_a_composite_p_is_refused_without_factoring_it(monkeypatch, kind, exponent):
+    # two 34-bit primes: rho would split p in about 0.1 s; one Miller-Rabin
+    # test refuses it, and the closed form would over-count its degree
+    monkeypatch.setattr(arith, "_prime_factors", _no_trial_division)
+    p = 8589934609 * 8590983187
+    with pytest.raises(ValueError, match=f"^form {kind} requires (an odd|a) prime p, got {p}$"):
+        RingForm(kind, p, **exponent, cap=10**30)
+
+
 def test_verify_theorem_reference_runs():
     assert verify_theorem(10, 1, 3, trials=100, seed=42).passes == 100
     assert verify_theorem(9, 2, 5, trials=100, seed=7).passes == 100
