@@ -38,8 +38,8 @@ degree, then the trial count, then the exponents u and v: an n <= 2 has
 fewer than two of them, and each must be a unit), and only then imports the
 modules it runs. So ``--version``, ``--help`` and a refused degree, trial
 count or exponent load no other part of the library (only argparse, for
-the first two), and ``main`` imports the renderer once the command has
-returned.
+the first two, and ``predictions``, which sizes a sweep form), and ``main``
+imports the renderer once the command has returned.
 
 Beside ``reporting``, ``verify-theorem`` loads only the ring stack
 (``polynomials``, ``quotient``, ``endomorphisms``), ``classify`` adds

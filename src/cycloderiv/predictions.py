@@ -46,8 +46,8 @@ class RingForm(_RingFormFields):
     kind "2rp" is n = 2^r p with r >= 1 and p an odd prime; kind "pk" is
     n = p^k with p prime and k >= 2 (k = 1 carries no prediction here). A
     form is sized by ``degree`` as it is made, against ``cap`` when one is
-    given, so a p that is not prime and a ring degree above the cap or than
-    a list can hold are refused in bounded time, before n is built.
+    given, so a p that is not prime, and a ring degree above the cap or past
+    what a list can hold, are refused in bounded time, before n is built.
     """
 
     __slots__ = ()
@@ -140,9 +140,7 @@ class RingForm(_RingFormFields):
 
     @property
     def n(self) -> int:
-        if self.kind == "2rp":
-            return 2**self.r * self.p
-        return self.p**self.k
+        return 2**self.r * self.p if self.kind == "2rp" else self.p**self.k
 
     def params(self) -> dict[str, int]:
         if self.kind == "2rp":
