@@ -224,20 +224,20 @@ CAP = st.one_of(
 BUDGET_S = 2
 
 
-def _admits_above(form, p, e, cap, degree):
-    """Whether the cap may admit the form at a degree above ``degree``: from the
+def _may_admit_a_large_ring(form, p, e, cap):
+    """Whether the cap may admit the form at a degree above ``BATCH_CAP``: from the
     closed form, which over-counts a composite p, unless p is a known semiprime."""
     if p < 2 or e < (1 if form == "2rp" else 2) or p in SEMIPRIMES or e > 300 or p.bit_length() > 300:
         return False  # refused: a bad p or exponent, or phi(n) >= 2^299
     closed = 2 ** (e - 1) * (p - 1) if form == "2rp" else p ** (e - 1) * (p - 1)
-    return degree < closed <= min(cap, sys.maxsize)
+    return BATCH_CAP < closed <= min(cap, sys.maxsize)
 
 
 @st.composite
 def large_sweeps(draw):
     """A sweep argv with large values; a 5,000-digit ``--p`` in about one draw of ten."""
     form, p, e, cap = draw(st.sampled_from(["2rp", "pk"])), draw(LARGE_P), draw(EXPONENT), draw(CAP)
-    assume(not _admits_above(form, p, e, cap, BATCH_CAP))
+    assume(not _may_admit_a_large_ring(form, p, e, cap))
     p = draw(_mostly(st.just(str(p)), st.just("7" * 5000)))
     exponent = ["--r", str(e)] if form == "2rp" else ["--k", str(e)]
     return ["sweep", "--form", form, "--p", p, *exponent, "--cap", str(cap)]
