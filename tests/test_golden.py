@@ -29,6 +29,7 @@ from unittest import mock
 
 import pytest
 
+import contract
 from cycloderiv.cli import _join_negative_values, _parse, build_parser, main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -123,6 +124,14 @@ def test_the_process_contract_replay_imports_the_standard_library_alone():
     modules = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names}
     modules |= {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
     assert modules and {name.partition(".")[0] for name in modules} <= sys.stdlib_module_names
+
+
+@pytest.mark.slow
+def test_the_process_contract_replay_passes_on_this_checkout(monkeypatch, capsys):
+    # what CI runs on the installed script: every golden case in a child
+    # process, then every closed-stdout and closed-stderr run
+    monkeypatch.setenv("PYTHONPATH", contract.env_with_src()["PYTHONPATH"])
+    assert contract.main([sys.executable, "-m", "cycloderiv.cli"]) == 0, capsys.readouterr().out
 
 
 def _write(names):

@@ -1,11 +1,9 @@
 import json
-import os
 import random
 import subprocess
 import sys
 from itertools import combinations
 from math import gcd
-from pathlib import Path
 
 import pytest
 
@@ -33,6 +31,7 @@ from cycloderiv import (
 from cycloderiv import cli, intlinalg
 from cycloderiv.arith import factorize, totient
 from cycloderiv.innerness import multiplication_matrix, multiplier_inverse
+from contract import env_with_src
 from oracles import laplace_det, minor
 
 
@@ -260,11 +259,9 @@ else:
 
 
 def test_classify_rejects_a_tampered_witness_under_python_O():
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
         [sys.executable, "-O", "-c", _TAMPER_SCRIPT],
-        env=env, capture_output=True, text=True, timeout=60,
+        env=env_with_src(), capture_output=True, text=True, timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
     assert "does not satisfy A X" in proc.stdout

@@ -1,9 +1,7 @@
-import os
 import random
 import subprocess
 import sys
 from math import gcd
-from pathlib import Path
 
 import pytest
 
@@ -11,6 +9,7 @@ import cycloderiv.polynomials as polynomials
 from cycloderiv import Polynomial, cyclotomic_poly
 from cycloderiv.arith import factorize
 from cycloderiv.polynomials import ZERO_POLY_DEGREE, _convolve, resultant
+from contract import env_with_src
 from oracles import at_power, sylvester_det
 
 
@@ -144,11 +143,9 @@ else:
 
 def _run_python(flags, script, timeout):
     """``python FLAGS -c SCRIPT`` with this checkout's ``src`` first on the path."""
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     return subprocess.run(
         [sys.executable, *flags, "-c", script],
-        env=env, capture_output=True, text=True, timeout=timeout,
+        env=env_with_src(), capture_output=True, text=True, timeout=timeout,
     )
 
 

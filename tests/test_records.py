@@ -15,7 +15,6 @@ the benchmark's tracer wraps.
 
 import ast
 import json
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -44,6 +43,7 @@ from cycloderiv import (
     classify,
 )
 from cycloderiv.intlinalg import _Echelon
+from contract import env_with_src
 from test_benchmark_names import load_tracer
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -61,10 +61,9 @@ FORMATS = {"json", "csv"}
 def _traced(*args):
     """``python -X importtime *args``, finished, with its import lines taken out of
     its stderr, and the set of modules it imported; help is 80 columns wide."""
-    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-X", "importtime", *args],
-        env=dict(os.environ, PYTHONPATH=path, COLUMNS="80"), capture_output=True, text=True, timeout=60,
+        env=env_with_src(COLUMNS="80"), capture_output=True, text=True, timeout=60,
     )
     lines = proc.stderr.splitlines(keepends=True)
     imports = [line for line in lines if line.startswith("import time:")]

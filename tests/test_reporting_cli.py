@@ -1,7 +1,6 @@
 import csv
 import io
 import json
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -13,6 +12,9 @@ from cycloderiv import cli
 from cycloderiv.cli import build_parser, main
 from cycloderiv.harness import _sweep_report, _tables_report
 from cycloderiv.reporting import write_text
+from contract import (
+    BUFFERING, CLOSED_STDERR, CLOSED_STDOUT, STDERR_CLOSINGS, env_with_src, run_closed,
+)
 
 
 def _norm(value):
@@ -452,14 +454,16 @@ def test_cli_cap_applies_to_every_ring_command(capsys, argv):
         assert _run(capsys, [*argv, "--cap", "18"])[0] == 0
 
 
+def _child(args, **run):
+    """``python ARGS`` with this checkout's ``src`` first on the path and buffered
+    streams, stdout and stderr captured; 60 s at most."""
+    return subprocess.run([sys.executable, *args], env=env_with_src(PYTHONUNBUFFERED=""),
+                          capture_output=True, **{"timeout": 60, **run})
+
+
 def _run_process(argv):
     """The CLI in a child process with this checkout's ``src`` first on the path; 10 s at most."""
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    return subprocess.run(
-        [sys.executable, "-m", "cycloderiv.cli", *argv],
-        env=env, capture_output=True, text=True, timeout=10,
-    )
+    return _child(["-m", "cycloderiv.cli", *argv], text=True, timeout=10)
 
 
 def test_cli_refuses_a_huge_ring_before_building_it():
@@ -592,20 +596,6 @@ def test_cli_sweep_size_bound_leaves_invalid_forms_to_their_own_error(capsys, ar
 # --- the process entry point ------------------------------------------------
 
 
-def _child(args, unbuffered=False, **streams):
-    """``python ARGS`` with this checkout's ``src`` first on the path and stdout
-    buffered unless asked; stdout and stderr as bytes, 60 s at most."""
-    streams = {"stdout": subprocess.PIPE, "stderr": subprocess.PIPE, **streams}
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    env.pop("PYTHONUNBUFFERED", None)
-    if unbuffered:
-        env["PYTHONUNBUFFERED"] = "1"
-    return subprocess.run(
-        [sys.executable, *args], env=env, timeout=60, **streams,
-    )
-
-
 def _atexit_script(stream):
     return (
         "import atexit, sys\n"
@@ -616,6 +606,10 @@ def _atexit_script(stream):
     )
 
 
+def _cli(argv):
+    return [sys.executable, "-m", "cycloderiv.cli", *argv]
+
+
 def test_run_runs_an_atexit_handler_once_after_the_output():
     proc = _child(["-c", _atexit_script("stdout")])
     assert (proc.returncode, proc.stderr) == (0, b"")
@@ -623,8 +617,9 @@ def test_run_runs_an_atexit_handler_once_after_the_output():
     assert out.endswith("}\natexit handler\n")
     assert json.loads(out.removesuffix("atexit handler\n"))["degree"] == "4"
     # when the report's write fails, after main's error line, and not again
-    assert _closed_stdout(["-c", _atexit_script("stderr")], False) == (
-        1, "error: [Errno 32] Broken pipe\natexit handler\n"
+    args = [sys.executable, "-c", _atexit_script("stderr")]
+    assert run_closed(args, "stdout", "read end", False, env_with_src()) == (
+        1, b"error: [Errno 32] Broken pipe\natexit handler\n"
     )
 
 
@@ -650,71 +645,35 @@ def test_run_writes_the_bytes_main_writes_on_buffered_streams(capsys, argv):
     assert proc.stderr == captured.err.encode("utf-8")
 
 
-_BROKEN_PIPE = (1, "error: [Errno 32] Broken pipe\n")
-# exit code and stderr with stdout's read end closed, buffered or not: a
-# report's write fails inside write_text and main prints one error line;
-# argparse drops its own failed write of the version or the help
-CLOSED_STDOUT = {
-    (unbuffered, argv): outcome
-    for unbuffered in (False, True)
-    for argv, outcome in {
-        "phi-poly 10": _BROKEN_PIPE,
-        "tables 21": _BROKEN_PIPE,
-        "--version": (0, ""),
-        "--help": (0, ""),
-        "phi-poly 0": (2, "error: totient undefined for 0\n"),
-        "verify-theorem 49 1 2 --trials 5": _BROKEN_PIPE,
-        "classify 49 1 2 --dzeta=" + ",".join(str(i % 7 - 3) for i in range(42)): _BROKEN_PIPE,
-    }.items()
-}
-
-
-def _closed_stdout(args, unbuffered):
-    read_end, write_end = os.pipe()
-    os.close(read_end)
-    try:
-        proc = _child(args, unbuffered, stdout=write_end)
-    finally:
-        os.close(write_end)
-    return proc.returncode, proc.stderr.decode("utf-8")
-
-
-@pytest.mark.parametrize("unbuffered, argv", list(CLOSED_STDOUT), ids=lambda x: str(x)[:40])
+@pytest.mark.parametrize("argv", list(CLOSED_STDOUT), ids=lambda argv: argv[:40])
+@pytest.mark.parametrize("unbuffered", BUFFERING)
 def test_run_reports_a_closed_stdout_as_before(unbuffered, argv):
-    expected = CLOSED_STDOUT[unbuffered, argv]
-    assert _closed_stdout(["-m", "cycloderiv.cli", *argv.split()], unbuffered) == expected
+    got = run_closed(_cli(argv.split()), "stdout", "read end", unbuffered, env_with_src())
+    assert got == CLOSED_STDOUT[argv]
 
 
 def test_run_ends_a_run_without_stdout_as_before():
     # with descriptor 1 closed sys.stdout is None, and argparse writes the
     # version to stderr; recorded before run existed: exit 0, the version
-    def close_stdout():
-        os.close(1)
-
-    proc = _child(["-m", "cycloderiv.cli", "--version"], stdout=None, preexec_fn=close_stdout)
-    assert (proc.returncode, proc.stdout, proc.stderr) == (0, None, f"{cli.__version__}\n".encode())
+    got = run_closed(_cli(["--version"]), "stdout", "descriptor 1", False, env_with_src())
+    assert got == (0, f"{cli.__version__}\n".encode())
 
 
-def _without_descriptor_1(argv, unbuffered):
-    proc = _child(["-m", "cycloderiv.cli", *argv], unbuffered, stdout=None,
-                  preexec_fn=lambda: os.close(1))
-    return proc.returncode, proc.stderr.decode("utf-8")
-
-
-@pytest.mark.parametrize("unbuffered", [False, True])
+@pytest.mark.parametrize("unbuffered", BUFFERING)
 @pytest.mark.parametrize("argv", [["phi-poly", "10"], ["tables", "21"]])
 def test_run_reports_a_report_without_stdout_in_one_line(argv, unbuffered):
     # sys.stdout is None: write_text refuses it as an OSError, not an
     # AttributeError traceback
-    assert _without_descriptor_1(argv, unbuffered) == (
-        1, "error: failed writing report to stdout: it is closed\n"
+    assert run_closed(_cli(argv), "stdout", "descriptor 1", unbuffered, env_with_src()) == (
+        1, b"error: failed writing report to stdout: it is closed\n"
     )
 
 
-@pytest.mark.parametrize("unbuffered", [False, True])
+@pytest.mark.parametrize("unbuffered", BUFFERING)
 def test_run_writes_an_output_file_without_stdout(tmp_path, unbuffered):
     target = tmp_path / "phi.json"
-    assert _without_descriptor_1(["phi-poly", "10", "--output", str(target)], unbuffered) == (0, "")
+    argv = ["phi-poly", "10", "--output", str(target)]
+    assert run_closed(_cli(argv), "stdout", "descriptor 1", unbuffered, env_with_src()) == (0, b"")
     golden = Path(__file__).resolve().parent / "golden" / "phi-poly_10_json.out"
     assert target.read_bytes() == golden.read_bytes()
 
@@ -734,35 +693,9 @@ def test_main_drops_an_error_line_it_cannot_write_and_keeps_the_code(capsys, mon
     assert capsys.readouterr() == ("", "")
 
 
-_GOLDEN_PHI_10 = (Path(__file__).resolve().parent / "golden" / "phi-poly_10_json.out").read_bytes()
-# exit code and stdout with stderr's read end closed or descriptor 2 closed,
-# buffered or not: an error line that cannot be written is dropped, its exit
-# code stands, and nothing meant for stderr reaches stdout
-CLOSED_STDERR = {
-    "phi-poly 0": (2, b""),
-    "matrix 10 2 3": (2, b""),
-    "sweep": (2, b""),  # a usage error: --form is required
-    "phi-poly 10": (0, _GOLDEN_PHI_10),
-    "--version": (0, f"{cli.__version__}\n".encode()),
-}
-
-
-def _closed_stderr(argv, unbuffered, closed):
-    args = ["-m", "cycloderiv.cli", *argv.split()]
-    if closed == "descriptor 2":
-        proc = _child(args, unbuffered, stderr=None, preexec_fn=lambda: os.close(2))
-    else:
-        read_end, write_end = os.pipe()
-        os.close(read_end)
-        try:
-            proc = _child(args, unbuffered, stderr=write_end)
-        finally:
-            os.close(write_end)
-    return proc.returncode, proc.stdout
-
-
-@pytest.mark.parametrize("closed", ["read end", "descriptor 2"])
-@pytest.mark.parametrize("unbuffered", [False, True])
+@pytest.mark.parametrize("closed", STDERR_CLOSINGS)
+@pytest.mark.parametrize("unbuffered", BUFFERING)
 @pytest.mark.parametrize("argv", list(CLOSED_STDERR))
 def test_run_keeps_the_exit_code_and_stdout_with_a_closed_stderr(argv, unbuffered, closed):
-    assert _closed_stderr(argv, unbuffered, closed) == CLOSED_STDERR[argv]
+    got = run_closed(_cli(argv.split()), "stderr", closed, unbuffered, env_with_src())
+    assert got == CLOSED_STDERR[argv]
