@@ -6,8 +6,11 @@ whose ring degree phi(n) exceeds the cap before any other work. A
 deterministic Miller-Rabin test lets trial division stop as soon as what is
 left of n is prime, so a large prime n costs no more than a small one, and
 Pollard's rho splits what is left once trial division passes a small bound,
-so a product of two large primes costs about the fourth root of n. The
-argument rules (``check_degree`` with ``check_indexable``,
+so a product of two large primes costs about the fourth root of n. The test
+is exact below its limit, about 3.3 * 10^24, and ``is_prime``,
+``factorize`` and ``totient`` refuse an n at or above it; no command
+reaches that refusal, since ``check_indexable`` refuses every such n first.
+The argument rules (``check_degree`` with ``check_indexable``,
 ``check_two_units``, ``check_unit``, ``check_trials``) live here so that
 the CLI can apply them before it loads any ring module. ``check_degree``
 sizes a bare n; a sweep form, which comes factored, is sized from its
@@ -32,20 +35,18 @@ _MILLER_RABIN_LIMIT = 3317044064679887385961981
 _TRIAL_BOUND = 1000
 
 
-def _proven_prime(n: int) -> bool:
-    """Whether n is proven prime: n passes Miller-Rabin to every base and lies below the limit.
+def is_prime(n: int) -> bool:
+    """Whether n is prime, by Miller-Rabin to the 13 bases: exact below ``_MILLER_RABIN_LIMIT``.
 
-    False says nothing about an n at or above the limit.
+    At or above the limit no answer is proven, so such an n is refused with a
+    ``ValueError`` that names it by bit length.
     """
-    if n < 2 or n >= _MILLER_RABIN_LIMIT:
-        return False
-    if n in _MILLER_RABIN_BASES:
-        return True
-    if n % 2 == 0:
-        return False
-    s, q = 0, n - 1
-    while q % 2 == 0:
-        s, q = s + 1, q // 2
+    if n >= _MILLER_RABIN_LIMIT:
+        raise ValueError(f"a {n.bit_length()}-bit n is at or above the Miller-Rabin limit, "
+                         "about 3.3 * 10^24, where primality is not proven")
+    if n < 2 or n % 2 == 0 or n in _MILLER_RABIN_BASES:
+        return n in _MILLER_RABIN_BASES  # 2, or an odd prime that a base would call composite
+    s, q = multiplicity(2, n - 1)
     for a in _MILLER_RABIN_BASES:
         x = pow(a, q, n)
         if x == 1 or x == n - 1:
@@ -66,7 +67,7 @@ def _rho_factors(n: int) -> list[int]:
     ``x -> x^2 + c`` cycles modulo each prime p | n after about ``sqrt(p)``
     steps, and the first repeat shows as ``gcd(x - y, n) > 1``.
     """
-    if _proven_prime(n):
+    if is_prime(n):
         return [n]
     for c in count(1):
         x = y = 2
@@ -82,20 +83,19 @@ def _rho_factors(n: int) -> list[int]:
 
 
 def _prime_factors(n: int) -> Iterator[int]:
-    """The prime factors of ``n >= 1`` with multiplicity, ascending.
+    """The prime factors of ``1 <= n < _MILLER_RABIN_LIMIT`` with multiplicity, ascending.
 
     The one factoring loop of the package. Trial division stops as soon as
-    the cofactor left is proven prime, which it then yields. Past
-    ``_TRIAL_BOUND`` a cofactor below the Miller-Rabin limit that is not
-    proven prime is composite, and ``_rho_factors`` splits it; above the
-    limit trial division goes on to the square root. So the result is exact
-    for every n. It is lazy, so a caller that needs only the smallest factor
-    stops at the first one found.
+    the cofactor left is prime, which it then yields. Past ``_TRIAL_BOUND``
+    a cofactor that is not prime is composite, and ``_rho_factors`` splits
+    it. So the result is exact, and an n at or above the limit is refused
+    by ``is_prime``. It is lazy, so a caller that needs only the smallest
+    factor stops at the first one found.
     """
     f = 2
-    prime = _proven_prime(n)
+    prime = is_prime(n)
     while not prime and f * f <= n:
-        if f > _TRIAL_BOUND and n < _MILLER_RABIN_LIMIT:
+        if f > _TRIAL_BOUND:
             yield from sorted(_rho_factors(n))
             return
         if n % f:
@@ -103,14 +103,9 @@ def _prime_factors(n: int) -> Iterator[int]:
         else:
             yield f
             n //= f
-            prime = _proven_prime(n)
+            prime = is_prime(n)
     if n > 1:
         yield n
-
-
-def is_prime(n: int) -> bool:
-    """Whether n is prime: one Miller-Rabin test below its limit, the smallest factor above it."""
-    return _proven_prime(n) or n >= _MILLER_RABIN_LIMIT and next(_prime_factors(n)) == n
 
 
 def factorize(n: int) -> dict[int, int]:
@@ -159,9 +154,8 @@ def _degree_bound(n: int, cap: int) -> int | None:
     ``_factor_limit(cap)`` is refused with its exact degree. Above it, None
     means ``n // n.bit_length() <= cap``, and trial division takes at most
     about ``sqrt(cap * n.bit_length())`` steps; it stops sooner once the
-    cofactor is proven prime, so a prime n takes none, and below the
-    Miller-Rabin limit it stops at ``_TRIAL_BOUND``, where Pollard's rho
-    takes over.
+    cofactor is prime, so a prime n takes none, and at the latest at
+    ``_TRIAL_BOUND``, where Pollard's rho takes over.
     """
     if n > _factor_limit(min(cap, DEFAULT_DEGREE_CAP)):
         for bound in (isqrt(n // 2), n // n.bit_length()):
@@ -177,7 +171,7 @@ def check_indexable(n: int, n_stated: str = "") -> None:
     ``sys.maxsize`` no list of phi(n) coefficients can be built. The
     ``ValueError`` states that bound in bits, as ``check_degree`` does for an
     n too long to write, and no digit of n. Every n at or above the
-    Miller-Rabin limit is refused here, so no such n is ever trial-divided.
+    Miller-Rabin limit is refused here, before ``is_prime`` would refuse it.
     A caller that checks a divisor of its n, whose phi bounds phi(n) too,
     names that n in ``n_stated``.
     """
@@ -185,9 +179,17 @@ def check_indexable(n: int, n_stated: str = "") -> None:
         raise _unindexable(n_stated or f"a {n.bit_length()}-bit n", bound.bit_length() - 1)
 
 
+def _decimal(value: int, name: str) -> str:
+    """``value`` in decimal, or by bit length when it has more digits than Python writes."""
+    try:
+        return str(value)
+    except ValueError:
+        return f"(a {value.bit_length()}-bit {name})"
+
+
 def _unindexable(n_stated: str, bound_log: int) -> ValueError:
     """The refusal of an n whose ``phi(n) >= 2^bound_log`` no list can index."""
-    stated = f"phi(n) of {n_stated} >= 2^{bound_log}"
+    stated = f"phi(n) of {n_stated} >= 2^{_decimal(bound_log, 'exponent')}"
     return ValueError(f"ring degree {stated} has more coefficients than a list can hold")
 
 

@@ -29,8 +29,8 @@ from __future__ import annotations
 import sys
 from typing import NamedTuple
 
-from .arith import _above_cap, _unindexable, check_indexable, check_unit, factorize, is_prime
-from .arith import multiplicity
+from .arith import _above_cap, _decimal, _unindexable, check_indexable, check_unit, factorize
+from .arith import is_prime, multiplicity
 
 
 class _RingFormFields(NamedTuple):
@@ -111,12 +111,11 @@ class RingForm(_RingFormFields):
         return _unindexable(self._n_label(), log)
 
     def _n_label(self) -> str:
-        """``n = 2^r*p`` or ``n = p^k``; p by bit length when it has too many digits to write."""
-        try:
-            p = str(self.p)
-        except ValueError:
-            p = f"(a {self.p.bit_length()}-bit p)"
-        return f"n = 2^{self.r}*{p}" if self.kind == "2rp" else f"n = {p}^{self.k}"
+        """``n = 2^r*p`` or ``n = p^k``; each by bit length when it has too many digits to write."""
+        p = _decimal(self.p, "p")
+        if self.kind == "2rp":
+            return f"n = 2^{_decimal(self.r, 'r')}*{p}"
+        return f"n = {p}^{_decimal(self.k, 'k')}"
 
     @classmethod
     def form_2rp(cls, r: int, p: int) -> RingForm:

@@ -1,14 +1,14 @@
 """Primality, factorization and the unit check of ``arith``.
 
-``is_prime`` and ``factorize`` share one factoring loop: trial division,
-which stops once the deterministic Miller-Rabin test proves the cofactor
-prime, and Pollard's rho past a small bound. They are checked against a
-smallest-prime-factor sieve (also with the bound lowered, so that rho splits
-every composite cofactor), against sympy where it is installed, on
-Carmichael numbers and strong pseudoprimes, and ``is_prime`` for stopping at
-the first factor it finds. The
-unit check is the one rule behind every refused exponent, so every caller
-raises the same message.
+``is_prime`` is one deterministic Miller-Rabin test, exact below its limit
+and a refusal at and above it. ``factorize`` is trial division, which stops
+once ``is_prime`` says the cofactor left is prime, and Pollard's rho past a
+small bound. They are checked against a smallest-prime-factor sieve (also
+with the bound lowered, so that rho splits every composite cofactor),
+against sympy where it is installed, on Carmichael numbers and strong
+pseudoprimes, for refusing an n at or above the limit at once, and
+``is_prime`` for stopping at an even n. The unit check is the one rule
+behind every refused exponent, so every caller raises the same message.
 """
 
 import random
@@ -111,6 +111,10 @@ def test_is_prime_and_factorize_agree_with_sympy_on_40_bit_n():
     ns += [*large, *(p * c for p in large for c in (2, 9, 1155)), 10**18 + 3]
     ns += [*CARMICHAEL, *STRONG_PSEUDOPRIMES[:2]]
     for n in ns:
+        if n >= arith._MILLER_RABIN_LIMIT:  # an 80-bit prime times 9 or 1155
+            with pytest.raises(ValueError, match=r"^a \d+-bit n is at or above the Miller-Rabin limit"):
+                is_prime(n)
+            continue
         assert is_prime(n) == sympy.isprime(n), n
         assert factorize(n) == sympy.factorint(n), n
 
@@ -144,20 +148,37 @@ def test_a_product_of_two_primes_near_10_9_factors_at_once():
     assert time.perf_counter() - started < 1
 
 
-def test_miller_rabin_is_exact_below_its_limit_and_silent_at_it():
+def test_miller_rabin_is_exact_below_its_limit_and_refuses_at_it():
     sympy = pytest.importorskip("sympy")
     limit = arith._MILLER_RABIN_LIMIT
     # the largest primes below the limit are proven; the limit itself is
     # composite yet passes all thirteen bases, which is why it is the limit,
-    # so it and everything above it are never called proven
+    # so it and everything above it are refused, by bit length alone
     below = [sympy.prevprime(limit)]
     below.append(sympy.prevprime(below[-1]))
-    assert [arith._proven_prime(p) for p in below] == [True, True]
+    assert [is_prime(p) for p in below] == [True, True]
     assert limit == 1287836182261 * 2575672364521
-    assert arith._proven_prime(limit) is False
-    assert arith._proven_prime(sympy.nextprime(limit)) is False
+    for n in (limit, sympy.nextprime(limit)):
+        with pytest.raises(ValueError) as refused:
+            is_prime(n)
+        assert str(refused.value) == (
+            "a 82-bit n is at or above the Miller-Rabin limit, about 3.3 * 10^24, "
+            "where primality is not proven"
+        )
     for n in (*CARMICHAEL, *STRONG_PSEUDOPRIMES):
-        assert arith._proven_prime(n) is False, n
+        assert is_prime(n) is False, n
+
+
+@pytest.mark.parametrize("function", [is_prime, factorize, arith.totient])
+def test_an_n_above_the_miller_rabin_limit_is_refused_at_once(function):
+    # 2^89 - 1 is a Mersenne prime: trial division to prove it would run for
+    # about 2^44 steps; it is refused, by its bit length and with no digit
+    started = time.perf_counter()
+    with pytest.raises(ValueError) as refused:
+        function(2**89 - 1)
+    assert time.perf_counter() - started < 1
+    assert str(refused.value).startswith("a 89-bit n is at or above the Miller-Rabin limit")
+    assert str(2**89 - 1) not in str(refused.value)
 
 
 def test_a_prime_cofactor_ends_trial_division():

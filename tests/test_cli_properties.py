@@ -34,9 +34,18 @@ form the cap admits runs its sweep, so no draw may admit one above degree
 24: its sweep would run for minutes, or allocate a series of that many
 coefficients.
 
+A fourth test draws the bare-n commands (``phi-poly``, ``matrix``,
+``classify``, ``verify-theorem``, ``tables``) with n from the same large
+values plus a 5,000-digit n and ``--cap`` from the same range, under the
+same budget and rules. Their rings are sized by ``check_degree``, so the
+draws that matter are those whose cap reaches n's factoring; a draw whose
+exact phi(n), judged by sympy and never by ``check_degree``, the cap admits
+above degree 24 is left out, and the test needs sympy.
+
 Runs only where ``hypothesis`` is installed; examples are derandomized.
 """
 
+import functools
 import io
 import signal
 import sys
@@ -50,6 +59,11 @@ from hypothesis import strategies as st  # noqa: E402
 
 from cycloderiv import cli  # noqa: E402
 from cycloderiv.arith import totient  # noqa: E402
+
+try:
+    import sympy
+except ImportError:  # the bare-n test judges phi(n) with it
+    sympy = None
 
 # int() refuses the first five; it takes Arabic-Indic digits, which are 12 here
 NOT_INTEGERS = ("1.5", "x", "", "0x1f", "--", "١٢")
@@ -263,10 +277,9 @@ def _run_within_budget(argv):
         signal.signal(signal.SIGALRM, previous)
 
 
-@pytest.mark.skipif(not hasattr(signal, "setitimer"), reason="needs signal.setitimer")
-@settings(derandomize=True, database=None, deadline=None, max_examples=300)
-@given(large_sweeps())
-def test_a_sweep_with_large_values_ends_within_its_budget_and_keeps_each_stream_to_its_outcome(argv):
+def _check_twice_within_budget(argv):
+    """Two runs of argv, each under the budget: exit 0 with an empty stderr, or 2 with an
+    empty stdout and a last ``error:`` line, never a traceback; the same bytes both times."""
     code, out, err = _run_within_budget(argv)
     assert type(code) is int and code in (0, 2), (argv, code)
     if code == 0:
@@ -276,3 +289,50 @@ def test_a_sweep_with_large_values_ends_within_its_budget_and_keeps_each_stream_
         assert "error: " in err.splitlines()[-1], argv
         assert "Traceback" not in err, argv
     assert _run_within_budget(argv) == (code, out, err), argv
+
+
+@pytest.mark.skipif(not hasattr(signal, "setitimer"), reason="needs signal.setitimer")
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(large_sweeps())
+def test_a_sweep_with_large_values_ends_within_its_budget_and_keeps_each_stream_to_its_outcome(argv):
+    _check_twice_within_budget(argv)
+
+
+# the commands whose first positional is n: phi-poly, matrix, classify, verify-theorem, tables
+BARE_N = [(name, positionals.split()) for name, _, positionals, _, _ in cli._COMMANDS if positionals]
+
+
+@functools.cache
+def _phi(n):
+    """phi(n) for ``n >= 1``, from sympy's factorization, not from ``arith``."""
+    return int(sympy.totient(n))
+
+
+def _bare_n_may_admit_a_large_ring(n, cap):
+    """Whether the cap admits ``Phi_n`` at a degree above ``BATCH_CAP``. Since
+    ``phi(n) >= n // n.bit_length()``, sympy factors n only when that bound fits the cap."""
+    if n < 1 or n // n.bit_length() > min(cap, sys.maxsize):
+        return False
+    return BATCH_CAP < _phi(n) <= cap
+
+
+@st.composite
+def large_bare_n(draw):
+    """A bare-n command with a large n, a 5,000-digit one in about one draw of ten,
+    small exponents, a ``--dzeta`` of phi(n) ones where the ring is small, and a large cap."""
+    (name, positionals), n, cap = draw(st.sampled_from(BARE_N)), draw(LARGE_P), draw(CAP)
+    assume(not _bare_n_may_admit_a_large_ring(n, cap))
+    argv = [name, draw(_mostly(st.just(str(n)), st.just("7" * 5000)))]
+    argv += [str(draw(st.integers(1, 5))) for _ in positionals[1:]]  # u and v
+    if name == "classify":
+        small = 1 <= n and n // n.bit_length() <= BATCH_CAP and _phi(n) <= BATCH_CAP
+        argv.append("--dzeta=" + ",".join(["1"] * (_phi(n) if small else 1)))
+    return [*argv, "--cap", str(cap)]
+
+
+@pytest.mark.skipif(not hasattr(signal, "setitimer") or sympy is None,
+                    reason="needs signal.setitimer and sympy")
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(large_bare_n())
+def test_a_bare_n_command_with_large_values_ends_within_its_budget_and_keeps_each_stream_to_its_outcome(argv):
+    _check_twice_within_budget(argv)

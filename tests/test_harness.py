@@ -1,10 +1,8 @@
-import os
 import random
 import subprocess
 import sys
 from itertools import combinations
 from math import isqrt
-from pathlib import Path
 
 import pytest
 
@@ -29,6 +27,7 @@ from cycloderiv import (
 )
 from cycloderiv import arith, cli, endomorphisms, harness
 
+from contract import env_with_src
 from reference_tables import (
     KNOWN_BAD_SOLUTION_ROWS,
     REF_N9_DETS,
@@ -235,7 +234,7 @@ def test_an_n_no_list_can_index_is_refused_before_it_is_factored(monkeypatch, ca
 # RingForm arguments and the refusal: the exponent refuses the fourth and
 # fifth by its bit length, before n is built (3^(10^7) alone takes seconds);
 # p refuses the first three, which are above the Miller-Rabin limit, where
-# testing p would trial-divide to its square root; the closed-form degree
+# is_prime would refuse to test p; the closed-form degree
 # p (p - 1), about 2^69, refuses the last
 OVERSIZED_FORMS = [
     (("pk", 2**89 - 1, None, 2), "618970019642690137449562111^2 >= 2^82"),
@@ -258,10 +257,8 @@ def test_an_oversized_ring_form_is_refused_in_bounded_time():
         "    except ValueError as exc:\n"
         "        print(exc)\n"
     )
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
-        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=10,
+        [sys.executable, "-c", script], env=env_with_src(), capture_output=True, text=True, timeout=10,
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == [
@@ -269,6 +266,20 @@ def test_an_oversized_ring_form_is_refused_in_bounded_time():
         for _, stated in OVERSIZED_FORMS
     ]
 
+
+
+@pytest.mark.parametrize("cap", [None, 64])
+@pytest.mark.parametrize("kind, label", [("pk", "n = 3^(a 16610-bit k)"), ("2rp", "n = 2^(a 16610-bit r)*3")])
+def test_an_exponent_too_long_to_write_is_refused_by_its_bit_length(kind, label, cap):
+    # 10^5000 has more digits than Python writes in decimal, so the refusal
+    # states the exponent, and the bound 2^(e - 1), by bit length
+    with pytest.raises(ValueError) as refused:
+        RingForm(kind, 3, **{"k" if kind == "pk" else "r": 10**5000}, cap=cap)
+    assert str(refused.value) == (
+        f"ring degree of {label} exceeds the cap 64; raise the cap to proceed" if cap else
+        f"ring degree phi(n) of {label} >= 2^(a 16610-bit exponent) has more coefficients "
+        "than a list can hold"
+    )
 
 def _forms_up_to(degree):
     """Every form whose closed-form degree is at most ``degree``, from a sieve, not from arith."""
