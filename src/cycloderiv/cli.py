@@ -53,6 +53,13 @@ hold and an input that runs out of memory (``Phi_n`` is built as a series
 of phi(n) + 2 coefficients, which the cap bounds, so a cap far above the
 default can admit an n whose series cannot be allocated).
 
+Python converts an int of at most 4,300 digits (its default limit) to or
+from decimal. The arguments and the ``--dzeta`` coordinates are read under
+the limit the process has, so a longer one is refused as having more digits
+than Python converts. The command and its rendering then run with no limit,
+since a ``classify`` witness can have more digits than its coordinates, and
+``main`` restores the limit before it returns.
+
 A process enters through ``run`` (``python -m cycloderiv.cli`` and the
 ``cycloderiv`` console script); tests and tools call ``main(argv)``, which
 returns every exit code and raises no ``SystemExit``: its parser's exit, for
@@ -170,13 +177,28 @@ def _integer(text: str) -> int:
         raise ArgumentTypeError(f"the value {_not_an_int(text)}") from None
 
 
-def _parse_coords(text: str, expected: int) -> tuple[int, ...]:
+def _int_digits(limit: int) -> int:
+    """Set Python's limit on the digits of an int/str conversion to ``limit``
+    (0: none) and return the limit it replaces; a Python without the limit
+    has none to set, and gets 0."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        return 0
+    previous = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    return previous
+
+
+def _parse_coords(text: str, expected: int, digits: int) -> tuple[int, ...]:
+    """The ``--dzeta`` coordinates, read under ``digits``, the limit the arguments were read under."""
     coords = []
+    # on a refusal the limit stays at digits, which main restores anyway
+    lifted = _int_digits(digits)
     for i, part in enumerate(text.split(",")):
         try:
             coords.append(int(part))
         except ValueError:
             raise ValueError(f"--dzeta coordinate c{i} {_not_an_int(part)}") from None
+    _int_digits(lifted)
     if len(coords) != expected:
         raise ValueError(
             f"expected exactly {expected} comma-separated coordinates, got {len(coords)}"
@@ -185,7 +207,7 @@ def _parse_coords(text: str, expected: int) -> tuple[int, ...]:
 
 
 def _cmd_classify(args: argparse.Namespace) -> tuple[Report, int]:
-    coords = _parse_coords(args.dzeta, check_degree(args.n, args.cap))
+    coords = _parse_coords(args.dzeta, check_degree(args.n, args.cap), args.digits)
     _check_exponents(args)
     from .endomorphisms import TwistedDerivation, TwistedPair
     from .innerness import MultiplierMatrix, classify
@@ -404,10 +426,16 @@ def main(argv: list[str] | None = None) -> int:
     try:
         argv = _join_negative_values(sys.argv[1:] if argv is None else argv)
         args = _parse(argv) or build_parser().parse_args(argv)
-        report, code = args.func(args)
-        from .reporting import render, write_text
+        # a report prints every integer in full, though a witness may have
+        # more digits than an input may; main restores the limit on return
+        args.digits = _int_digits(0)
+        try:
+            report, code = args.func(args)
+            from .reporting import render, write_text
 
-        write_text(render(report, args.format), args.output)
+            write_text(render(report, args.format), args.output)
+        finally:
+            _int_digits(args.digits)
         return code
     except _ParserExit as exc:
         code, message = exc.args

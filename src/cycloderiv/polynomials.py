@@ -59,10 +59,10 @@ class Polynomial:
         self.coeffs = tuple(cs)
 
     @classmethod
-    def monomial(cls, degree: int, coeff: int = 1) -> Polynomial:
+    def monomial(cls, degree: int) -> Polynomial:
         if degree < 0:
             raise ValueError(f"monomial degree must be non-negative, got {degree}")
-        return cls([0] * degree + [coeff])
+        return cls([0] * degree + [1])
 
     @property
     def degree(self) -> int | float:

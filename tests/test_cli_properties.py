@@ -46,10 +46,8 @@ Runs only where ``hypothesis`` is installed; examples are derandomized.
 """
 
 import functools
-import io
 import signal
 import sys
-from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
@@ -59,6 +57,7 @@ from hypothesis import strategies as st  # noqa: E402
 
 from cycloderiv import cli  # noqa: E402
 from cycloderiv.arith import totient  # noqa: E402
+from test_golden import run_cli  # noqa: E402
 
 try:
     import sympy
@@ -129,24 +128,17 @@ def argvs(draw):
     return argv
 
 
-def _run(argv):
-    out, err = io.StringIO(), io.StringIO()
-    with redirect_stdout(out), redirect_stderr(err):
-        code = cli.main(argv)
-    return code, out.getvalue(), err.getvalue()
-
-
 @settings(derandomize=True, database=None, deadline=None, max_examples=300)
 @given(argvs())
 def test_main_returns_a_code_and_keeps_each_stream_to_its_outcome(argv):
-    code, out, err = _run(argv)
+    code, out, err = run_cli(argv)
     assert type(code) is int and code in (0, 2), (argv, code)
     if code == 0:
         assert err == "", argv
     if code == 2:
         assert out == "", argv
         assert "error: " in err.splitlines()[-1], argv
-    assert _run(argv) == (code, out, err), argv
+    assert run_cli(argv) == (code, out, err), argv
 
 
 # integer values, parsed only: 10^k + c for |c| <= 3, a 5,000-digit numeral
@@ -269,7 +261,7 @@ def _run_within_budget(argv):
     previous = signal.signal(signal.SIGALRM, _on_alarm)
     signal.setitimer(signal.ITIMER_REAL, BUDGET_S)
     try:
-        return _run(argv)
+        return run_cli(argv)
     except _OverBudget:
         pytest.fail(f"over the {BUDGET_S} s budget: {argv}")
     finally:
