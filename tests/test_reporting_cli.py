@@ -1,14 +1,15 @@
-"""The renderer and the command line, for what no golden file states.
+"""The renderer and the command line.
 
 ``tests/golden/`` holds the exact bytes of every report, and
-``test_golden.py`` replays them, so no test here restates a report's fields;
-README's schema block is checked against the same files by
-``test_readme.py``. This module holds the rest: that JSON, CSV and Markdown
-encode the same records, empty reports and ``render``'s refusal of an
-unknown format, where ``write_text`` and ``--output`` write and how they
-fail, refusals that no golden case runs, the cap, integers longer than
-Python converts by default, and, in child processes, the process entry point
-and the closed-stream runs of ``contract.py``.
+``test_golden.py`` replays each case twice, once to stdout and once through
+``--output``, so no test here checks that a report renders the same bytes
+twice; README's schema block is checked against the same files by
+``test_readme.py``. This module checks named fields of the main reports,
+that JSON, CSV and Markdown encode the same records, empty reports and
+``render``'s refusal of an unknown format, where ``write_text`` and
+``--output`` write and how they fail, the refusals, the cap, integers longer
+than Python converts by default, and, in child processes, the process entry
+point and the closed-stream runs of ``contract.py``.
 """
 
 import csv
@@ -20,10 +21,10 @@ from pathlib import Path
 
 import pytest
 
-from cycloderiv import RingForm, SweepReport, render, sweep
+from cycloderiv import RingForm, SweepReport, render, reproduce_tables, sweep
 from cycloderiv import cli
 from cycloderiv.cli import build_parser, main
-from cycloderiv.harness import _sweep_report
+from cycloderiv.harness import _sweep_report, _tables_report
 from cycloderiv.reporting import write_text
 from contract import (
     BUFFERING, CLOSED_STDERR, CLOSED_STDOUT, STDERR_CLOSINGS, env_with_src, run_closed,
@@ -52,6 +53,39 @@ def _markdown_rows(text):
     return rows
 
 
+def test_sweep_json_schema():
+    report = sweep(RingForm.form_pk(3, 2), seed=0)
+    payload = json.loads(render(_sweep_report(report), "json"))
+    assert payload["ring"] == {"n": "9", "form": "pk", "params": {"p": "3", "k": "2"}}
+    assert payload["summary"] == {
+        "pairs": "15",
+        "matches": "15",
+        "seed": "0",
+        "version": report.version,
+    }
+    assert len(payload["pairs"]) == 15
+    first = payload["pairs"][0]
+    # integers travel as decimal strings; booleans stay booleans
+    assert first["u"] == "1" and first["v"] == "2"
+    assert isinstance(first["det_abs"], str)
+    assert first["match"] is True and first["roundtrip"] is True
+    assert first["e2"] is None  # no second multiplicity for prime-power rings
+
+
+def test_sweep_json_2rp_params_and_e2():
+    report = _sweep_report(sweep(RingForm.form_2rp(1, 5), seed=0))
+    payload = json.loads(render(report, "json"))
+    assert payload["ring"]["params"] == {"r": "1", "p": "5"}
+    assert all(p["e2"] is not None for p in payload["pairs"])
+
+
+def test_sweep_csv_shape():
+    report = _sweep_report(sweep(RingForm.form_2rp(1, 5), seed=0))
+    lines = render(report, "csv").splitlines()
+    assert lines[0] == "u,v,e1,e2,m,det_abs,predicted,match,roundtrip"
+    assert len(lines) == 1 + 6
+
+
 @pytest.mark.parametrize("argv, key", [
     (["sweep", "--form", "2rp", "--r", "1", "--p", "5", "--seed", "3"], "pairs"),
     (["phi-poly", "12"], None),
@@ -77,6 +111,21 @@ def test_empty_report_serializes():
     assert render(report, "csv").splitlines() == [
         "u,v,e1,e2,m,det_abs,predicted,match,roundtrip"
     ]
+
+
+def test_tables_render_all_formats():
+    artifact = _tables_report(reproduce_tables(10))
+    payload = json.loads(render(artifact, "json"))
+    assert payload["n"] == "10"
+    assert len(payload["blocks"]) == 6
+    block = payload["blocks"][0]
+    assert block["u"] == "1" and block["v"] == "3"
+    assert block["det_abs"] == "5"
+    assert len(block["matrix"]) == 4
+    assert len(block["solution"]) == 4
+    csv_lines = render(artifact, "csv").splitlines()
+    assert len(csv_lines) == 1 + 6
+    assert "pair (1, 3)" in render(artifact, "markdown")
 
 
 def test_render_rejects_unknown_inputs():
@@ -121,6 +170,66 @@ def _run(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def test_cli_phi_poly(capsys):
+    code, out, _ = _run(capsys, ["phi-poly", "10"])
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["coefficients"] == ["1", "-1", "1", "-1", "1"]
+    assert payload["degree"] == "4"
+
+
+def test_cli_phi_poly_rejects_zero(capsys):
+    code, _, err = _run(capsys, ["phi-poly", "0"])
+    assert code == 2
+    assert "error" in err
+
+
+def test_cli_matrix(capsys):
+    code, out, _ = _run(capsys, ["matrix", "10", "1", "3"])
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["det_abs"] == "5"
+    assert payload["predicted"] == "5"
+    assert payload["match"] is True
+    assert payload["matrix"] == [
+        ["0", "-1", "-1", "1"],
+        ["-1", "1", "0", "-2"],
+        ["0", "-2", "0", "1"],
+        ["1", "1", "-1", "-1"],
+    ]
+
+
+def test_cli_matrix_without_prediction(capsys):
+    code, out, _ = _run(capsys, ["matrix", "15", "1", "2"])
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["predicted"] is None
+    assert payload["match"] is None
+
+
+def test_cli_classify_inner_example(capsys):
+    code, out, _ = _run(capsys, ["classify", "10", "1", "3", "--dzeta", "0,-1,0,1"])
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["kind"] == "inner"
+    assert payload["witness_numerators"] == ["1", "0", "0", "0"]
+    assert payload["witness_denominator"] == "1"
+
+
+def test_cli_classify_outer_example(capsys):
+    code, out, _ = _run(capsys, ["classify", "9", "1", "2", "--dzeta", "0,1,0,0,0,0"])
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["kind"] == "outer"
+    assert payload["witness_denominator"] == "3"
+
+
+def test_cli_classify_wrong_coordinate_count(capsys):
+    code, _, err = _run(capsys, ["classify", "10", "1", "3", "--dzeta", "0,1"])
+    assert code == 2
+    assert "exactly 4" in err
 
 
 @pytest.mark.parametrize("dzeta, line", [
@@ -205,6 +314,27 @@ def test_cli_says_why_an_exponent_is_not_a_unit(capsys, u, line):
     assert (code, out, err.splitlines()) == (2, "", [line])
 
 
+def test_cli_classify_noncoprime_exponent(capsys):
+    code, _, err = _run(capsys, ["classify", "10", "2", "3", "--dzeta", "0,0,0,1"])
+    assert code == 2
+    assert "unit" in err
+
+
+def test_cli_sweep_pk_3_2(capsys):
+    code, out, _ = _run(capsys, ["sweep", "--form", "pk", "--p", "3", "--k", "2"])
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["summary"]["pairs"] == "15"
+    assert payload["summary"]["matches"] == "15"
+    assert payload["summary"]["seed"] == "0"
+
+
+def test_cli_sweep_missing_params(capsys):
+    code, _, err = _run(capsys, ["sweep", "--form", "2rp", "--p", "5"])
+    assert code == 2
+    assert "--r" in err
+
+
 @pytest.mark.parametrize("argv, message", [
     (["--form", "pk", "--p", "3", "--k", "2", "--r", "1"], "error: form pk does not take r"),
     (["--form", "2rp", "--r", "1", "--p", "5", "--k", "2"], "error: form 2rp does not take k"),
@@ -224,6 +354,78 @@ def test_cli_sweep_missing_params_keep_their_messages(capsys):
     ]
 
 
+def test_cli_sweep_csv_row_count(capsys):
+    code, out, _ = _run(
+        capsys, ["sweep", "--form", "2rp", "--r", "1", "--p", "5", "--format", "csv"]
+    )
+    assert code == 0
+    assert len(out.splitlines()) == 1 + 6
+
+
+def test_cli_verify_theorem(capsys):
+    code, out, _ = _run(
+        capsys, ["verify-theorem", "10", "1", "3", "--trials", "20", "--seed", "42"]
+    )
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["passes"] == "20"
+    assert payload["all_pass"] is True
+    assert payload["seed"] == "42"
+
+
+def test_cli_counterexamples(capsys):
+    code, out, _ = _run(capsys, ["counterexamples"])
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["all_ok"] is True
+    assert len(payload["cases"]) == 8
+
+
+def test_cli_counterexamples_name_the_failing_pair(capsys):
+    # first failures of the full d^2 basis-pair scan, computed before the
+    # check was cut to two rows and then to the wrap pair (1, d - 1)
+    golden = [
+        ("(1, 1)", "(0, 0)", "(0, 3)"),
+        ("(1, 1)", "(0, 0)", "(0, 4)"),
+        ("(1, 2)", "(0, 0, 0)", "(0, 0, 7)"),
+        ("(1, 2)", "(0, 0, 0)", "(0, 0, 13)"),
+        ("(1, 3)", "(0, 0, 0, 0)", "(0, 0, 0, 15)"),
+        ("(1, 3)", "(0, 0, 0, 0)", "(0, 0, 0, 40)"),
+        (None, None, None),
+        ("(1, 5)", "(0, 0, 0, 0, 0, 0)", "(1, 1, 1, 1, 1, 1)"),
+    ]
+    _, out, _ = _run(capsys, ["counterexamples"])
+    cases = json.loads(out)["cases"]
+    assert [(c["failing_pair"], c["lhs"], c["rhs"]) for c in cases] == golden
+    _, out, _ = _run(capsys, ["counterexamples", "--format", "csv"])
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert [(r["failing_pair"], r["lhs"], r["rhs"]) for r in rows] == [
+        tuple("" if x is None else x for x in row) for row in golden
+    ]
+
+
+def test_cli_tables(capsys):
+    code, out, _ = _run(capsys, ["tables", "10"])
+    assert code == 0
+    payload = json.loads(out)
+    assert [b["det_abs"] for b in payload["blocks"]] == ["5"] * 6
+
+
+def test_cli_usage_error_exits_2(capsys):
+    assert main(["sweep"]) == 2  # missing required --form
+
+
+def test_cli_output_file(tmp_path, capsys):
+    target = tmp_path / "report.json"
+    code, out, _ = _run(
+        capsys,
+        ["sweep", "--form", "2rp", "--r", "1", "--p", "5", "--output", str(target)],
+    )
+    assert code == 0
+    assert out == ""
+    assert json.loads(target.read_text())["summary"]["pairs"] == "6"
+
+
 def test_cli_output_env_dir(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("CYCLODERIV_OUTPUT_DIR", str(tmp_path))
     code, _, _ = _run(capsys, ["phi-poly", "10", "--output", "phi.json"])
@@ -237,6 +439,16 @@ def test_cli_unwritable_output_exits_1(tmp_path, capsys):
     code, _, err = _run(capsys, ["phi-poly", "10", "--output", str(target)])
     assert code == 1
     assert str(target) in err
+
+
+def test_cli_markdown_and_csv_formats(capsys):
+    code, out, _ = _run(capsys, ["phi-poly", "10", "--format", "csv"])
+    assert code == 0
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert rows[0]["coefficients"] == "1 -1 1 -1 1"
+    code, out, _ = _run(capsys, ["phi-poly", "10", "--format", "markdown"])
+    assert code == 0
+    assert out.startswith("# Cyclotomic polynomial")
 
 
 def test_cli_classify_negative_first_coordinate_after_a_space(capsys):
