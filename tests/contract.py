@@ -17,8 +17,10 @@ It prints one line for each check that fails and exits 1 if any did, else 0.
 It imports nothing outside the standard library, so it runs on every Python
 the package supports, pytest or not; CI runs it on the installed script on
 each Python of its matrix. The pytest tests of ``test_reporting_cli.py`` run
-the same two tables through the same runner, ``run_closed``, and every test
-that starts a Python child takes its environment from ``env_with_src``.
+the same two tables through the same runner, ``run_closed``. Every other
+Python child a test starts goes through ``run_python``, the one child
+runner, in ``env_with_src``'s environment, except the ``-X importtime``
+runs, which ``tools/code_lines.py``'s reader ``run_traced`` starts.
 """
 
 import json
@@ -60,6 +62,8 @@ CLOSED_STDERR = {
 }
 STDERR_CLOSINGS = ("read end", "descriptor 2")
 BUFFERING = (False, True)  # PYTHONUNBUFFERED unset (empty) or set
+# Python's arguments that run the command line of the package on the path
+CLI = ("-m", "cycloderiv.cli")
 
 
 def env_with_src(**extra):
@@ -68,22 +72,34 @@ def env_with_src(**extra):
     return dict(os.environ, PYTHONPATH=path, **extra)
 
 
-def run_closed(args, stream, closed, unbuffered, env):
-    """Exit code and the other stream's bytes of ``args`` run with ``stream`` closed.
+def run_python(*args, text=False, timeout=60):
+    """``python ARGS``, finished, with stdout and stderr captured; ``timeout`` seconds at most.
+
+    The one runner of a Python child: ``env_with_src``'s environment, with
+    buffered streams and help 80 columns wide, as ``test_golden.run_cli``
+    formats it.
+    """
+    env = env_with_src(COLUMNS="80", PYTHONUNBUFFERED="")
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=text, timeout=timeout)
+
+
+def run_closed(args, stream, closed, unbuffered, command=(sys.executable,), env=None):
+    """Exit code and the other stream's bytes of ``COMMAND ARGS`` run with ``stream`` closed.
 
     ``stream`` is "stdout" or "stderr"; ``closed`` is "read end" for the read
     end of the pipe it writes to, else its descriptor is closed in the child
     before it starts. Stdout and stderr are buffered unless ``unbuffered``.
-    60 s at most.
+    By default COMMAND is this Python, in ``run_python``'s environment. 60 s
+    at most.
     """
     other = "stderr" if stream == "stdout" else "stdout"
-    env = dict(env, PYTHONUNBUFFERED="1" if unbuffered else "")
+    env = dict(env or env_with_src(COLUMNS="80"), PYTHONUNBUFFERED="1" if unbuffered else "")
     read_end, write_end = os.pipe()
     os.close(read_end)
     closing = ({stream: write_end} if closed == "read end"
                else {"preexec_fn": lambda: os.close(1 if stream == "stdout" else 2)})
     try:
-        proc = subprocess.run(args, env=env, timeout=60, **{other: subprocess.PIPE}, **closing)
+        proc = subprocess.run([*command, *args], env=env, timeout=60, **{other: subprocess.PIPE}, **closing)
     finally:
         os.close(write_end)
     return proc.returncode, getattr(proc, other)
@@ -107,7 +123,7 @@ def closed_stream_failures(command, env):
              for closed in STDERR_CLOSINGS]
     for stream, closed, argv, want in runs:
         for unbuffered in BUFFERING:
-            got = run_closed([*command, *argv.split()], stream, closed, unbuffered, env)
+            got = run_closed(argv.split(), stream, closed, unbuffered, command, env)
             if got != want:
                 yield (f"closed {stream} ({closed}, unbuffered={unbuffered}), {argv}: "
                        f"got {got!r}, want {want!r}")

@@ -3,11 +3,11 @@ and its list of the package functions that no golden case reaches."""
 
 import importlib
 import importlib.util
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
+
+from contract import run_python
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "code_lines.py"
 _spec = importlib.util.spec_from_file_location("code_lines", TOOL)
@@ -129,10 +129,8 @@ def unreached_run(tmp_path_factory):
     """The tool's ``--unreached`` output on a one-line module, from a fresh interpreter."""
     module = tmp_path_factory.mktemp("unreached") / "b.py"
     module.write_text("x = 1\n", encoding="utf-8")
-    proc = subprocess.run(
-        [sys.executable, str(TOOL), "--unreached", str(module)],
-        capture_output=True, text=True, timeout=120, check=True,
-    )
+    proc = run_python(str(TOOL), "--unreached", str(module), text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
     return module, proc.stdout.splitlines()
 
 

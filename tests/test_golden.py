@@ -131,7 +131,7 @@ def test_the_process_contract_replay_passes_on_this_checkout(monkeypatch, capsys
     # what CI runs on the installed script: every golden case in a child
     # process, then every closed-stdout and closed-stderr run
     monkeypatch.setenv("PYTHONPATH", contract.env_with_src()["PYTHONPATH"])
-    assert contract.main([sys.executable, "-m", "cycloderiv.cli"]) == 0, capsys.readouterr().out
+    assert contract.main([sys.executable, *contract.CLI]) == 0, capsys.readouterr().out
 
 
 def _write(names):

@@ -1,5 +1,4 @@
 import random
-import subprocess
 import sys
 from itertools import combinations
 from math import isqrt
@@ -27,7 +26,8 @@ from cycloderiv import (
 )
 from cycloderiv import arith, cli, endomorphisms, harness
 
-from contract import env_with_src
+from contract import run_python
+from test_golden import run_cli
 from reference_tables import (
     KNOWN_BAD_SOLUTION_ROWS,
     REF_N9_DETS,
@@ -198,15 +198,15 @@ def test_every_stated_bound_is_below_phi_and_above_the_cap():
 
 
 @pytest.mark.parametrize("form", [["pk", "--k", "2"], ["2rp", "--r", "1"]])
-def test_sweep_at_a_large_cap_refuses_a_huge_p_before_testing_it(monkeypatch, capsys, form):
+def test_sweep_at_a_large_cap_refuses_a_huge_p_before_testing_it(monkeypatch, form):
     monkeypatch.setattr(arith, "_prime_factors", _no_trial_division)
     kind, *exponent = form
-    argv = ["sweep", "--form", kind, "--p", str(10**18 + 3), *exponent, "--cap", str(10**9)]
-    assert cli.main(argv) == 2
-    assert capsys.readouterr().err.endswith(" exceeds the cap 1000000000; raise the cap to proceed\n")
+    code, _, err = run_cli(["sweep", "--form", kind, "--p", str(10**18 + 3), *exponent, "--cap", str(10**9)])
+    assert code == 2
+    assert err.endswith(" exceeds the cap 1000000000; raise the cap to proceed\n")
 
 
-def test_an_n_no_list_can_index_is_refused_before_it_is_factored(monkeypatch, capsys):
+def test_an_n_no_list_can_index_is_refused_before_it_is_factored(monkeypatch):
     # n // n.bit_length() <= phi(n), and past sys.maxsize no list holds Phi_n;
     # every n from the Miller-Rabin limit up is past it, so neither
     # check_degree nor a sweep form trial-divides such an n or its p
@@ -222,9 +222,8 @@ def test_an_n_no_list_can_index_is_refused_before_it_is_factored(monkeypatch, ca
         (["2rp", "--r", "1", "--p", "3317044064679887385962123"], "2^1*3317044064679887385962123 >= 2^75"),
         (["pk", "--p", "2", "--k", "100"], "2^100 >= 2^99"),
     ):
-        assert cli.main(["sweep", "--form", *form, "--cap", str(10**30)]) == 2
-        assert capsys.readouterr().err == (
-            f"error: ring degree phi(n) of n = {stated} has more coefficients than a list can hold\n"
+        assert run_cli(["sweep", "--form", *form, "--cap", str(10**30)]) == (
+            2, "", f"error: ring degree phi(n) of n = {stated} has more coefficients than a list can hold\n"
         )
     # below the list limit, and at n <= 0, the check leaves n to the others
     for n in (sys.maxsize * 64, 0, -5):
@@ -257,9 +256,7 @@ def test_an_oversized_ring_form_is_refused_in_bounded_time():
         "    except ValueError as exc:\n"
         "        print(exc)\n"
     )
-    proc = subprocess.run(
-        [sys.executable, "-c", script], env=env_with_src(), capture_output=True, text=True, timeout=10,
-    )
+    proc = run_python("-c", script, text=True, timeout=10)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == [
         f"ring degree phi(n) of n = {stated} has more coefficients than a list can hold"
@@ -345,10 +342,11 @@ def test_verify_theorem_refuses_an_over_cap_degree_before_building_a_ring(monkey
         verify_theorem(100003, 1, 2, trials=0, cap=1000)  # the degree is checked first
 
 
-def test_cli_verify_theorem_passes_its_cap_to_the_library(monkeypatch, capsys):
+def test_cli_verify_theorem_passes_its_cap_to_the_library(monkeypatch):
     monkeypatch.setattr(cli, "check_degree", lambda n, cap: None)
-    assert cli.main(["verify-theorem", "23", "1", "2", "--cap", "10"]) == 2
-    assert capsys.readouterr().err.startswith("error: ring degree 22 exceeds the cap 10;")
+    code, _, err = run_cli(["verify-theorem", "23", "1", "2", "--cap", "10"])
+    assert code == 2
+    assert err.startswith("error: ring degree 22 exceeds the cap 10;")
 
 
 def test_counterexample_suite_verdicts():

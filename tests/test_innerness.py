@@ -1,6 +1,5 @@
 import json
 import random
-import subprocess
 import sys
 from itertools import combinations
 from math import gcd
@@ -28,10 +27,11 @@ from cycloderiv import (
     units,
     valuate,
 )
-from cycloderiv import cli, intlinalg
+from cycloderiv import intlinalg
 from cycloderiv.arith import factorize, totient
 from cycloderiv.innerness import multiplication_matrix, multiplier_inverse
-from contract import env_with_src
+from contract import run_python
+from test_golden import run_cli
 from oracles import laplace_det, minor
 
 
@@ -259,10 +259,7 @@ else:
 
 
 def test_classify_rejects_a_tampered_witness_under_python_O():
-    proc = subprocess.run(
-        [sys.executable, "-O", "-c", _TAMPER_SCRIPT],
-        env=env_with_src(), capture_output=True, text=True, timeout=60,
-    )
+    proc = run_python("-O", "-c", _TAMPER_SCRIPT, text=True)
     assert proc.returncode == 0, proc.stderr
     assert "does not satisfy A X" in proc.stdout
 
@@ -420,7 +417,7 @@ def _bindings(*functions):
                     yield module, name
 
 
-def test_no_elimination_on_sweep_tables_or_classify_and_no_solve_or_adjugate(monkeypatch, capsys):
+def test_no_elimination_on_sweep_tables_or_classify_and_no_solve_or_adjugate(monkeypatch):
     def refuse(*args):
         raise AssertionError("solve_unique and adjugate are not on the program's path")
 
@@ -458,7 +455,8 @@ def test_no_elimination_on_sweep_tables_or_classify_and_no_solve_or_adjugate(mon
     assert verdict.kind == "outer" and verdict.witness.denominator == 7
     # the classify command measures det_abs as a resultant, with no matrix
     dzeta = ",".join(map(str, d_zeta.coords))
-    assert cli.main(["classify", "49", "13", "3", f"--dzeta={dzeta}"]) == 0
-    payload = json.loads(capsys.readouterr().out)
+    code, out, _ = run_cli(["classify", "49", "13", "3", f"--dzeta={dzeta}"])
+    assert code == 0
+    payload = json.loads(out)
     assert (payload["kind"], payload["witness_denominator"], payload["det_abs"]) == ("outer", "7", "7")
     assert (dets, builds) == ([], [])

@@ -1,6 +1,4 @@
 import random
-import subprocess
-import sys
 from math import gcd
 
 import pytest
@@ -9,7 +7,7 @@ import cycloderiv.polynomials as polynomials
 from cycloderiv import Polynomial, cyclotomic_poly
 from cycloderiv.arith import factorize
 from cycloderiv.polynomials import ZERO_POLY_DEGREE, _convolve, resultant
-from contract import env_with_src
+from contract import run_python
 from oracles import at_power, sylvester_det
 
 
@@ -141,14 +139,6 @@ else:
 """
 
 
-def _run_python(flags, script, timeout):
-    """``python FLAGS -c SCRIPT`` with this checkout's ``src`` first on the path."""
-    return subprocess.run(
-        [sys.executable, *flags, "-c", script],
-        env=env_with_src(), capture_output=True, text=True, timeout=timeout,
-    )
-
-
 def test_cyclotomic_poly_raises_when_the_series_ends_wrong(monkeypatch):
     # a wrong factorization of 9 builds (1 - x^9) / (1 - x^4) through degree 6
     message = "the series for Phi_9 ends in [0, 0], not [1, 0]"
@@ -161,7 +151,7 @@ def test_cyclotomic_poly_raises_when_the_series_ends_wrong(monkeypatch):
         cyclotomic_poly.cache_clear()
     assert str(caught.value) == message
     # the same under python -O, which strips assert statements
-    proc = _run_python(["-O"], _SERIES_SCRIPT, 60)
+    proc = run_python("-O", "-c", _SERIES_SCRIPT, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == message + "\n"
 
@@ -172,7 +162,7 @@ def test_cyclotomic_poly_refuses_an_unindexable_degree_before_factoring():
         "from cycloderiv.polynomials import cyclotomic_poly\n"
         "cyclotomic_poly(33554393**3 * 33554383)\n"
     )
-    proc = _run_python([], script, 5)
+    proc = run_python("-c", script, text=True, timeout=5)
     assert proc.returncode == 1
     assert proc.stderr.splitlines()[-1] == (
         "ValueError: ring degree phi(n) of a 100-bit n >= 2^93 has more coefficients than a list can hold"

@@ -7,17 +7,14 @@ a tuple without calling that ``__new__``, so the library must not use them.
 The CLI's import stays free of ``dataclasses`` and the introspection modules
 it pulls in, which would otherwise dominate the start-up of every command.
 A report run loads no ``argparse`` either, which only help, the version and
-a refusal need. Each command loads only the library modules it runs:
-``classify`` and ``verify-theorem`` load no elimination, family predictions
-or batch drivers, and one pass of each benchmark workload loads each module
-the benchmark's tracer wraps.
+a refusal need. ``COMMAND_MODULES`` is the one table of what each command
+loads: the exact package modules of its first JSON golden case, and never
+``csv``. One pass of each benchmark workload loads each module the
+benchmark's tracer wraps. Every ``-X importtime`` run goes through
+``tools/code_lines.py``'s reader, ``run_traced``.
 """
 
 import ast
-import json
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
@@ -43,10 +40,12 @@ from cycloderiv import (
     classify,
 )
 from cycloderiv.intlinalg import _Echelon
-from contract import env_with_src
+from contract import CLI
 from test_benchmark_names import load_tracer
+from test_code_lines import code_lines
+from test_golden import CASES, GOLDEN
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+SRC = code_lines.PACKAGE.parent
 PERFBENCH = SRC.parent / "perfbench"
 HEAVY_MODULES = {"dataclasses", "inspect", "ast", "dis", "tokenize"}
 # what start-up loads of the package: cli, with its table parser, and the
@@ -54,27 +53,24 @@ HEAVY_MODULES = {"dataclasses", "inspect", "ast", "dis", "tokenize"}
 # and the gettext it imports load only to print help, the version or a refusal
 STARTUP = {"cycloderiv", "cycloderiv.arith", "cycloderiv.cli"}
 ARGPARSE = {"argparse", "gettext"}
-GOLDEN = Path(__file__).resolve().parent / "golden"
 FORMATS = {"json", "csv"}
-
-
-def _traced(*args):
-    """``python -X importtime *args``, finished, with its import lines taken out of
-    its stderr, and the set of modules it imported; help is 80 columns wide."""
-    proc = subprocess.run(
-        [sys.executable, "-X", "importtime", *args],
-        env=env_with_src(COLUMNS="80"), capture_output=True, text=True, timeout=60,
-    )
-    lines = proc.stderr.splitlines(keepends=True)
-    imports = [line for line in lines if line.startswith("import time:")]
-    proc.stderr = "".join(line for line in lines if not line.startswith("import time:"))
-    return proc, {line.rpartition("|")[2].strip() for line in imports[1:]}
-
-
-def _imports(*args):
-    """Exit code and the set of modules imported by ``python -X importtime *args``."""
-    proc, modules = _traced(*args)
-    return proc.returncode, modules
+RING_STACK = {"polynomials", "quotient", "endomorphisms"}
+EVERY_MODULE = RING_STACK | {"innerness", "intlinalg", "predictions", "reporting", "harness"}
+# the package modules beyond STARTUP that each command's first JSON golden
+# case loads through cli.main, as `tools/code_lines.py --commands` prints them
+COMMAND_MODULES = {
+    "phi-poly": {"polynomials", "reporting"},
+    # the printed matrix (intlinalg) and the predictions, no batch drivers
+    "matrix": RING_STACK | {"innerness", "intlinalg", "predictions", "reporting"},
+    # no elimination, family predictions or batch drivers
+    "classify": RING_STACK | {"innerness", "reporting"},
+    "sweep": EVERY_MODULE,
+    # verify_theorem sits beside leibniz_check: no classification either
+    "verify-theorem": RING_STACK | {"reporting"},
+    "tables": EVERY_MODULE,
+    "counterexamples": EVERY_MODULE,
+}
+COMMAND_CASES = code_lines.command_cases()
 
 
 def _library(modules):
@@ -82,11 +78,11 @@ def _library(modules):
 
 
 def test_cli_import_loads_no_dataclasses_or_introspection_modules():
-    code, modules = _imports("-c", "import cycloderiv.cli")
-    assert code == 0
-    assert modules & HEAVY_MODULES == set()
+    proc, modules = code_lines.run_traced("-c", "import cycloderiv.cli")
+    assert proc.returncode == 0
+    assert HEAVY_MODULES.isdisjoint(modules)
     assert _library(modules) == STARTUP
-    assert modules & FORMATS == set()
+    assert FORMATS.isdisjoint(modules)
 
 
 def test_version_and_a_refused_degree_load_only_the_parser_and_the_check():
@@ -98,30 +94,35 @@ def test_version_and_a_refused_degree_load_only_the_parser_and_the_check():
         (["classify", "1", "0", "0", "--dzeta", "1"], 2),
         (["verify-theorem", "10", "1", "3", "--trials", "0"], 2),
     ):
-        code, modules = _imports("-m", "cycloderiv.cli", *argv)
-        assert code == expected_code, argv
+        proc, modules = code_lines.run_traced(*CLI, *argv)
+        assert proc.returncode == expected_code, argv
         assert _library(modules) <= STARTUP, argv
-        assert modules & FORMATS == set(), argv
+        assert FORMATS.isdisjoint(modules), argv
 
 
-def _json_cases():
-    """Each subcommand's first JSON golden case: its argv and its stdout."""
-    cases = json.loads((GOLDEN / "cases.json").read_text(encoding="utf-8"))
-    out = {}
-    for name, case in cases.items():
-        command = case["argv"][0]
-        if name.startswith(f"{command}_") and name.endswith("_json") and case["exit"] == 0:
-            out.setdefault(command, (case["argv"], (GOLDEN / f"{name}.out").read_text(encoding="utf-8")))
-    return out
+@pytest.mark.parametrize("command", list(COMMAND_CASES))
+def test_each_command_loads_exactly_its_modules_and_no_csv(command):
+    assert COMMAND_MODULES.keys() == COMMAND_CASES.keys()
+    proc, modules = code_lines.run_traced("-c", code_lines.RUN_CLI, *COMMAND_CASES[command])
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert _library(modules) == STARTUP | {f"cycloderiv.{name}" for name in COMMAND_MODULES[command]}
+    assert "csv" not in modules
 
 
-@pytest.mark.parametrize("argv, out", list(_json_cases().values()), ids=lambda x: str(x)[:20])
+def _golden_stdout(argv):
+    (name,) = [name for name, case in CASES.items() if case["argv"] == argv]
+    return (GOLDEN / f"{name}.out").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize(
+    "argv, out", [(argv, _golden_stdout(argv)) for argv in COMMAND_CASES.values()], ids=lambda x: str(x)[:20]
+)
 def test_a_json_report_loads_no_argparse(argv, out):
     # cli._parse reads a well-formed argv from cli._COMMANDS, so a report run
     # builds no argparse parser
-    proc, modules = _traced("-m", "cycloderiv.cli", *argv)
+    proc, modules = code_lines.run_traced(*CLI, *argv)
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, out, "")
-    assert modules & ARGPARSE == set()
+    assert ARGPARSE.isdisjoint(modules)
 
 
 SWEEP_USAGE = """\
@@ -136,7 +137,7 @@ def test_help_version_a_refusal_and_an_abbreviation_load_argparse_and_keep_their
     # the argv cli._parse leaves to argparse: argparse prints help, the
     # version and usage errors, and expands an abbreviated flag
     help_text, version = ((GOLDEN / f"{name}.out").read_text(encoding="utf-8") for name in ("help", "version"))
-    full, _ = _traced("-m", "cycloderiv.cli", "classify", "10", "1", "3", "--dzeta=1,2,3,4")
+    full, _ = code_lines.run_traced(*CLI, "classify", "10", "1", "3", "--dzeta=1,2,3,4")
     assert full.returncode == 0
     for argv, expected in (
         (["--help"], (0, help_text, "")),
@@ -144,43 +145,9 @@ def test_help_version_a_refusal_and_an_abbreviation_load_argparse_and_keep_their
         (["sweep"], (2, "", SWEEP_USAGE)),
         (["classify", "10", "1", "3", "--dz=1,2,3,4"], (0, full.stdout, "")),
     ):
-        proc, modules = _traced("-m", "cycloderiv.cli", *argv)
+        proc, modules = code_lines.run_traced(*CLI, *argv)
         assert (proc.returncode, proc.stdout, proc.stderr) == expected, argv
-        assert ARGPARSE <= modules, argv
-
-
-def test_json_classify_loads_neither_the_batch_drivers_nor_csv():
-    code, modules = _imports("-m", "cycloderiv.cli", "classify", "10", "1", "3", "--dzeta", "1,2,3,4")
-    assert code == 0
-    assert "cycloderiv.innerness" in modules
-    assert modules & {"cycloderiv.harness", "csv"} == set()
-
-
-def _main_imports(*argv):
-    """``_imports`` of one CLI run through ``cli.main``, as the console script runs it."""
-    script = "import sys; from cycloderiv.cli import main; sys.exit(main(sys.argv[1:]))"
-    return _imports("-c", script, *argv)
-
-
-def test_json_classify_loads_exactly_the_ring_stack_innerness_and_the_renderer():
-    # no elimination (intlinalg), no family predictions, no batch drivers
-    dzeta = ",".join(["1"] * 42)
-    code, modules = _main_imports("classify", "49", "13", "3", f"--dzeta={dzeta}")
-    assert code == 0
-    assert _library(modules) == STARTUP | {
-        f"cycloderiv.{name}"
-        for name in ("polynomials", "quotient", "endomorphisms", "innerness", "reporting")
-    }
-
-
-def test_verify_theorem_loads_exactly_the_ring_stack_endomorphisms_and_the_renderer():
-    # verify_theorem sits beside leibniz_check: no classification, elimination,
-    # family predictions or batch drivers
-    code, modules = _main_imports("verify-theorem", "49", "1", "2", "--trials", "5")
-    assert code == 0
-    assert _library(modules) == STARTUP | {
-        f"cycloderiv.{name}" for name in ("polynomials", "quotient", "endomorphisms", "reporting")
-    }
+        assert ARGPARSE.issubset(modules), argv
 
 
 def test_verify_theorem_is_defined_once_beside_leibniz_check():
@@ -189,13 +156,6 @@ def test_verify_theorem_is_defined_once_beside_leibniz_check():
     assert endomorphisms.verify_theorem.__module__ == "cycloderiv.endomorphisms"
     assert TheoremVerdict is endomorphisms.TheoremVerdict
     assert not hasattr(harness, "TheoremVerdict")
-
-
-def test_matrix_loads_the_printed_matrix_and_the_predictions_but_not_the_batch_drivers():
-    code, modules = _main_imports("matrix", "10", "1", "3")
-    assert code == 0
-    assert {"cycloderiv.intlinalg", "cycloderiv.predictions"} <= modules
-    assert "cycloderiv.harness" not in modules
 
 
 def _traced_modules():
@@ -213,9 +173,9 @@ def _traced_modules():
 )
 def test_each_batch_command_loads_every_module_the_benchmark_tracer_wraps(argv):
     # the batch drivers of harness import every module the tracer wraps
-    code, modules = _main_imports(*argv)
-    assert code == 0
-    assert _traced_modules() - modules == set()
+    proc, modules = code_lines.run_traced("-c", code_lines.RUN_CLI, *argv)
+    assert proc.returncode == 0
+    assert _traced_modules().difference(modules) == set()
 
 
 # one pass of a workload, in one process, as run.py --trace 1 runs it; -B
@@ -238,9 +198,9 @@ def test_each_workload_pass_loads_every_module_the_benchmark_tracer_wraps(worklo
     # untraced pass, and the tracer looks each module of its table up in
     # sys.modules; a module the pass left unloaded would crash it with a
     # KeyError
-    code, modules = _imports("-B", "-c", _WORKLOAD_PASS, str(PERFBENCH), workload)
-    assert code == 0
-    assert _traced_modules() - modules == set()
+    proc, modules = code_lines.run_traced("-B", "-c", _WORKLOAD_PASS, str(PERFBENCH), workload)
+    assert proc.returncode == 0
+    assert _traced_modules().difference(modules) == set()
 
 
 def test_reporting_imports_no_module_of_the_package():

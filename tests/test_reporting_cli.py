@@ -15,7 +15,6 @@ point and the closed-stream runs of ``contract.py``.
 import csv
 import io
 import json
-import subprocess
 import sys
 from pathlib import Path
 
@@ -27,8 +26,9 @@ from cycloderiv.cli import build_parser, main
 from cycloderiv.harness import _sweep_report, _tables_report
 from cycloderiv.reporting import write_text
 from contract import (
-    BUFFERING, CLOSED_STDERR, CLOSED_STDOUT, STDERR_CLOSINGS, env_with_src, run_closed,
+    BUFFERING, CLI, CLOSED_STDERR, CLOSED_STDOUT, STDERR_CLOSINGS, run_closed, run_python,
 )
+from test_golden import run_cli
 
 
 def _norm(value):
@@ -93,8 +93,8 @@ def test_sweep_csv_shape():
     (["verify-theorem", "10", "1", "3", "--trials", "5"], None),
     (["counterexamples"], "cases"),
 ], ids=["sweep", "phi-poly", "classify", "verify-theorem", "counterexamples"])
-def test_all_formats_encode_the_same_records(capsys, argv, key):
-    out = {fmt: _run(capsys, [*argv, "--format", fmt])[1] for fmt in ("json", "csv", "markdown")}
+def test_all_formats_encode_the_same_records(argv, key):
+    out = {fmt: run_cli([*argv, "--format", fmt])[1] for fmt in ("json", "csv", "markdown")}
     payload = json.loads(out["json"])
     rows = [payload] if key is None else payload[key]
     json_rows = [{k: _norm(v) for k, v in row.items()} for row in rows]
@@ -166,28 +166,22 @@ def test_write_text_flushes_stdout_and_refuses_a_missing_one(monkeypatch):
 # --- command-line surface ---------------------------------------------------
 
 
-def _run(capsys, argv):
-    code = main(argv)
-    captured = capsys.readouterr()
-    return code, captured.out, captured.err
-
-
-def test_cli_phi_poly(capsys):
-    code, out, _ = _run(capsys, ["phi-poly", "10"])
+def test_cli_phi_poly():
+    code, out, _ = run_cli(["phi-poly", "10"])
     assert code == 0
     payload = json.loads(out)
     assert payload["coefficients"] == ["1", "-1", "1", "-1", "1"]
     assert payload["degree"] == "4"
 
 
-def test_cli_phi_poly_rejects_zero(capsys):
-    code, _, err = _run(capsys, ["phi-poly", "0"])
+def test_cli_phi_poly_rejects_zero():
+    code, _, err = run_cli(["phi-poly", "0"])
     assert code == 2
     assert "error" in err
 
 
-def test_cli_matrix(capsys):
-    code, out, _ = _run(capsys, ["matrix", "10", "1", "3"])
+def test_cli_matrix():
+    code, out, _ = run_cli(["matrix", "10", "1", "3"])
     assert code == 0
     payload = json.loads(out)
     assert payload["det_abs"] == "5"
@@ -201,16 +195,16 @@ def test_cli_matrix(capsys):
     ]
 
 
-def test_cli_matrix_without_prediction(capsys):
-    code, out, _ = _run(capsys, ["matrix", "15", "1", "2"])
+def test_cli_matrix_without_prediction():
+    code, out, _ = run_cli(["matrix", "15", "1", "2"])
     assert code == 0
     payload = json.loads(out)
     assert payload["predicted"] is None
     assert payload["match"] is None
 
 
-def test_cli_classify_inner_example(capsys):
-    code, out, _ = _run(capsys, ["classify", "10", "1", "3", "--dzeta", "0,-1,0,1"])
+def test_cli_classify_inner_example():
+    code, out, _ = run_cli(["classify", "10", "1", "3", "--dzeta", "0,-1,0,1"])
     assert code == 0
     payload = json.loads(out)
     assert payload["kind"] == "inner"
@@ -218,16 +212,16 @@ def test_cli_classify_inner_example(capsys):
     assert payload["witness_denominator"] == "1"
 
 
-def test_cli_classify_outer_example(capsys):
-    code, out, _ = _run(capsys, ["classify", "9", "1", "2", "--dzeta", "0,1,0,0,0,0"])
+def test_cli_classify_outer_example():
+    code, out, _ = run_cli(["classify", "9", "1", "2", "--dzeta", "0,1,0,0,0,0"])
     assert code == 0
     payload = json.loads(out)
     assert payload["kind"] == "outer"
     assert payload["witness_denominator"] == "3"
 
 
-def test_cli_classify_wrong_coordinate_count(capsys):
-    code, _, err = _run(capsys, ["classify", "10", "1", "3", "--dzeta", "0,1"])
+def test_cli_classify_wrong_coordinate_count():
+    code, _, err = run_cli(["classify", "10", "1", "3", "--dzeta", "0,1"])
     assert code == 2
     assert "exactly 4" in err
 
@@ -240,28 +234,28 @@ def test_cli_classify_wrong_coordinate_count(capsys):
     ("1,2,3," + "7" * 5000, "error: --dzeta coordinate c3 has more digits than Python converts"),
     ("1," + "7" * 4301 + ",3,4", "error: --dzeta coordinate c1 has more digits than Python converts"),
 ], ids=["letter", "empty", "two-signs", "long-non-numeral", "5000-digits", "4301-digits"])
-def test_cli_names_an_invalid_coordinate_by_position_without_echoing_it(capsys, dzeta, line):
-    code, out, err = _run(capsys, ["classify", "10", "1", "3", "--dzeta", dzeta])
+def test_cli_names_an_invalid_coordinate_by_position_without_echoing_it(dzeta, line):
+    code, out, err = run_cli(["classify", "10", "1", "3", "--dzeta", dzeta])
     assert (code, out, err.splitlines()) == (2, "", [line])
 
 
 @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no digit limit to keep")
-def test_cli_prints_a_witness_longer_than_its_input_may_be_and_restores_the_limit(capsys, monkeypatch):
+def test_cli_prints_a_witness_longer_than_its_input_may_be_and_restores_the_limit(monkeypatch):
     # D(zeta) = c (1, -1, 1, -1) with c = 10^4300 - 1 at the default limit, as
     # many digits as an input may have: its witness c (-2, -1, -1, 3) / 5 has
     # numerators one digit longer
     limit = sys.get_int_max_str_digits()
     nines = "9" * (limit or 4300)
-    code, out, err = _run(capsys, ["classify", "10", "1", "3", f"--dzeta={nines},-{nines},{nines},-{nines}"])
+    code, out, err = run_cli(["classify", "10", "1", "3", f"--dzeta={nines},-{nines},{nines},-{nines}"])
     assert (code, err) == (0, "")
     numerators = [f"-1{nines[1:]}8", f"-{nines}", f"-{nines}", f"2{nines[1:]}7"]
     assert json.loads(out)["witness_numerators"] == numerators
     assert sys.get_int_max_str_digits() == limit
     # the limit comes back on a refusal too, and a Python without it runs as before
-    assert _run(capsys, ["classify", "10", "1", "3", "--dzeta", "0,1"])[0] == 2
+    assert run_cli(["classify", "10", "1", "3", "--dzeta", "0,1"])[0] == 2
     assert sys.get_int_max_str_digits() == limit
     monkeypatch.delattr(sys, "set_int_max_str_digits")
-    assert _run(capsys, ["classify", "10", "1", "3", "--dzeta", "0,-1,0,1"])[0] == 0
+    assert run_cli(["classify", "10", "1", "3", "--dzeta", "0,-1,0,1"])[0] == 0
 
 
 # one command line per integer argument, with X where the value goes
@@ -297,31 +291,30 @@ def test_every_integer_argument_has_the_one_converter():
     ("+" + "7_7" * 2500, "has more digits than Python converts"),
 ], ids=["decimal", "long-non-numeral", "5000-digits", "signed-5000-digits-with-underscores"])
 @pytest.mark.parametrize("name", INTEGER_ARGUMENTS)
-def test_cli_refuses_a_non_integer_argument_without_echoing_it(capsys, name, value, reason):
-    code = main([value if a == "X" else a for a in INTEGER_ARGUMENTS[name]])
-    captured = capsys.readouterr()
-    assert (code, captured.out) == (2, "")
-    assert captured.err.splitlines()[-1].endswith(f"error: argument {name}: the value {reason}")
-    assert len(captured.err) < 500
+def test_cli_refuses_a_non_integer_argument_without_echoing_it(name, value, reason):
+    code, out, err = run_cli([value if a == "X" else a for a in INTEGER_ARGUMENTS[name]])
+    assert (code, out) == (2, "")
+    assert err.splitlines()[-1].endswith(f"error: argument {name}: the value {reason}")
+    assert len(err) < 500
 
 
 @pytest.mark.parametrize("u, line", [
     ("13", "error: exponent 13 is not a unit modulo 10 in 1..9"),
     ("2", "error: exponent 2 is not a unit modulo 10"),
 ])
-def test_cli_says_why_an_exponent_is_not_a_unit(capsys, u, line):
-    code, out, err = _run(capsys, ["matrix", "10", u, "3"])
+def test_cli_says_why_an_exponent_is_not_a_unit(u, line):
+    code, out, err = run_cli(["matrix", "10", u, "3"])
     assert (code, out, err.splitlines()) == (2, "", [line])
 
 
-def test_cli_classify_noncoprime_exponent(capsys):
-    code, _, err = _run(capsys, ["classify", "10", "2", "3", "--dzeta", "0,0,0,1"])
+def test_cli_classify_noncoprime_exponent():
+    code, _, err = run_cli(["classify", "10", "2", "3", "--dzeta", "0,0,0,1"])
     assert code == 2
     assert "unit" in err
 
 
-def test_cli_sweep_pk_3_2(capsys):
-    code, out, _ = _run(capsys, ["sweep", "--form", "pk", "--p", "3", "--k", "2"])
+def test_cli_sweep_pk_3_2():
+    code, out, _ = run_cli(["sweep", "--form", "pk", "--p", "3", "--k", "2"])
     assert code == 0
     payload = json.loads(out)
     assert payload["summary"]["pairs"] == "15"
@@ -329,8 +322,8 @@ def test_cli_sweep_pk_3_2(capsys):
     assert payload["summary"]["seed"] == "0"
 
 
-def test_cli_sweep_missing_params(capsys):
-    code, _, err = _run(capsys, ["sweep", "--form", "2rp", "--p", "5"])
+def test_cli_sweep_missing_params():
+    code, _, err = run_cli(["sweep", "--form", "2rp", "--p", "5"])
     assert code == 2
     assert "--r" in err
 
@@ -339,33 +332,29 @@ def test_cli_sweep_missing_params(capsys):
     (["--form", "pk", "--p", "3", "--k", "2", "--r", "1"], "error: form pk does not take r"),
     (["--form", "2rp", "--r", "1", "--p", "5", "--k", "2"], "error: form 2rp does not take k"),
 ])
-def test_cli_sweep_refuses_an_option_the_form_does_not_take(capsys, argv, message):
-    code, out, err = _run(capsys, ["sweep", *argv])
+def test_cli_sweep_refuses_an_option_the_form_does_not_take(argv, message):
+    code, out, err = run_cli(["sweep", *argv])
     assert code == 2 and out == ""
     assert err.splitlines() == [message]
 
 
-def test_cli_sweep_missing_params_keep_their_messages(capsys):
-    assert _run(capsys, ["sweep", "--form", "2rp", "--p", "5", "--k", "2"])[2].splitlines() == [
+def test_cli_sweep_missing_params_keep_their_messages():
+    assert run_cli(["sweep", "--form", "2rp", "--p", "5", "--k", "2"])[2].splitlines() == [
         "error: form 2rp requires --r and --p"
     ]
-    assert _run(capsys, ["sweep", "--form", "pk", "--k", "2", "--r", "1"])[2].splitlines() == [
+    assert run_cli(["sweep", "--form", "pk", "--k", "2", "--r", "1"])[2].splitlines() == [
         "error: form pk requires --p and --k"
     ]
 
 
-def test_cli_sweep_csv_row_count(capsys):
-    code, out, _ = _run(
-        capsys, ["sweep", "--form", "2rp", "--r", "1", "--p", "5", "--format", "csv"]
-    )
+def test_cli_sweep_csv_row_count():
+    code, out, _ = run_cli(["sweep", "--form", "2rp", "--r", "1", "--p", "5", "--format", "csv"])
     assert code == 0
     assert len(out.splitlines()) == 1 + 6
 
 
-def test_cli_verify_theorem(capsys):
-    code, out, _ = _run(
-        capsys, ["verify-theorem", "10", "1", "3", "--trials", "20", "--seed", "42"]
-    )
+def test_cli_verify_theorem():
+    code, out, _ = run_cli(["verify-theorem", "10", "1", "3", "--trials", "20", "--seed", "42"])
     assert code == 0
     payload = json.loads(out)
     assert payload["passes"] == "20"
@@ -373,15 +362,15 @@ def test_cli_verify_theorem(capsys):
     assert payload["seed"] == "42"
 
 
-def test_cli_counterexamples(capsys):
-    code, out, _ = _run(capsys, ["counterexamples"])
+def test_cli_counterexamples():
+    code, out, _ = run_cli(["counterexamples"])
     assert code == 0
     payload = json.loads(out)
     assert payload["all_ok"] is True
     assert len(payload["cases"]) == 8
 
 
-def test_cli_counterexamples_name_the_failing_pair(capsys):
+def test_cli_counterexamples_name_the_failing_pair():
     # first failures of the full d^2 basis-pair scan, computed before the
     # check was cut to two rows and then to the wrap pair (1, d - 1)
     golden = [
@@ -394,66 +383,63 @@ def test_cli_counterexamples_name_the_failing_pair(capsys):
         (None, None, None),
         ("(1, 5)", "(0, 0, 0, 0, 0, 0)", "(1, 1, 1, 1, 1, 1)"),
     ]
-    _, out, _ = _run(capsys, ["counterexamples"])
+    _, out, _ = run_cli(["counterexamples"])
     cases = json.loads(out)["cases"]
     assert [(c["failing_pair"], c["lhs"], c["rhs"]) for c in cases] == golden
-    _, out, _ = _run(capsys, ["counterexamples", "--format", "csv"])
+    _, out, _ = run_cli(["counterexamples", "--format", "csv"])
     rows = list(csv.DictReader(io.StringIO(out)))
     assert [(r["failing_pair"], r["lhs"], r["rhs"]) for r in rows] == [
         tuple("" if x is None else x for x in row) for row in golden
     ]
 
 
-def test_cli_tables(capsys):
-    code, out, _ = _run(capsys, ["tables", "10"])
+def test_cli_tables():
+    code, out, _ = run_cli(["tables", "10"])
     assert code == 0
     payload = json.loads(out)
     assert [b["det_abs"] for b in payload["blocks"]] == ["5"] * 6
 
 
-def test_cli_usage_error_exits_2(capsys):
-    assert main(["sweep"]) == 2  # missing required --form
+def test_cli_usage_error_exits_2():
+    assert run_cli(["sweep"])[0] == 2  # missing required --form
 
 
-def test_cli_output_file(tmp_path, capsys):
+def test_cli_output_file(tmp_path):
     target = tmp_path / "report.json"
-    code, out, _ = _run(
-        capsys,
-        ["sweep", "--form", "2rp", "--r", "1", "--p", "5", "--output", str(target)],
-    )
+    code, out, _ = run_cli(["sweep", "--form", "2rp", "--r", "1", "--p", "5", "--output", str(target)])
     assert code == 0
     assert out == ""
     assert json.loads(target.read_text())["summary"]["pairs"] == "6"
 
 
-def test_cli_output_env_dir(tmp_path, monkeypatch, capsys):
+def test_cli_output_env_dir(tmp_path, monkeypatch):
     monkeypatch.setenv("CYCLODERIV_OUTPUT_DIR", str(tmp_path))
-    code, _, _ = _run(capsys, ["phi-poly", "10", "--output", "phi.json"])
+    code, _, _ = run_cli(["phi-poly", "10", "--output", "phi.json"])
     assert code == 0
     payload = json.loads((tmp_path / "phi.json").read_text())
     assert payload["coefficients"] == ["1", "-1", "1", "-1", "1"]
 
 
-def test_cli_unwritable_output_exits_1(tmp_path, capsys):
+def test_cli_unwritable_output_exits_1(tmp_path):
     target = tmp_path / "nope" / "x.json"
-    code, _, err = _run(capsys, ["phi-poly", "10", "--output", str(target)])
+    code, _, err = run_cli(["phi-poly", "10", "--output", str(target)])
     assert code == 1
     assert str(target) in err
 
 
-def test_cli_markdown_and_csv_formats(capsys):
-    code, out, _ = _run(capsys, ["phi-poly", "10", "--format", "csv"])
+def test_cli_markdown_and_csv_formats():
+    code, out, _ = run_cli(["phi-poly", "10", "--format", "csv"])
     assert code == 0
     rows = list(csv.DictReader(io.StringIO(out)))
     assert rows[0]["coefficients"] == "1 -1 1 -1 1"
-    code, out, _ = _run(capsys, ["phi-poly", "10", "--format", "markdown"])
+    code, out, _ = run_cli(["phi-poly", "10", "--format", "markdown"])
     assert code == 0
     assert out.startswith("# Cyclotomic polynomial")
 
 
-def test_cli_classify_negative_first_coordinate_after_a_space(capsys):
-    joined = _run(capsys, ["classify", "10", "1", "3", "--dzeta=-9,4,0,2"])
-    spaced = _run(capsys, ["classify", "10", "1", "3", "--dzeta", "-9,4,0,2"])
+def test_cli_classify_negative_first_coordinate_after_a_space():
+    joined = run_cli(["classify", "10", "1", "3", "--dzeta=-9,4,0,2"])
+    spaced = run_cli(["classify", "10", "1", "3", "--dzeta", "-9,4,0,2"])
     assert joined[0] == 0
     assert spaced == joined
     assert json.loads(joined[1])["d_zeta"] == ["-9", "4", "0", "2"]
@@ -467,28 +453,16 @@ def test_cli_classify_negative_first_coordinate_after_a_space(capsys):
     ["sweep", "--form", "pk", "--p", "3", "--k", "3"],
     ["tables", "11"],
 ])
-def test_cli_cap_applies_to_every_ring_command(capsys, argv):
-    code, out, err = _run(capsys, [*argv, "--cap", "8"])
+def test_cli_cap_applies_to_every_ring_command(argv):
+    code, out, err = run_cli([*argv, "--cap", "8"])
     assert code == 2 and out == ""
     assert "exceeds the cap 8" in err
     if argv[0] != "classify":  # its one coordinate is only right for the cap check
-        assert _run(capsys, [*argv, "--cap", "18"])[0] == 0
-
-
-def _child(args, **run):
-    """``python ARGS`` with this checkout's ``src`` first on the path and buffered
-    streams, stdout and stderr captured; 60 s at most."""
-    return subprocess.run([sys.executable, *args], env=env_with_src(PYTHONUNBUFFERED=""),
-                          capture_output=True, **{"timeout": 60, **run})
-
-
-def _run_process(argv):
-    """The CLI in a child process with this checkout's ``src`` first on the path; 10 s at most."""
-    return _child(["-m", "cycloderiv.cli", *argv], text=True, timeout=10)
+        assert run_cli([*argv, "--cap", "18"])[0] == 0
 
 
 def test_cli_refuses_a_huge_ring_before_building_it():
-    proc = _run_process(["matrix", "100003", "1", "2"])
+    proc = run_python(*CLI, "matrix", "100003", "1", "2", text=True, timeout=10)
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert proc.stderr.splitlines() == [
@@ -498,7 +472,7 @@ def test_cli_refuses_a_huge_ring_before_building_it():
 
 def test_cli_builds_phi_30030_within_the_timeout():
     # Phi_n is built from phi(n) + 2 series coefficients, so degree 5760 takes well under 10 s
-    proc = _run_process(["phi-poly", "30030", "--cap", "5760"])
+    proc = run_python(*CLI, "phi-poly", "30030", "--cap", "5760", text=True, timeout=10)
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout)
     assert report["degree"] == "5760"
@@ -553,7 +527,7 @@ UNINDEXABLE = "error: ring degree phi(n) of {} >= 2^75 has more coefficients tha
     *ABOVE_MILLER_RABIN_ARGV,
 ], ids=lambda argv: " ".join(argv)[:40])
 def test_cli_refuses_an_oversized_input_in_bounded_time(argv):
-    proc = _run_process(argv)
+    proc = run_python(*CLI, *argv, text=True, timeout=10)
     assert proc.returncode == 2
     assert proc.stdout == ""
     cap = argv[argv.index("--cap") + 1] if "--cap" in argv else "64"
@@ -574,7 +548,7 @@ def test_cli_refuses_a_huge_prime_n_at_a_huge_cap_with_its_exact_degree(command)
     # neither bound of check_degree exceeds this cap, so n is factored:
     # Miller-Rabin proves it prime at once, where trial division would run
     # to 10^9
-    proc = _run_process([command[0], "--cap", "100000000000000000", *command[1:]])
+    proc = run_python(*CLI, command[0], "--cap", "100000000000000000", *command[1:], text=True, timeout=10)
     assert (proc.returncode, proc.stdout) == (2, "")
     assert proc.stderr.splitlines() == [
         "error: ring degree 1000000000000000002 exceeds the cap 100000000000000000; "
@@ -598,7 +572,7 @@ def test_cli_refuses_a_degree_no_list_can_index_with_one_line(argv):
     # n = 2^100 factors at once and phi(n) = 2^99 passes this cap, but no
     # list of phi(n) + 2 coefficients can be built: the command exits 2 with
     # one error line, not a traceback
-    proc = _run_process([*argv, "--cap", str(10**30)])
+    proc = run_python(*CLI, *argv, "--cap", str(10**30), text=True, timeout=10)
     assert (proc.returncode, proc.stdout) == (2, "")
     assert "Traceback" not in proc.stderr
     (line,) = proc.stderr.splitlines()
@@ -609,9 +583,9 @@ def test_cli_refuses_a_degree_no_list_can_index_with_one_line(argv):
     (["--form", "pk", "--p", "1", "--k", "100000"], "form pk requires a prime p, got 1"),
     (["--form", "2rp", "--r", "0", "--p", HUGE], "form 2rp requires r >= 1"),
 ])
-def test_cli_sweep_size_bound_leaves_invalid_forms_to_their_own_error(capsys, argv, message):
+def test_cli_sweep_size_bound_leaves_invalid_forms_to_their_own_error(argv, message):
     # n = p^k or 2^r p is no bound on phi(n) when p < 2 or the exponent is below 1
-    assert _run(capsys, ["sweep", *argv]) == (2, "", f"error: {message}\n")
+    assert run_cli(["sweep", *argv]) == (2, "", f"error: {message}\n")
 
 
 # --- the process entry point ------------------------------------------------
@@ -627,56 +601,49 @@ def _atexit_script(stream):
     )
 
 
-def _cli(argv):
-    return [sys.executable, "-m", "cycloderiv.cli", *argv]
-
-
 def test_run_runs_an_atexit_handler_once_after_the_output():
-    proc = _child(["-c", _atexit_script("stdout")])
+    proc = run_python("-c", _atexit_script("stdout"))
     assert (proc.returncode, proc.stderr) == (0, b"")
     out = proc.stdout.decode("utf-8")
     assert out.endswith("}\natexit handler\n")
     assert json.loads(out.removesuffix("atexit handler\n"))["degree"] == "4"
     # when the report's write fails, after main's error line, and not again
-    args = [sys.executable, "-c", _atexit_script("stderr")]
-    assert run_closed(args, "stdout", "read end", False, env_with_src()) == (
+    assert run_closed(["-c", _atexit_script("stderr")], "stdout", "read end", False) == (
         1, b"error: [Errno 32] Broken pipe\natexit handler\n"
     )
 
 
 @pytest.mark.parametrize("argv, code", [(["--help"], 0), (["--version"], 0), (["sweep"], 2)],
                          ids=["--help", "--version", "usage-error"])
-def test_run_exits_with_the_code_main_returns_for_a_parser_exit(capsys, argv, code):
+def test_run_exits_with_the_code_main_returns_for_a_parser_exit(argv, code):
     # argparse's own exit is a return value of main, and run ends the
     # process with it
-    assert main(argv) == code
-    capsys.readouterr()
-    assert _child(["-m", "cycloderiv.cli", *argv]).returncode == code
+    assert run_cli(argv)[0] == code
+    assert run_python(*CLI, *argv).returncode == code
 
 
 @pytest.mark.parametrize("argv", [["tables", "21"], ["phi-poly", "10"], ["phi-poly", "0"], ["--version"]])
-def test_run_writes_the_bytes_main_writes_on_buffered_streams(capsys, argv):
+def test_run_writes_the_bytes_main_writes_on_buffered_streams(argv):
     # tables 21 writes about 400 KB, more than one buffer; stdout is a pipe,
     # so it is block-buffered and only run's flush writes the last block
-    code = main(argv)
-    captured = capsys.readouterr()
-    proc = _child(["-m", "cycloderiv.cli", *argv])
+    code, out, err = run_cli(argv)
+    proc = run_python(*CLI, *argv)
     assert proc.returncode == code
-    assert proc.stdout == captured.out.encode("utf-8")
-    assert proc.stderr == captured.err.encode("utf-8")
+    assert proc.stdout == out.encode("utf-8")
+    assert proc.stderr == err.encode("utf-8")
 
 
 @pytest.mark.parametrize("argv", list(CLOSED_STDOUT), ids=lambda argv: argv[:40])
 @pytest.mark.parametrize("unbuffered", BUFFERING)
 def test_run_reports_a_closed_stdout_as_before(unbuffered, argv):
-    got = run_closed(_cli(argv.split()), "stdout", "read end", unbuffered, env_with_src())
+    got = run_closed([*CLI, *argv.split()], "stdout", "read end", unbuffered)
     assert got == CLOSED_STDOUT[argv]
 
 
 def test_run_ends_a_run_without_stdout_as_before():
     # with descriptor 1 closed sys.stdout is None, and argparse writes the
     # version to stderr; recorded before run existed: exit 0, the version
-    got = run_closed(_cli(["--version"]), "stdout", "descriptor 1", False, env_with_src())
+    got = run_closed([*CLI, "--version"], "stdout", "descriptor 1", False)
     assert got == (0, f"{cli.__version__}\n".encode())
 
 
@@ -685,7 +652,7 @@ def test_run_ends_a_run_without_stdout_as_before():
 def test_run_reports_a_report_without_stdout_in_one_line(argv, unbuffered):
     # sys.stdout is None: write_text refuses it as an OSError, not an
     # AttributeError traceback
-    assert run_closed(_cli(argv), "stdout", "descriptor 1", unbuffered, env_with_src()) == (
+    assert run_closed([*CLI, *argv], "stdout", "descriptor 1", unbuffered) == (
         1, b"error: failed writing report to stdout: it is closed\n"
     )
 
@@ -694,7 +661,7 @@ def test_run_reports_a_report_without_stdout_in_one_line(argv, unbuffered):
 def test_run_writes_an_output_file_without_stdout(tmp_path, unbuffered):
     target = tmp_path / "phi.json"
     argv = ["phi-poly", "10", "--output", str(target)]
-    assert run_closed(_cli(argv), "stdout", "descriptor 1", unbuffered, env_with_src()) == (0, b"")
+    assert run_closed([*CLI, *argv], "stdout", "descriptor 1", unbuffered) == (0, b"")
     golden = Path(__file__).resolve().parent / "golden" / "phi-poly_10_json.out"
     assert target.read_bytes() == golden.read_bytes()
 
@@ -718,5 +685,5 @@ def test_main_drops_an_error_line_it_cannot_write_and_keeps_the_code(capsys, mon
 @pytest.mark.parametrize("unbuffered", BUFFERING)
 @pytest.mark.parametrize("argv", list(CLOSED_STDERR))
 def test_run_keeps_the_exit_code_and_stdout_with_a_closed_stderr(argv, unbuffered, closed):
-    got = run_closed(_cli(argv.split()), "stderr", closed, unbuffered, env_with_src())
+    got = run_closed([*CLI, *argv.split()], "stderr", closed, unbuffered)
     assert got == CLOSED_STDERR[argv]

@@ -10,9 +10,11 @@ line it spans, as does each line of a bracketed continuation.
 each module's count and the total; a PATH is a ``.py`` file or a directory
 searched for them, and the default is ``src/cycloderiv``. With
 ``--commands`` it then prints, for each subcommand, the package modules that
-its first ``<command>_..._json`` golden case loads, found with ``python -X
-importtime``, and their code-line total: what a run of that command
-compiles when no bytecode cache is written. With ``--unreached`` it then
+its first ``<command>_..._json`` golden case loads, and their code-line
+total: what a run of that command compiles when no bytecode cache is
+written. ``run_traced`` finds them with ``python -X importtime``; it is
+the one reader of that output, and ``tests/test_records.py`` uses it for
+its table of each command's modules. With ``--unreached`` it then
 runs every golden case through ``cli.main`` in this process under
 ``sys.setprofile`` and prints ``unreached: module.qualname`` for each
 function of the package that none of them entered, value-semantics dunders
@@ -36,7 +38,8 @@ ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "cycloderiv"
 CASES = ROOT / "tests" / "golden" / "cases.json"
 # one CLI run through cli.main, which loads what the console script's cli.run loads
-_RUN_CLI = "import sys; from cycloderiv.cli import main; sys.exit(main(sys.argv[1:]))"
+RUN_CLI = "import sys; from cycloderiv.cli import main; sys.exit(main(sys.argv[1:]))"
+_IMPORT_LINE = "import time:"
 
 _NOT_CODE = {
     tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
@@ -85,16 +88,28 @@ def command_cases() -> dict[str, list[str]]:
     return out
 
 
+def run_traced(*args: str) -> tuple[subprocess.CompletedProcess, list[str]]:
+    """``python -X importtime ARGS``, finished, and the modules it imported, in import order.
+
+    The package is first on the path and help is 80 columns wide. The
+    process's stderr is text with the import lines taken out.
+    """
+    path = os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", *args],
+        env=dict(os.environ, PYTHONPATH=path, COLUMNS="80"), capture_output=True, text=True, timeout=60,
+    )
+    lines = proc.stderr.splitlines(keepends=True)
+    proc.stderr = "".join(line for line in lines if not line.startswith(_IMPORT_LINE))
+    # the first import line is the header
+    return proc, [line.rpartition("|")[2].strip() for line in lines if line.startswith(_IMPORT_LINE)][1:]
+
+
 def loaded_modules(argv: list[str]) -> list[str]:
     """The package modules one CLI run of ``argv`` imports, in import order."""
-    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
-    proc = subprocess.run(
-        [sys.executable, "-X", "importtime", "-c", _RUN_CLI, *argv],
-        env=env, capture_output=True, text=True, timeout=60, check=True,
-    )
-    names = [line.rpartition("|")[2].strip() for line in proc.stderr.splitlines()
-             if line.startswith("import time:")]
-    return [m for m in names if m == "cycloderiv" or m.startswith("cycloderiv.")]
+    proc, modules = run_traced("-c", RUN_CLI, *argv)
+    proc.check_returncode()
+    return [m for m in modules if m == "cycloderiv" or m.startswith("cycloderiv.")]
 
 
 def _source(module: str) -> Path:
