@@ -242,9 +242,17 @@ def check_unit(exponent: int, n: int) -> None:
 
 
 def check_trials(trials: int) -> None:
-    """Refuse a trial count below 1."""
+    """Refuse a trial count below 1 or above 100,000.
+
+    The bound caps the work a count asks for, as the degree cap caps a
+    ring: 100,000 trials at degree 64 take from about 10 s to a minute,
+    by the pair. A count above it is not echoed, since it may have
+    thousands of digits.
+    """
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
+    if trials > 100_000:
+        raise ValueError("trials must be at most 100000")
 
 
 def units(n: int) -> tuple[int, ...]:

@@ -42,6 +42,12 @@ draws that matter are those whose cap reaches n's factoring; a draw whose
 exact phi(n), judged by sympy and never by ``check_degree``, the cap admits
 above degree 24 is left out, and the test needs sympy.
 
+A fifth test draws ``verify-theorem`` on a ring n <= 30, with two distinct
+units of n, and ``--trials`` from ``LARGE``, under the same budget and
+rules, so a count that asks for more work than the trial bound allows must
+be refused, not run. A count the bound admits above 1,000 is left out: its
+trials alone run for seconds at n <= 30 (100,000 take about 12 s at n = 29).
+
 Runs only where ``hypothesis`` is installed; examples are derandomized.
 """
 
@@ -56,7 +62,7 @@ from hypothesis import assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from cycloderiv import cli  # noqa: E402
-from cycloderiv.arith import totient  # noqa: E402
+from cycloderiv.arith import totient, units  # noqa: E402
 from test_golden import run_cli  # noqa: E402
 
 try:
@@ -263,10 +269,13 @@ def _run_within_budget(argv):
     try:
         return run_cli(argv)
     except _OverBudget:
-        pytest.fail(f"over the {BUDGET_S} s budget: {argv}")
+        pass
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
+    # outside the handler: a failure chained to the interrupted frame can
+    # carry a traceback entry with no line number, which pytest cannot print
+    pytest.fail(f"over the {BUDGET_S} s budget: {argv}")
 
 
 def _check_twice_within_budget(argv):
@@ -327,4 +336,25 @@ def large_bare_n(draw):
 @settings(derandomize=True, database=None, deadline=None, max_examples=300)
 @given(large_bare_n())
 def test_a_bare_n_command_with_large_values_ends_within_its_budget_and_keeps_each_stream_to_its_outcome(argv):
+    _check_twice_within_budget(argv)
+
+
+def _admitted_above_a_thousand(trials):
+    """Whether ``trials`` reads as a count from 1,001 to 100,000, which the trial bound admits."""
+    return trials.isdigit() and len(trials) <= 6 and 1000 < int(trials) <= 100_000
+
+
+@st.composite
+def large_trials(draw):
+    """``verify-theorem`` on a ring n <= 30, two distinct units of n and a ``--trials`` from ``LARGE``."""
+    n = draw(st.integers(3, 30))
+    u, v = draw(st.lists(st.sampled_from(units(n)), min_size=2, max_size=2, unique=True))
+    trials = draw(LARGE.filter(lambda value: not _admitted_above_a_thousand(value)))
+    return ["verify-theorem", str(n), str(u), str(v), "--trials", trials]
+
+
+@pytest.mark.skipif(not hasattr(signal, "setitimer"), reason="needs signal.setitimer")
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(large_trials())
+def test_verify_theorem_with_a_large_trial_count_ends_within_its_budget_and_keeps_each_stream_to_its_outcome(argv):
     _check_twice_within_budget(argv)

@@ -329,6 +329,9 @@ def test_verify_theorem_rejects_bad_inputs():
         verify_theorem(10, 3, 3)
     with pytest.raises(ValueError):
         verify_theorem(10, 1, 3, trials=0)
+    for trials in (100_001, 10**4300):  # refused at once, without the count
+        with pytest.raises(ValueError, match="^trials must be at most 100000$"):
+            verify_theorem(10, 1, 3, trials=trials)
 
 
 def test_verify_theorem_refuses_an_over_cap_degree_before_building_a_ring(monkeypatch):

@@ -93,6 +93,7 @@ def test_version_and_a_refused_degree_load_only_the_parser_and_the_check():
         (["classify", "10", "2", "3", "--dzeta", "0,0,0,1"], 2),
         (["classify", "1", "0", "0", "--dzeta", "1"], 2),
         (["verify-theorem", "10", "1", "3", "--trials", "0"], 2),
+        (["verify-theorem", "10", "1", "3", "--trials", "9" * 4300], 2),
     ):
         proc, modules = code_lines.run_traced(*CLI, *argv)
         assert proc.returncode == expected_code, argv
