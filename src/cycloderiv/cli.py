@@ -44,7 +44,9 @@ imports the renderer once the command has returned.
 Beside ``reporting``, ``verify-theorem`` loads only the ring stack
 (``polynomials``, ``quotient``, ``endomorphisms``), ``classify`` adds
 ``innerness``, and the batch commands load ``harness`` and every module;
-``python tools/code_lines.py --commands`` prints each command's set.
+``COMMAND_MODULES`` in ``tests/test_records.py`` is the one table of each
+command's exact set, and ``python tools/code_lines.py --commands`` prints
+it.
 
 Exit codes: 0 on success or all-pass, 1 on an assertion-style failure
 (prediction mismatch, failed round-trip, a Leibniz failure where a pass was
