@@ -110,6 +110,21 @@ def test_each_command_loads_exactly_its_modules_and_no_csv(command):
     assert "csv" not in modules
 
 
+def test_json_classify_loads_neither_the_batch_drivers_nor_csv():
+    proc, modules = code_lines.run_traced(*CLI, "classify", "10", "1", "3", "--dzeta", "1,2,3,4")
+    assert proc.returncode == 0
+    assert "cycloderiv.innerness" in modules
+    assert {"cycloderiv.harness", "csv"}.isdisjoint(modules)
+
+
+def test_json_classify_loads_exactly_the_ring_stack_innerness_and_the_renderer():
+    # the classify row of COMMAND_MODULES, on a larger ring than its golden case
+    dzeta = ",".join(["1"] * 42)
+    proc, modules = code_lines.run_traced("-c", code_lines.RUN_CLI, "classify", "49", "13", "3", f"--dzeta={dzeta}")
+    assert proc.returncode == 0
+    assert _library(modules) == STARTUP | {f"cycloderiv.{name}" for name in COMMAND_MODULES["classify"]}
+
+
 def _golden_stdout(argv):
     (name,) = [name for name, case in CASES.items() if case["argv"] == argv]
     return (GOLDEN / f"{name}.out").read_text(encoding="utf-8")
